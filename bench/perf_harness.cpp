@@ -1,6 +1,6 @@
 // Performance-regression harness for the simulation hot path.
 //
-// Times nine things and emits one JSON document (see BENCH_*.json for the
+// Times eight things and emits one JSON document (see BENCH_*.json for the
 // recorded baseline-vs-current numbers):
 //   1. EventQueue micro-ops (schedule/pop and schedule/cancel throughput),
 //      both for the current sim::EventQueue and for a frozen copy of the
@@ -26,21 +26,14 @@
 //      hard failure, not a perf number - and the serial/sharded wall-clock
 //      ratio is recorded as sharded_speedup (~1.0 on single-core runners,
 //      >1 where the worker pool has cores to use);
-//   7. the quantised workflow path: the SAME end-to-end experiment as (5) on
-//      the epoch-quantised network mode, once serial (shards=1) and once on
-//      the epoch-barrier driver at shards=4 with a 2-thread pool. Digests
-//      must be identical - the classic path's shard-determinism guarantee -
-//      and the wall-clock ratio is recorded as workflow_shard.sharded_speedup
-//      (~1.0 on single-core runners: only the ledger drives parallelize, the
-//      world shard stays the critical path);
-//   8. oracle probe cost: what-if rate queries against a frozen fluid flow
+//   7. oracle probe cost: what-if rate queries against a frozen fluid flow
 //      set (the scheduling-cycle regime), three paths: reference (the legacy
 //      from-scratch progressive fill every probe used to run), uncached (the
 //      solver's recorded-schedule replay, no pair cache), and cached (the
 //      TransferManager's epoch-keyed probe cache on top). All three answers
 //      are asserted bit-identical before timing; probe_cache_speedup is the
 //      cached-vs-reference ratio - the full cost drop a scheduling cycle saw;
-//   9. the heavy-traffic open stream (trace/open-stream-1m: 125k fitted jobs,
+//   8. the heavy-traffic open stream (trace/open-stream-1m: 125k fitted jobs,
 //      >= 1M submitted tasks) run twice, once with the O(1)-memory streaming
 //      metrics collector and once retaining every report. The two result
 //      digests must be identical (the collector-equivalence contract), the
@@ -71,7 +64,6 @@
 #include "exp/scale_model.hpp"
 #include "exp/scenario.hpp"
 #include "grid/transfer_manager.hpp"
-#include "net/network_model.hpp"
 #include "net/routing.hpp"
 #include "sim/event_queue.hpp"
 #include "util/config.hpp"
@@ -713,7 +705,7 @@ int main(int argc, char** argv) {
   auto median3 = [](double a, double b, double c) {
     return std::max(std::min(a, b), std::min(std::max(a, b), c));
   };
-  std::fprintf(stderr, "[1/9] event-queue micro-ops (%zu ops/run)...\n", ops);
+  std::fprintf(stderr, "[1/8] event-queue micro-ops (%zu ops/run)...\n", ops);
   double base_sp[3], cur_sp[3], base_sc[3], cur_sc[3];
   for (int r = 0; r < 3; ++r) {
     base_sp[r] = bench_schedule_pop<BaselineEventQueue>(ops, sink);
@@ -727,7 +719,7 @@ int main(int argc, char** argv) {
   const double current_cancel = median3(cur_sc[0], cur_sc[1], cur_sc[2]);
 
   // --- 2. Routing construction ---------------------------------------------
-  std::fprintf(stderr, "[2/9] routing build (n=%d)...\n", nodes);
+  std::fprintf(stderr, "[2/8] routing build (n=%d)...\n", nodes);
   util::Rng topo_rng(seed);
   net::TopologyParams tp;
   tp.node_count = nodes;
@@ -750,7 +742,7 @@ int main(int argc, char** argv) {
   // --- 3. Transfer-heavy fair-sharing benchmarks ----------------------------
   // Fixed 128-node topology regardless of --nodes: the metric is flow-event
   // throughput at --tflows concurrent fluid flows, not topology scale.
-  std::fprintf(stderr, "[3/9] fair-sharing transfers (%zu concurrent, %llu completions)...\n",
+  std::fprintf(stderr, "[3/8] fair-sharing transfers (%zu concurrent, %llu completions)...\n",
                tflows, static_cast<unsigned long long>(tcomps));
   double base_steady = 0.0, cur_steady = 0.0, base_teardown = 0.0, cur_teardown = 0.0;
   {
@@ -782,7 +774,7 @@ int main(int argc, char** argv) {
   // --- 4. Next-completion arming (scan vs CompletionIndex) ------------------
   // 512 disjoint pairs so the solver work per event is O(1): what remains is
   // the per-flow passes, isolating the arming strategy the index replaced.
-  std::fprintf(stderr, "[4/9] next-completion arming (%zu flows, %llu completions)...\n",
+  std::fprintf(stderr, "[4/8] next-completion arming (%zu flows, %llu completions)...\n",
                tflows, static_cast<unsigned long long>(acomps));
   double scan_arming = 0.0, index_arming = 0.0;
   {
@@ -798,7 +790,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 5. End-to-end fig11-style run ---------------------------------------
-  std::fprintf(stderr, "[5/9] end-to-end dsmf run (n=%d, 36 h horizon)...\n", nodes);
+  std::fprintf(stderr, "[5/8] end-to-end dsmf run (n=%d, 36 h horizon)...\n", nodes);
   exp::ExperimentConfig cfg;
   cfg.algorithm = "dsmf";
   cfg.nodes = nodes;
@@ -813,7 +805,7 @@ int main(int argc, char** argv) {
   // exist; --quick only shortens the horizon so per-window density - and
   // with it the speedup being measured - stays comparable.
   const auto speers = static_cast<int>(cli.get_int("speers", 200000));
-  std::fprintf(stderr, "[6/9] shard engine scale model (%d peers, shards 1 vs 4)...\n", speers);
+  std::fprintf(stderr, "[6/8] shard engine scale model (%d peers, shards 1 vs 4)...\n", speers);
   exp::ScaleParams sp;
   sp.peers = speers;
   sp.horizon_s = quick ? 120.0 : 600.0;
@@ -833,34 +825,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- 7. Quantised workflow path (serial vs sharded barrier driver) --------
-  // The stage-5 experiment on the epoch-quantised network mode: shards=1 is
-  // the barrier loop on a serial ShardEngine, shards=4/threads=2 fans the
-  // flow ledgers out to the worker pool. result_digest excludes wall time and
-  // counts world-engine events only, so the two digests must match exactly.
-  std::fprintf(stderr, "[7/9] quantised workflow shard (n=%d, shards 1 vs 4, 2 threads)...\n",
-               nodes);
-  exp::ExperimentConfig qcfg = cfg;
-  qcfg.system.network_mode = net::NetworkMode::kQuantisedFair;
-  qcfg.system.shards = 1;
-  qcfg.system.threads = 1;
-  const double q_serial_t0 = now_s();
-  const auto q_serial = exp::run_experiment(qcfg);
-  const double q_serial_wall = now_s() - q_serial_t0;
-  qcfg.system.shards = 4;
-  qcfg.system.threads = 2;
-  const double q_sharded_t0 = now_s();
-  const auto q_sharded = exp::run_experiment(qcfg);
-  const double q_sharded_wall = now_s() - q_sharded_t0;
-  const std::uint64_t workflow_shard_digest = exp::result_digest(q_serial);
-  if (workflow_shard_digest != exp::result_digest(q_sharded)) {
-    std::cerr << "perf_harness: sharded quantised-workflow digest diverged from serial ("
-              << exp::result_digest(q_sharded) << " != " << workflow_shard_digest
-              << "): the epoch-barrier driver broke determinism\n";
-    return 1;
-  }
-
-  // --- 8. Oracle probe cache ------------------------------------------------
+  // --- 7. Oracle probe cache ------------------------------------------------
   // The scheduling-cycle regime: the flow set is frozen (no events run between
   // probes, exactly as during a dispatch pass), so every what-if rate query
   // hits the same fair-share fixed point. Reference = the legacy from-scratch
@@ -874,7 +839,7 @@ int main(int argc, char** argv) {
   const auto uprobes = static_cast<std::uint64_t>(cli.get_int("uprobes", quick ? 50000 : 200000));
   const auto cprobes = static_cast<std::uint64_t>(cli.get_int("cprobes", quick ? 400000 : 2000000));
   std::fprintf(stderr,
-               "[8/9] oracle probe cache (%zu flows, %llu reference / %llu uncached / %llu cached "
+               "[7/8] oracle probe cache (%zu flows, %llu reference / %llu uncached / %llu cached "
                "probes)...\n",
                tflows, static_cast<unsigned long long>(rprobes),
                static_cast<unsigned long long>(uprobes),
@@ -941,7 +906,7 @@ int main(int argc, char** argv) {
   // tax the hot path.
   exp::ExperimentConfig scfg = exp::scenario_registry().at("trace/open-stream-1m").config();
   if (quick) scfg.trace.synth_jobs = 25000;  // same stream shape, shorter soak
-  std::fprintf(stderr, "[9/9] streaming metrics open stream (%zu jobs, streaming vs retaining)...\n",
+  std::fprintf(stderr, "[8/8] streaming metrics open stream (%zu jobs, streaming vs retaining)...\n",
                scfg.trace.synth_jobs);
   // Best-of-2 per collector, interleaved, so allocator/page-cache state left
   // behind by the first pass doesn't bias whichever collector runs first.
@@ -1054,19 +1019,6 @@ int main(int argc, char** argv) {
          static_cast<double>(scale_serial.events_processed) / std::max(scale_serial.wall_s, 1e-9));
     w.kv("scale_digest", shard_digest);
     w.end_object();
-    w.key("workflow_shard").begin_object();
-    w.kv("nodes", static_cast<std::int64_t>(nodes));
-    w.kv("algorithm", "dsmf");
-    w.kv("seed", seed);
-    w.kv("shards", static_cast<std::int64_t>(4));
-    w.kv("threads", static_cast<std::int64_t>(2));
-    w.kv("events", q_serial.events_processed);
-    w.kv("workflows_finished", static_cast<std::uint64_t>(q_serial.workflows_finished));
-    w.kv("serial_s", q_serial_wall);
-    w.kv("sharded_s", q_sharded_wall);
-    w.kv("sharded_speedup", q_serial_wall / std::max(q_sharded_wall, 1e-9));
-    w.kv("result_digest", workflow_shard_digest);
-    w.end_object();
     w.key("oracle").begin_object();
     w.kv("topology_nodes", static_cast<std::int64_t>(128));
     w.kv("concurrent_flows", static_cast<std::uint64_t>(tflows));
@@ -1121,7 +1073,6 @@ int main(int argc, char** argv) {
                "next-completion arming %.0f -> %.0f completions/s (%.2fx)\n"
                "end-to-end n=%d: %.2f s wall, %llu events (%.0f events/s)\n"
                "shard engine %d peers: serial %.2f s vs 4-shard %.2f s (%.2fx, digest ok)\n"
-               "quantised workflow n=%d: serial %.2f s vs 4-shard %.2f s (%.2fx, digest ok)\n"
                "oracle probes ref %.0f -> replay %.0f -> cached %.0f probes/s (%.0fx, "
                "bit-identical)\n"
                "streaming metrics %zu jobs: %.0f vs %.0f tasks/s (ratio %.2f, %zu live reports, "
@@ -1134,10 +1085,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(result.events_processed),
                static_cast<double>(result.events_processed) / e2e_wall, speers,
                scale_serial.wall_s, scale_sharded.wall_s,
-               scale_serial.wall_s / std::max(scale_sharded.wall_s, 1e-9), nodes, q_serial_wall,
-               q_sharded_wall, q_serial_wall / std::max(q_sharded_wall, 1e-9),
-               reference_probes_per_s, uncached_probes_per_s, cached_probes_per_s,
-               probe_cache_speedup, scfg.trace.synth_jobs, sm_s_tasks_per_s, sm_r_tasks_per_s,
-               sm_ratio, sm_streaming.live_reports);
+               scale_serial.wall_s / std::max(scale_sharded.wall_s, 1e-9), reference_probes_per_s,
+               uncached_probes_per_s, cached_probes_per_s, probe_cache_speedup,
+               scfg.trace.synth_jobs, sm_s_tasks_per_s, sm_r_tasks_per_s, sm_ratio,
+               sm_streaming.live_reports);
   return sink == 0xdeadbeef ? 2 : 0;
 }

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/rpm.hpp"
-#include "core/workflow_shard.hpp"
 #include "dag/critical_path.hpp"
 #include "net/routing.hpp"
 
@@ -59,7 +58,12 @@ ShardMap compute_shard_map(const net::Routing& routing, int shards) {
   return map;
 }
 
-ShardMap GridSystem::shard_map(int shards) const { return compute_shard_map(routing_, shards); }
+double derive_quantised_epoch(const ShardMap& map, double requested_s) {
+  if (requested_s > 0.0) return requested_s;
+  constexpr double kFloorS = 60.0;
+  if (!std::isfinite(map.min_latency_s)) return kFloorS;  // < 2 nodes
+  return std::max(map.min_latency_s, kFloorS);
+}
 
 // ---------------------------------------------------------------------------
 // DispatchContext implementation backed by the live system.
@@ -356,17 +360,11 @@ void GridSystem::start() {
 void GridSystem::run() {
   start();
   if (config_.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
-    // The quantised barrier/ledger loop (core/workflow_shard) owns the clock:
-    // it interleaves world epochs with frozen-rate ledger integration on a
-    // ShardEngine. shards = 1 is the serial case of the SAME loop - there is
-    // deliberately no second quantised code path to drift from it.
-    const ShardMap map = shard_map(config_.shards);
-    const double epoch = derive_quantised_epoch(map, config_.quantised_epoch_s);
-    const QuantisedRunStats stats = run_quantised_transfers(
-        engine_, *transfers_, map, epoch, config_.threads, config_.horizon_s);
-    quantised_barriers_ = stats.barriers;
-    quantised_drains_ = stats.flows_drained;
-    quantised_parallel_windows_ = stats.parallel_windows;
+    // The epoch-barrier loop owns the clock: it interleaves world epochs with
+    // the frozen-rate flow integration (grid/models/quantised_fair.cpp).
+    const double epoch =
+        derive_quantised_epoch(compute_shard_map(routing_, 1), config_.quantised_epoch_s);
+    transfers_->run_quantised(epoch, config_.horizon_s);
     return;
   }
   engine_.run_until(config_.horizon_s);

@@ -69,6 +69,12 @@ struct ShardMap {
 /// clamped to [1, node_count]. O(n^2) latency scan.
 [[nodiscard]] ShardMap compute_shard_map(const net::Routing& routing, int shards);
 
+/// The quantised-fair epoch a run uses: `requested_s` when positive,
+/// otherwise max(map.min_latency_s, 60 s). The 60 s floor keeps WAN
+/// topologies (sub-millisecond routed latencies) from degenerating into
+/// millions of near-empty barriers.
+[[nodiscard]] double derive_quantised_epoch(const ShardMap& map, double requested_s);
+
 /// Runtime state of one task instance.
 enum class TaskState {
   kWaiting,      ///< some precedent unfinished
@@ -144,15 +150,9 @@ struct SystemConfig {
   /// effective_network_mode() to resolve the pair.
   net::NetworkMode network_mode = net::NetworkMode::kBottleneck;
   /// Quantised-fair epoch length in seconds; <= 0 derives
-  /// max(min routed latency, 60 s) from the shard map (shard-count-invariant,
-  /// so the derived barrier schedule is too). Ignored by the other modes.
+  /// max(min routed latency, 60 s) (see derive_quantised_epoch). Ignored by
+  /// the other modes.
   double quantised_epoch_s = 0.0;
-  /// Quantised-fair barrier loop only: ledger shard count and worker threads
-  /// for the sim::ShardEngine run (core/workflow_shard). Results are
-  /// byte-identical at any setting; these are wall-clock knobs. Ignored - with
-  /// a stderr note from the scenario runner - by the zero-lookahead modes.
-  int shards = 1;
-  int threads = 1;
   /// Extension (paper future work): reschedule tasks lost to churn.
   bool reschedule_failed = false;
   /// Result collection: completed task outputs are also retained at the
@@ -226,10 +226,6 @@ class GridSystem {
   /// Runs one scheduling cycle immediately (tests drive this directly).
   void run_scheduling_cycle();
 
-  /// Partitions this system's nodes into `shards` contiguous blocks with
-  /// lookahead bounds from the live routing (see compute_shard_map).
-  [[nodiscard]] ShardMap shard_map(int shards) const;
-
   /// Fault injection: forcibly disconnects a node right now, exactly as churn
   /// would (running/ready tasks fail, transfers abort, gossip state clears).
   /// Disconnecting a node that hosts submitted workflows strands them.
@@ -245,14 +241,6 @@ class GridSystem {
 
   /// Tasks pulled back from suspected-dead executors (message-level gossip).
   [[nodiscard]] std::uint64_t tasks_reoffered() const { return tasks_reoffered_; }
-
-  // --- quantised-mode observability (all 0 unless run() executed under
-  // NetworkMode::kQuantisedFair; see core/workflow_shard) ---
-  [[nodiscard]] std::uint64_t quantised_barriers() const { return quantised_barriers_; }
-  [[nodiscard]] std::uint64_t quantised_drains() const { return quantised_drains_; }
-  [[nodiscard]] std::uint64_t quantised_parallel_windows() const {
-    return quantised_parallel_windows_;
-  }
 
  private:
   friend class SystemDispatchContext;
@@ -341,9 +329,6 @@ class GridSystem {
   std::uint64_t tasks_failed_ = 0;
   std::uint64_t tasks_rescheduled_ = 0;
   std::uint64_t tasks_reoffered_ = 0;
-  std::uint64_t quantised_barriers_ = 0;
-  std::uint64_t quantised_drains_ = 0;
-  std::uint64_t quantised_parallel_windows_ = 0;
   bool started_ = false;
 };
 

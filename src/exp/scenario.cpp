@@ -149,19 +149,17 @@ ScenarioRegistry build_registry() {
              c.set_data_range(100, 10000);
            })});
 
-  // --- epoch-quantised fair sharing: the sharded contended mode ------------
+  // --- epoch-quantised fair sharing ----------------------------------------
   // The net::NetworkModel seam's third mode (ROADMAP item 1): max-min rates
-  // frozen per epoch, re-solved only at barriers, volume advanced lazily by
-  // per-shard flow ledgers on sim::ShardEngine (core/workflow_shard). Same
-  // transfer-bound CCR as the contention/* family so the frozen-rate
+  // frozen per epoch, re-solved only at barriers, volume advanced lazily once
+  // per epoch by the serial barrier loop (TransferManager::run_quantised).
+  // Same transfer-bound CCR as the contention/* family so the frozen-rate
   // approximation is actually load-bearing; epochs are set explicitly here
   // (60 s = one gossip-cycle fifth, 300 s = one full cycle) so the barrier
-  // schedule does not depend on the topology draw. Digests are byte-identical
-  // at ANY --shards/--threads setting - the shard-determinism CI job diffs
-  // several counts against the same golden entries.
+  // schedule does not depend on the topology draw.
   reg.add({"quantised/fair-epoch60",
            "epoch-quantised fair sharing, 60 s epochs: data-heavy CCR ~ 16 so concurrent "
-           "transfers contend, rates frozen between barriers, ledger-advanced volumes",
+           "transfers contend, rates frozen between barriers, lazily advanced volumes",
            "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.system.network_mode = net::NetworkMode::kQuantisedFair;
@@ -182,7 +180,7 @@ ScenarioRegistry build_registry() {
            })});
   reg.add({"quantised/churn-epoch60",
            "quantised fair sharing under churn (dynamic factor 0.2): mid-epoch mass aborts "
-           "race ledger drains - cancels beat joins, late drains are skipped",
+           "race drain delivery - flows aborted after draining are never delivered",
            "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.system.network_mode = net::NetworkMode::kQuantisedFair;
@@ -472,18 +470,8 @@ std::uint64_t conformance_digest(const Scenario& scenario, int shards, int threa
     params.threads = threads;
     return scale_digest(run_scale_model(params));
   }
-  if (cfg.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
-    // Quantised classic scenarios shard through the epoch-barrier driver
-    // (core/workflow_shard): the digest is byte-identical at every shard and
-    // thread count, checked against the SAME golden entry by tests/scenario
-    // and the shard-determinism CI job.
-    cfg.system.shards = shards;
-    cfg.system.threads = threads;
-    return result_digest(run_experiment(cfg));
-  }
-  // Zero-lookahead classic scenarios run the serial engine whatever `shards`
-  // says — see Scenario::sharded for why they cannot be partitioned
-  // conservatively.
+  // Classic scenarios run the serial engine whatever `shards` says — see
+  // Scenario::sharded.
   return result_digest(run_experiment(cfg));
 }
 

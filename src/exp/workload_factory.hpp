@@ -112,7 +112,7 @@ struct ExperimentConfig {
   /// experiment-level `fair_sharing` convenience flag (copied into the
   /// SystemConfig only at build time, see build_system_config) into
   /// SystemConfig::effective_network_mode(). Callers inspecting an unbuilt
-  /// config (scenario_runner --describe, the ignored---shards warning) must
+  /// config (scenario_runner --describe and its run banner) must
   /// use THIS, not cfg.system.effective_network_mode(), or fluid scenarios
   /// misreport as bottleneck.
   [[nodiscard]] net::NetworkMode effective_network_mode() const {

@@ -1,26 +1,26 @@
 // Epoch-quantised max-min fair sharing (Mode::kQuantisedFair) - the
 // lookahead-compatible contended model (ROADMAP item 1).
 //
-// Contract with the barrier driver (core/workflow_shard.cpp):
-//  - The manager never schedules completion events. Flow volume is advanced
-//    LAZILY, once per epoch, by per-shard ledgers owned by the driver
-//    (the ROADMAP item 3 eager-advance residue, fixed for this mode only).
-//  - quantised_barrier() runs at every epoch barrier t = kE with the world
-//    engine already advanced to kE. It admits the propagation-complete joins
-//    queued since the last barrier, re-freezes every active flow's rate from
-//    the solver, aborts barrier-stalled flows and hands back the id-sorted
-//    delta (joins / rate changes / cancels) the ledgers apply for [kE,(k+1)E).
-//  - Aborts between barriers (churn, link failure, task failure) fire their
-//    callbacks immediately and leave the solver immediately, but surviving
-//    flows' FROZEN rates do not move until the next barrier; the aborted ids
-//    are queued as ledger cancels. A drain report racing such an abort is
-//    skipped by the flows_ membership check in quantised_deliver().
-//  - quantised_deliver() runs at a barrier with ledger-detected drains,
-//    globally (finish_s, id)-sorted by the driver so the callback order is
-//    invariant to how the drained flows partition across shards.
-//
-// Everything here is driven by world-engine events and barrier closures on
-// shard 0 only; the parallel shards touch nothing but their own ledgers.
+// run_quantised() is the whole driver: a serial loop over epoch barriers
+// t = kE on the manager's own engine. At every barrier, in this order:
+//  1. The world engine catches up to t. All grid behaviour (scheduling
+//     cycles, gossip, churn, transfer starts and aborts) happens in here.
+//  2. The drains found at the PREVIOUS barrier are delivered, in
+//     (finish_s, id) order. A drained flow keeps its solver share until this
+//     delivery, so the survivors' rates only rise at the barrier after the
+//     one that detected the drain (two barriers after the drain epoch).
+//  3. The epoch that just ended is integrated lazily, in one O(flows) pass
+//     over remaining_mb at each flow's frozen rate_mbps (instead of the fluid
+//     mode's eager advance on every mutation - ROADMAP item 3). Flows that
+//     cross the line are queued for delivery at the next barrier.
+//  4. quantised_barrier() admits the propagation-complete joins queued since
+//     the last barrier and re-freezes every active flow's rate from the
+//     solver, aborting barrier-stalled flows.
+// The manager never schedules completion events in this mode. Aborts between
+// barriers (churn, link failure, task failure) fire their callbacks and leave
+// the solver immediately, but surviving flows' FROZEN rates do not move until
+// the next barrier. An aborted flow that had already drained is skipped by
+// the flows_ membership check in quantised_deliver().
 #include <algorithm>
 #include <cassert>
 #include <vector>
@@ -32,11 +32,22 @@ namespace dpjit::grid {
 
 using detail::kEpsilonMb;
 
-namespace {
-/// Admission sentinel: marks a flow that joined the pool at the current
-/// barrier, before its first frozen rate is read back from the solver.
-constexpr double kUnratedSentinel = -1.0;
-}  // namespace
+void TransferManager::run_quantised(double epoch_s, SimTime horizon) {
+  assert(mode_ == Mode::kQuantisedFair && epoch_s > 0.0);
+  // t accumulates (t += E, not k * E): the golden digests pin this exact
+  // sequence of barrier times.
+  SimTime epoch_start = 0.0;
+  for (SimTime t = 0.0; t <= horizon; epoch_start = t, t += epoch_s) {
+    engine_.run_until(t);
+    quantised_deliver();
+    quantised_integrate(epoch_start, epoch_s);
+    quantised_barrier();
+  }
+  // Tail flush: world events in (last barrier, horizon] when the horizon is
+  // not a barrier multiple. Flows still in flight simply do not complete -
+  // the same horizon cut-off the fluid mode applies.
+  engine_.run_until(horizon);
+}
 
 void TransferManager::quantised_flow_ready(std::uint64_t id) {
   assert(mode_ == Mode::kQuantisedFair);
@@ -52,9 +63,8 @@ void TransferManager::quantised_flow_ready(std::uint64_t id) {
   pending_joins_.push_back(id);
 }
 
-QuantisedBarrierDelta TransferManager::quantised_barrier() {
+void TransferManager::quantised_barrier() {
   assert(mode_ == Mode::kQuantisedFair);
-  QuantisedBarrierDelta delta;
   // The stamp moves FIRST: any probe a barrier-time callback issues below
   // must see the post-barrier flow set, never a pre-barrier cached answer.
   ++barrier_stamp_;
@@ -75,7 +85,6 @@ QuantisedBarrierDelta TransferManager::quantised_barrier() {
       continue;
     }
     flow.fluid = true;
-    flow.rate_mbps = kUnratedSentinel;
     solver_.add(id, flow.links, &flow);
   }
   pending_joins_.clear();
@@ -86,8 +95,8 @@ QuantisedBarrierDelta TransferManager::quantised_barrier() {
   for (const std::uint64_t id : zero_size) finish(id, true);
 
   // 2. Re-freeze every active flow's rate for the coming epoch. Iteration is
-  // hash order, so collect and sort by id before classifying - the delta must
-  // be byte-identical run to run for the golden digests to hold.
+  // hash order, so collect and sort by id: the stall callbacks below must
+  // fire in the same order run to run for the golden digests to hold.
   std::vector<std::uint64_t> active;
   active.reserve(flows_.size());
   for (const auto& [id, flow] : flows_) {
@@ -96,7 +105,6 @@ QuantisedBarrierDelta TransferManager::quantised_barrier() {
   std::sort(active.begin(), active.end());
   std::vector<std::uint64_t> stalled;
   for (const std::uint64_t id : active) {
-    Flow& flow = flows_.at(id);
     const double rate = solver_.rate(id);
     if (rate <= 0.0) {
       // Saturated/zero-capacity path: the flow could never drain. Abort at
@@ -104,23 +112,29 @@ QuantisedBarrierDelta TransferManager::quantised_barrier() {
       stalled.push_back(id);
       continue;
     }
-    if (flow.rate_mbps == kUnratedSentinel) {
-      delta.joins.push_back(QuantisedJoin{id, flow.src, flow.remaining_mb, rate});
-    } else if (rate != flow.rate_mbps) {
-      delta.rate_changes.push_back(QuantisedRateChange{id, rate});
-    }
-    flow.rate_mbps = rate;
+    flows_.at(id).rate_mbps = rate;
   }
-  if (!stalled.empty()) quantised_resolve_batch(stalled, false);
+  quantised_resolve_batch(stalled, false);
+}
 
-  // 3. Ship the cancels accumulated since the last barrier LAST: stall (and
-  // zero-size) callbacks above may have aborted flows already emitted into
-  // `joins`/`rate_changes`, and the ledgers apply joins -> rate changes ->
-  // cancels, so a same-barrier cancel always wins.
-  delta.cancels = std::move(pending_cancels_);
-  pending_cancels_.clear();
-  std::sort(delta.cancels.begin(), delta.cancels.end());
-  return delta;
+void TransferManager::quantised_integrate(SimTime epoch_start, double epoch_s) {
+  assert(drained_.empty());
+  for (auto& [id, flow] : flows_) {
+    if (!flow.fluid) continue;
+    // The barrier's stall guard aborts zero-rate flows and removals never
+    // lower surviving solver rates, so every frozen rate is strictly
+    // positive and the division below is safe.
+    assert(flow.rate_mbps > 0.0);
+    if (flow.remaining_mb - flow.rate_mbps * epoch_s <= kEpsilonMb) {
+      drained_.emplace_back(epoch_start + std::min(epoch_s, flow.remaining_mb / flow.rate_mbps),
+                            id);
+    } else {
+      flow.remaining_mb -= flow.rate_mbps * epoch_s;
+    }
+  }
+  // (finish_s, id) order: hash-order collection must not leak into the
+  // callback order.
+  std::sort(drained_.begin(), drained_.end());
 }
 
 void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& ids,
@@ -138,10 +152,6 @@ void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& 
     if (flow.fluid) {
       assert(flow.event == sim::EventQueue::kInvalidHandle);
       pool_ids.push_back(id);
-      // The ledger owning this flow learns about the abort at the next
-      // barrier; a drain it reports in the meantime is skipped by the
-      // membership check in quantised_deliver().
-      pending_cancels_.push_back(id);
     } else {
       // Latency-phase, pending-join or loopback flow: kill its timer (a
       // no-op for pending joins, whose handle is already invalidated; the
@@ -168,24 +178,26 @@ void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& 
   }
 }
 
-void TransferManager::quantised_deliver(const std::vector<QuantisedDone>& done) {
+void TransferManager::quantised_deliver() {
   assert(mode_ == Mode::kQuantisedFair);
   std::vector<std::uint64_t> pool_ids;
   std::vector<CompletionFn> callbacks;
-  pool_ids.reserve(done.size());
-  callbacks.reserve(done.size());
-  for (const QuantisedDone& d : done) {
-    auto it = flows_.find(d.id);
-    // Aborted between drain detection and delivery (the pipeline races churn
-    // by design): the abort already fired its callback and left the solver.
-    if (it == flows_.end() || !it->second.fluid) continue;
+  pool_ids.reserve(drained_.size());
+  callbacks.reserve(drained_.size());
+  for (const auto& [finish_s, id] : drained_) {
+    auto it = flows_.find(id);
+    // Aborted between drain detection and delivery: the abort already fired
+    // its callback and left the solver.
+    if (it == flows_.end()) continue;
     Flow& flow = it->second;
-    pool_ids.push_back(d.id);
+    assert(flow.fluid);
+    pool_ids.push_back(id);
     ++completed_;
     delivered_mb_ += flow.size_mb;
     callbacks.push_back(std::move(flow.on_done));
     flows_.erase(it);
   }
+  drained_.clear();
   // Frozen-rate semantics again: remove in one batch, apply nothing.
   if (!pool_ids.empty()) solver_.remove_batch(pool_ids);
   for (auto& cb : callbacks) {

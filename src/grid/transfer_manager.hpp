@@ -21,15 +21,14 @@
 //    re-solved ONLY at epoch barriers and frozen in between; flows finishing
 //    their propagation phase queue as pending joins and enter the solver at
 //    the next barrier; remaining volume is advanced LAZILY once per epoch
-//    (per-shard flow ledgers in core/workflow_shard, not O(flows) per
-//    mutation like the fluid mode's eager advance - ROADMAP item 3 residue,
-//    fixed here for this mode only); completions are detected by the ledgers
-//    and delivered back through quantised_deliver() two barriers after the
-//    epoch in which they drained. Aborts (churn, link failure, task failure)
-//    fire immediately and leave the solver at once, but the frozen rates of
-//    surviving flows do not move until the next barrier. The manager itself
-//    schedules NO completion events in this mode - the barrier/ledger driver
-//    owns the clock. Machinery: models/quantised_fair.cpp.
+//    (one pass per barrier, not O(flows) per mutation like the fluid mode's
+//    eager advance - ROADMAP item 3 residue, fixed here for this mode only);
+//    a flow that drains in an epoch is delivered two barriers after that
+//    epoch's start. Aborts (churn, link failure, task failure) fire
+//    immediately and leave the solver at once, but the frozen rates of
+//    surviving flows do not move until the next barrier. The manager
+//    schedules NO completion events in this mode - run_quantised() owns the
+//    clock. Machinery: models/quantised_fair.cpp.
 //
 // The manager also implements net::RateOracle: what-if transfer-rate and
 // transfer-time queries against the live network, consumed by the
@@ -63,39 +62,6 @@
 #include "sim/engine.hpp"
 
 namespace dpjit::grid {
-
-/// One flow admitted to the frozen-rate pool at a quantised barrier: the
-/// ledger-side initial state (remaining volume and the epoch's frozen rate).
-struct QuantisedJoin {
-  std::uint64_t id = 0;
-  NodeId src{};  ///< ledger-owner selector: flows live on shard(src)
-  double remaining_mb = 0.0;
-  double rate_mbps = 0.0;
-};
-
-/// A surviving flow whose frozen rate moved at a barrier re-solve.
-struct QuantisedRateChange {
-  std::uint64_t id = 0;
-  double rate_mbps = 0.0;
-};
-
-/// Everything the per-shard flow ledgers must learn at one epoch barrier.
-/// Entries are id-sorted; a flow aborted by a barrier-time stall shows up in
-/// `cancels` (possibly without ever having been joined - ledgers ignore
-/// unknown ids).
-struct QuantisedBarrierDelta {
-  std::vector<QuantisedJoin> joins;
-  std::vector<QuantisedRateChange> rate_changes;
-  std::vector<std::uint64_t> cancels;
-};
-
-/// One ledger-detected drain: the exact in-epoch finish time plus the flow.
-/// Deliveries are globally sorted by (finish_s, id) before callbacks fire, so
-/// the order is invariant to how drained flows partition across shards.
-struct QuantisedDone {
-  SimTime finish_s = 0.0;
-  std::uint64_t id = 0;
-};
 
 class TransferManager : public net::RateOracle {
  public:
@@ -142,21 +108,21 @@ class TransferManager : public net::RateOracle {
   [[nodiscard]] double total_delivered_mb() const { return delivered_mb_; }
   [[nodiscard]] Mode mode() const { return mode_; }
 
-  // --- quantised-fair barrier protocol (models/quantised_fair.cpp) ----------
-  // Driven by core::run_quantised_transfers; unit tests call it directly.
+  // --- quantised-fair barrier loop (models/quantised_fair.cpp) --------------
   // Only valid in Mode::kQuantisedFair.
+
+  /// Drives the engine to `horizon` through epoch barriers at t = 0, E, 2E,
+  /// ... <= horizon: at each, the engine runs to t, last barrier's drains
+  /// are delivered in (finish_s, id) order, the epoch that just ended is
+  /// integrated at the frozen rates, and quantised_barrier() runs. Then the
+  /// engine runs on to `horizon`.
+  void run_quantised(double epoch_s, SimTime horizon);
 
   /// Executes one epoch barrier at the engine's current time: delivers
   /// zero-size pending joins, admits the rest to the solver, re-freezes every
-  /// active flow's rate, aborts barrier-stalled (zero-rate) flows, and
-  /// returns the id-sorted delta the flow ledgers must apply for the coming
-  /// epoch. Bumps the barrier stamp the probe cache keys on.
-  [[nodiscard]] QuantisedBarrierDelta quantised_barrier();
-
-  /// Delivers ledger-detected drains (must be (finish_s, id)-sorted by the
-  /// caller): one batched solver removal, stats, then success callbacks.
-  /// Entries for flows aborted since detection are skipped.
-  void quantised_deliver(const std::vector<QuantisedDone>& done);
+  /// active flow's rate and aborts barrier-stalled (zero-rate) flows. Bumps
+  /// the barrier stamp the probe cache keys on. Tests call it directly.
+  void quantised_barrier();
 
   /// Barriers executed so far (the probe-cache epoch key in quantised mode).
   [[nodiscard]] std::uint64_t barrier_stamp() const { return barrier_stamp_; }
@@ -257,9 +223,16 @@ class TransferManager : public net::RateOracle {
   // --- quantised-fair machinery (models/quantised_fair.cpp) ---
   /// Propagation phase over: queue the flow for admission at the next barrier.
   void quantised_flow_ready(std::uint64_t id);
-  /// Aborts a sorted batch immediately (callbacks now, solver removal now,
-  /// ledger cancel queued for the next barrier); frozen rates do not move.
+  /// Aborts a sorted batch immediately (callbacks now, solver removal now);
+  /// frozen rates do not move.
   void quantised_resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
+  /// Delivers the drains found by the last quantised_integrate(): one
+  /// batched solver removal, stats, then success callbacks. Flows aborted
+  /// since detection are skipped.
+  void quantised_deliver();
+  /// Advances every pool flow over [epoch_start, epoch_start + epoch_s) at
+  /// its frozen rate; flows that drain are queued in drained_.
+  void quantised_integrate(SimTime epoch_start, double epoch_s);
 
   sim::Engine& engine_;
   const net::Topology& topo_;
@@ -298,8 +271,9 @@ class TransferManager : public net::RateOracle {
   /// Flows whose propagation finished since the last barrier (may hold stale
   /// ids of flows aborted before admission; admission re-checks).
   std::vector<std::uint64_t> pending_joins_;
-  /// Ids the ledgers must drop at the next barrier (aborted mid-epoch).
-  std::vector<std::uint64_t> pending_cancels_;
+  /// (finish_s, id) of the flows that drained in the last integrated epoch,
+  /// sorted; delivered at the next barrier.
+  std::vector<std::pair<SimTime, std::uint64_t>> drained_;
   /// Epoch barriers executed; part of the probe-cache key in quantised mode.
   std::uint64_t barrier_stamp_ = 0;
 };

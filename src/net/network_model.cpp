@@ -10,7 +10,6 @@ constexpr NetworkModeInfo kBottleneckInfo{
     "bottleneck",
     /*contended=*/false,
     /*zero_lookahead=*/false,
-    /*shardable=*/false,
     "static routed-path bandwidth (no contention state)",
 };
 
@@ -18,7 +17,6 @@ constexpr NetworkModeInfo kFluidFairInfo{
     "fluid-fair",
     /*contended=*/true,
     /*zero_lookahead=*/true,
-    /*shardable=*/false,
     "live what-if solver probe, cache keyed on the solver mutation stamp",
 };
 
@@ -26,7 +24,6 @@ constexpr NetworkModeInfo kQuantisedFairInfo{
     "quantised-fair",
     /*contended=*/true,
     /*zero_lookahead=*/false,
-    /*shardable=*/true,
     "live what-if solver probe, cache keyed on the solver mutation stamp AND "
     "the epoch barrier stamp",
 };

@@ -7,29 +7,24 @@
 // scattered `bool fair_sharing`. The mode matrix below is the single source
 // of truth for the properties the layers branch on:
 //
-//   mode            contended  lookahead            shardable  oracle path
-//   --------------  ---------  -------------------  ---------  -------------------
-//   bottleneck      no         n/a (no rate state)  no [1]     static routed path
-//   fluid-fair      yes        ZERO (a rate change  no         live what-if probe,
-//                              is instantly global)            probe cache keyed on
-//                                                              the solver stamp
-//   quantised-fair  yes        one epoch (rates     YES        live what-if probe,
-//                              frozen between                  cache additionally
-//                              barriers)                       keyed on the barrier
-//                                                              stamp
+//   mode            contended  lookahead            oracle path
+//   --------------  ---------  -------------------  -------------------
+//   bottleneck      no         n/a (no rate state)  static routed path
+//   fluid-fair      yes        ZERO (a rate change  live what-if probe,
+//                              is instantly global) probe cache keyed on
+//                                                   the solver stamp
+//   quantised-fair  yes        one epoch (rates     live what-if probe,
+//                              frozen between       cache additionally
+//                              barriers)            keyed on the barrier
+//                                                   stamp
 //
-// [1] bottleneck transfers are independent point events and could shard in
-//     principle, but the workflow world around them (shared RNG streams,
-//     gossip, scheduling) runs on the serial engine either way; only the
-//     quantised mode moves the workflow run onto sim::ShardEngine.
+// Every mode runs the workflow world on the serial engine.
 //
 // Epoch-quantised fair sharing is the lookahead-compatible contended model:
 // max-min rates are re-solved ONLY at epoch barriers t = kE and frozen in
 // between, flows accrue volume against the frozen rates, and completions
-// surface at barriers. Freezing manufactures exactly the non-zero lookahead
-// the conservative time-window PDES loop needs, so quantised runs ride
-// sim::ShardEngine with cross-shard completions delivered as window-barrier
-// messages (see core/workflow_shard.hpp for the pipeline).
+// surface at barriers. A serial barrier loop drives it
+// (grid::TransferManager::run_quantised).
 #pragma once
 
 #include <string_view>
@@ -44,7 +39,7 @@ enum class NetworkMode {
   /// join/leave (the PR 4 ablation; zero lookahead).
   kFluidFair,
   /// Max-min fair sharing with rates frozen per epoch and re-solved only at
-  /// epoch barriers (non-zero lookahead; the sharded workflow path).
+  /// epoch barriers (non-zero lookahead).
   kQuantisedFair,
 };
 
@@ -54,8 +49,6 @@ struct NetworkModeInfo {
   std::string_view name;        ///< canonical spelling, e.g. "quantised-fair"
   bool contended = false;       ///< concurrent transfers share link capacity
   bool zero_lookahead = false;  ///< rate changes propagate instantly
-  /// The workflow path can run on sim::ShardEngine under this mode.
-  bool shardable = false;
   std::string_view oracle_path;  ///< how RateOracle probes are answered
 };
 

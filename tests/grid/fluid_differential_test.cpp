@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/workflow_shard.hpp"
 #include "grid/transfer_manager.hpp"
 #include "util/rng.hpp"
 
@@ -107,8 +106,8 @@ TEST_P(FluidDifferential, CachedProbeMatchesUncachedAndLegacyReferenceBitForBit)
 
 TEST_P(FluidDifferential, QuantisedSingleFlowConvergesMonotonicallyToFluid) {
   // One uncontended flow: quantising can only ADD delay (admission waits for
-  // a barrier, the drain is detected at a window edge, the DONE message rides
-  // one more epoch), so completion time is non-increasing as the epoch
+  // a barrier, the drain is detected at the next barrier, delivery waits one
+  // more epoch), so completion time is non-increasing as the epoch
   // shrinks and bounded below by the fluid completion time.
   util::Rng rng(GetParam() * 9973);
   net::TopologyParams params;
@@ -139,16 +138,15 @@ TEST_P(FluidDifferential, QuantisedSingleFlowConvergesMonotonicallyToFluid) {
   for (const double epoch : {16.0, 8.0, 4.0, 2.0, 1.0, 0.5}) {
     sim::Engine world;
     TransferManager tm(world, topo, routing, TransferManager::Mode::kQuantisedFair);
-    const core::ShardMap map = core::compute_shard_map(routing, 2);
     double done = -1.0;
     tm.start(src, dst, mb, [&](bool ok) {
       if (ok) done = world.now();
     });
-    (void)core::run_quantised_transfers(world, tm, map, epoch, 1, fluid_done + 20.0 * epoch + 10.0);
+    tm.run_quantised(epoch, fluid_done + 20.0 * epoch + 10.0);
     ASSERT_GT(done, 0.0) << "epoch=" << epoch;
     EXPECT_LE(done, prev) << "epoch=" << epoch;
     // Quantisation never beats the fluid answer, and at epoch E the overhead
-    // is bounded by one admission wait + one drain window + one DONE hop.
+    // is bounded by one admission wait + one drain window + one delivery hop.
     EXPECT_GE(done, fluid_done - 1e-9) << "epoch=" << epoch;
     EXPECT_LE(done, fluid_done + 3.0 * epoch + 1e-9) << "epoch=" << epoch;
     prev = done;
@@ -160,7 +158,7 @@ TEST_P(FluidDifferential, QuantisedContendedErrorIsLinearInTheEpochAndMonotone) 
   // completion times as the reference, the quantised barrier driver at
   // halving epochs. Per-flow absolute error halves with the epoch (barrier
   // grids nest under halving) and stays within a small linear envelope
-  // (admission wait + drain-window rounding + the one-epoch DONE hop are each
+  // (admission wait + drain-window rounding + the one-epoch delivery hop are each
   // O(E); measured slope is ~2.2 E across seeds, asserted at 3.5 E).
   util::Rng rng(GetParam() * 12289);
   net::TopologyParams params;
@@ -197,7 +195,6 @@ TEST_P(FluidDifferential, QuantisedContendedErrorIsLinearInTheEpochAndMonotone) 
   for (const double epoch : {16.0, 8.0, 4.0, 2.0, 1.0, 0.5}) {
     sim::Engine world;
     TransferManager tm(world, topo, routing, TransferManager::Mode::kQuantisedFair);
-    const core::ShardMap map = core::compute_shard_map(routing, 2);
     std::vector<double> done(specs.size(), -1.0);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const FlowSpec& s = specs[i];
@@ -207,7 +204,7 @@ TEST_P(FluidDifferential, QuantisedContendedErrorIsLinearInTheEpochAndMonotone) 
         });
       });
     }
-    (void)core::run_quantised_transfers(world, tm, map, epoch, 1, 100000.0);
+    tm.run_quantised(epoch, 100000.0);
 
     double err = 0.0;
     for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -1,8 +1,7 @@
-// PR 9 acceptance at the scenario level: the quantised/* family reproduces
-// its committed golden digest at every (shards, threads) combination — the
-// classic workflow path now shards byte-identically through the epoch-barrier
-// driver — and the quantised network model converges to the fluid fair-share
-// reference as the epoch shrinks (epoch -> 0 differential).
+// Scenario-level checks of the quantised network mode: the quantised/* family
+// reproduces its committed golden digest on the serial barrier loop, and the
+// quantised model stays in the fluid fair-share reference's envelope as the
+// epoch shrinks (epoch -> 0 differential).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,8 +30,8 @@ TEST(QuantisedDeterminism, RegistryHasTheQuantisedFamily) {
   const auto family = scenario_registry().family("quantised/");
   EXPECT_GE(family.size(), 3u);
   for (const Scenario* s : family) {
-    // The quantised scenarios shard through SystemConfig::shards, not the
-    // scale-model path, so the flag must stay false (see Scenario::sharded).
+    // The quantised scenarios run the GridSystem world on the serial engine,
+    // not the scale model (see Scenario::sharded).
     EXPECT_FALSE(s->sharded) << s->name;
     const auto cfg = s->config();
     EXPECT_EQ(cfg.system.effective_network_mode(), net::NetworkMode::kQuantisedFair) << s->name;
@@ -41,18 +40,12 @@ TEST(QuantisedDeterminism, RegistryHasTheQuantisedFamily) {
 
 class QuantisedScenario : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(QuantisedScenario, GoldenDigestAtEveryShardAndThreadCount) {
+TEST_P(QuantisedScenario, GoldenDigest) {
   const auto& scenario = scenario_registry().at(GetParam());
   const auto it = golden_digests().find(scenario.name);
   ASSERT_NE(it, golden_digests().end()) << "no golden digest for " << scenario.name;
-  for (const int shards : {1, 2, 4}) {
-    for (const int threads : {1, 2}) {
-      EXPECT_EQ(conformance_digest(scenario, shards, threads), it->second)
-          << scenario.name << " diverged from its golden at shards=" << shards
-          << " threads=" << threads
-          << ": the epoch-barrier driver is no longer byte-identical to serial.";
-    }
-  }
+  EXPECT_EQ(conformance_digest(scenario), it->second)
+      << scenario.name << " diverged from its golden digest.";
 }
 
 std::vector<std::string> quantised_scenario_names() {
@@ -77,7 +70,7 @@ TEST(QuantisedDeterminism, QuantisedStaysInTheFluidEnvelopeAtEveryEpoch) {
   // in the epoch — an epoch sweep at conformance scale lands anywhere in
   // roughly +-30% of the fluid mean response, non-monotonically. The strict
   // monotone-convergence statement therefore lives where it is provable, on
-  // open-loop flow sets against the barrier driver
+  // open-loop flow sets against the barrier loop
   // (FluidDifferential.QuantisedContendedErrorIsLinearInTheEpochAndMonotone);
   // HERE we pin the whole reactive system to the fluid reference's envelope:
   // every epoch must produce a healthy run in a bounded band around fluid,

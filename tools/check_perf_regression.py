@@ -64,9 +64,6 @@ def main() -> None:
     base_or = "oracle"
     if current.get("quick") and "quick_oracle" in baseline:
         base_or = "quick_oracle"
-    base_ws = "workflow_shard"
-    if current.get("quick") and "quick_workflow_shard" in baseline:
-        base_ws = "quick_workflow_shard"
     base_sm = "streaming_metrics"
     if current.get("quick") and "quick_streaming_metrics" in baseline:
         base_sm = "quick_streaming_metrics"
@@ -76,7 +73,6 @@ def main() -> None:
         ("transfer", base_tr, "fair_sharing_speedup"),
         ("next_completion", base_nc, "arming_speedup"),
         ("shard_engine", base_se, "sharded_speedup"),
-        ("workflow_shard", base_ws, "sharded_speedup"),
         ("oracle", base_or, "probe_cache_speedup"),
         # The streaming collector must stay free on the hot path: the
         # streaming/retaining dispatch-throughput ratio sits near 1.0 and a
@@ -94,8 +90,6 @@ def main() -> None:
         ("shard_engine", "serial_events_per_s"),
         ("shard_engine", "sharded_s"),
         ("shard_engine", "parallel_windows"),
-        ("workflow_shard", "serial_s"),
-        ("workflow_shard", "sharded_s"),
         ("oracle", "reference_probes_per_s"),
         ("oracle", "uncached_probes_per_s"),
         ("oracle", "cached_probes_per_s"),
@@ -143,25 +137,6 @@ def main() -> None:
         print("WARNING: expected on a different toolchain/glibc; investigate if same-machine")
     else:
         print(f"digest ok vs recorded {recorded[0]}")
-
-    # Same treatment for the quantised workflow-shard run (the harness already
-    # hard-fails if serial and sharded diverge within one run; this catches a
-    # cross-commit output change at the same scale/seed).
-    cur_ws = current.get("workflow_shard", {})
-    for section in ("workflow_shard", "quick_workflow_shard"):
-        ref = baseline.get(section, {})
-        if ref.get("nodes") == cur_ws.get("nodes") and ref.get("seed") == cur_ws.get("seed"):
-            if cur_ws.get("result_digest") != ref.get("result_digest"):
-                msg = (
-                    f"quantised workflow digest changed vs recorded {section} "
-                    f"({cur_ws.get('result_digest')} != {ref.get('result_digest')})"
-                )
-                if strict_digest:
-                    fail(msg)
-                print(f"WARNING: {msg}")
-            else:
-                print(f"quantised digest ok vs recorded {section}")
-            break
 
     if not ok:
         fail(f"a watched speedup fell more than {tolerance:.0%} below the recorded baseline")

@@ -22,11 +22,10 @@
 // `--shards=N` selects the PDES shard count for sharded (scale/*) scenarios;
 // results and digests are byte-identical at every count, which the
 // shard-determinism CI job verifies by diffing `--digest --shards=N
-// [--threads=M]` output against the goldens for several (N, M). Classic
-// scenarios on the quantised network mode shard the same way through the
-// epoch-barrier driver; zero-lookahead classic scenarios ignore the flag and
-// always run the serial engine (see exp::Scenario::sharded). `--threads`
+// [--threads=M]` output against the goldens for several (N, M). `--threads`
 // caps the worker threads driving parallel windows (also results-neutral).
+// Classic scenarios always run the serial engine and warn that both flags
+// are ignored (see exp::Scenario::sharded).
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -106,9 +105,8 @@ int describe_scenario(const std::string& name, bool as_json) {
   // a contention/* or quantised/* result needs to know to interpret it. The
   // mode row comes straight from the net::NetworkModel matrix so this listing
   // cannot drift from the engine's actual branch.
-  const net::NetworkMode net_mode = cfg.effective_network_mode();
-  const net::NetworkModeInfo& net_info = net::network_mode_info(net_mode);
-  const std::string_view network_model = net_info.name;
+  const std::string_view network_model =
+      net::network_mode_info(cfg.effective_network_mode()).name;
   const auto algo = core::make_algorithm(cfg.algorithm);
   const bool ca_suffix = cfg.algorithm.size() > 3 &&
                          cfg.algorithm.compare(cfg.algorithm.size() - 3, 3, "-ca") == 0;
@@ -141,7 +139,6 @@ int describe_scenario(const std::string& name, bool as_json) {
     std::cout << "  \"arrival_process\": \"" << arrivals << "\",\n";
     std::cout << "  \"workload_mix_entries\": " << cfg.workload_mix.size() << ",\n";
     std::cout << "  \"sharded\": " << (s->sharded ? "true" : "false") << ",\n";
-    std::cout << "  \"network_shardable\": " << (net_info.shardable ? "true" : "false") << ",\n";
     std::cout << "  \"conformance_nodes\": " << conf_nodes << "\n";
     std::cout << "}\n";
     return 0;
@@ -167,13 +164,10 @@ int describe_scenario(const std::string& name, bool as_json) {
   std::cout << "arrival process:   " << arrivals << "\n";
   std::cout << "workload mix:      " << (cfg.workload_mix.empty() ? "random-only" : "mixed");
   std::cout << "\n";
-  const char* engine_line = "serial (zero-lookahead network model ignores --shards/--threads)";
-  if (s->sharded) {
-    engine_line = "sharded (scale model; accepts --shards)";
-  } else if (net_info.shardable) {
-    engine_line = "sharded (quantised epoch-barrier loop; accepts --shards/--threads)";
-  }
-  std::cout << "engine:            " << engine_line << "\n";
+  std::cout << "engine:            "
+            << (s->sharded ? "sharded (scale model; accepts --shards)"
+                           : "serial (ignores --shards/--threads)")
+            << "\n";
   std::cout << "conformance nodes: " << conf_nodes;
   std::cout << " (digest pinned in tests/scenario/golden_digests.json)\n";
   return 0;
@@ -185,15 +179,12 @@ int emit_digests(const std::string& only, int shards, int threads) {
   int serial_only = 0;
   for (const auto& s : reg.all()) {
     if (!only.empty() && s.name != only) continue;
-    const auto cfg = s.config();
-    const bool takes_shards =
-        s.sharded || net::network_mode_info(cfg.effective_network_mode()).shardable;
-    const int n = exp::conformance_nodes(cfg.nodes);
+    const int n = exp::conformance_nodes(s.config().nodes);
     std::cerr << "digesting " << s.name << " (n=" << n;
-    if (takes_shards && shards > 1) std::cerr << ", shards=" << shards;
-    if (takes_shards && threads > 1) std::cerr << ", threads=" << threads;
+    if (s.sharded && shards > 1) std::cerr << ", shards=" << shards;
+    if (s.sharded && threads > 1) std::cerr << ", threads=" << threads;
     std::cerr << ")...\n";
-    if (!takes_shards && (shards > 1 || threads > 1)) ++serial_only;
+    if (!s.sharded && (shards > 1 || threads > 1)) ++serial_only;
     digests.emplace_back(s.name, exp::conformance_digest(s, shards, threads));
   }
   if (!only.empty() && digests.empty()) {
@@ -202,7 +193,7 @@ int emit_digests(const std::string& only, int shards, int threads) {
   }
   if (serial_only > 0) {
     std::cerr << "scenario_runner: warning: --shards/--threads ignored by " << serial_only
-              << " zero-lookahead scenario(s) (serial engine; digests unaffected)\n";
+              << " classic scenario(s) (serial engine; digests unaffected)\n";
   }
   exp::write_digest_document(std::cout, digests);
   return 0;
@@ -323,20 +314,12 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
 
   if (scenario->sharded) return run_scale_scenario(cli, *scenario, cfg, as_json);
 
-  // Classic scenarios: the quantised network mode runs the epoch-barrier
-  // loop and honours the PDES knobs; the zero-lookahead modes cannot, so a
-  // requested count is called out instead of silently dropped (results are
-  // identical either way - this is purely a you-asked-for-parallelism-and-
-  // did-not-get-it warning).
-  const net::NetworkMode net_mode = cfg.effective_network_mode();
-  if (net::network_mode_info(net_mode).shardable) {
-    cfg.system.shards = static_cast<int>(cli.get_int("shards", cfg.system.shards));
-    cfg.system.threads = static_cast<int>(cli.get_int("threads", cfg.system.threads));
-  } else if (cli.has("shards") || cli.has("threads")) {
+  // Classic scenarios run the serial engine, so a requested count is called
+  // out instead of silently dropped (results are identical either way - this
+  // is purely a you-asked-for-parallelism-and-did-not-get-it warning).
+  if (cli.has("shards") || cli.has("threads")) {
     std::cerr << "scenario_runner: warning: --shards/--threads ignored: scenario '"
-              << scenario->name << "' runs the zero-lookahead '"
-              << net::network_mode_info(net_mode).name
-              << "' network model on the serial engine (see net/network_model.hpp)\n";
+              << scenario->name << "' runs on the serial engine (only scale/* scenarios shard)\n";
   }
 
   std::cerr << "=== " << scenario->name << " ===\n"
@@ -344,9 +327,8 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
             << "nodes=" << cfg.nodes << " workflows/node=" << cfg.workflows_per_node
             << " algorithm=" << cfg.algorithm << " horizon=" << cfg.system.horizon_s / 3600.0
             << "h seed=" << cfg.seed;
-  if (net::network_mode_info(net_mode).shardable) {
-    std::cerr << " epoch=" << cfg.system.quantised_epoch_s << "s shards=" << cfg.system.shards
-              << " threads=" << cfg.system.threads;
+  if (cfg.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
+    std::cerr << " epoch=" << cfg.system.quantised_epoch_s << "s";
   }
   std::cerr << "\n\n";
 
