@@ -33,6 +33,7 @@ ExperimentResult summarize(const World& world, double wall_seconds) {
   r.schedule_points_offered = system.schedule_points_offered();
   r.gossip_messages = system.gossip_service().messages_sent();
   r.gossip_bytes = system.gossip_service().bytes_sent();
+  r.gossip_floor_rejections = system.gossip_service().floor_rejections();
   r.wall_seconds = wall_seconds;
   return r;
 }

@@ -47,6 +47,9 @@ struct ExperimentResult {
   std::uint64_t schedule_points_offered = 0;
   std::uint64_t gossip_messages = 0;
   std::uint64_t gossip_bytes = 0;
+  /// Gossip entries skipped by the receiver's stamp floor (the delivery fast
+  /// path's hit count). NOT part of result_digest.
+  std::uint64_t gossip_floor_rejections = 0;
   std::uint64_t events_processed = 0;
   double wall_seconds = 0.0;
 };

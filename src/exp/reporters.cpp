@@ -118,6 +118,8 @@ void write_results_json(std::ostream& os, const std::vector<ExperimentResult>& r
     json.kv("tasks_rescheduled", r.tasks_rescheduled);
     json.kv("schedule_points_offered", r.schedule_points_offered);
     json.kv("gossip_messages", r.gossip_messages);
+    json.kv("gossip_bytes", r.gossip_bytes);
+    json.kv("gossip_floor_rejections", r.gossip_floor_rejections);
     json.kv("wall_seconds", r.wall_seconds);
     const std::pair<const char*, const std::vector<CurvePoint>*> curves[] = {
         {"throughput", &r.throughput},

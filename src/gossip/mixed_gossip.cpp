@@ -39,6 +39,7 @@ MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params,
   if (params_.message_level) {
     detector_ = std::make_unique<FailureDetector>(n_);
     budget_.assign(static_cast<std::size_t>(n_), 0);
+    digest_mark_.assign(static_cast<std::size_t>(n_), 0U);
     message_budget_ =
         params_.round_message_budget > 0 ? params_.round_message_budget : 3 * fanout_ + 4;
     ack_timeout_ = params_.ack_timeout_s > 0.0 ? params_.ack_timeout_s : 0.5 * params_.cycle_s;
@@ -98,26 +99,41 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
   }
 }
 
-std::vector<NodeId> MixedGossipService::pick_targets(NodeId from, int count) {
+const std::vector<NodeId>& MixedGossipService::pick_targets(NodeId from, int count) {
   const auto& g = nodes_[static_cast<std::size_t>(from.get())];
   // Candidate set: peers currently in the view (Newscast neighbors are
   // reselected from the cache every cycle).
-  std::vector<NodeId> candidates;
-  candidates.reserve(g.rss.size());
-  for (const auto& e : g.rss.entries()) candidates.push_back(e.node);
-  rng_.shuffle(candidates);
-  std::vector<NodeId> targets;
-  for (NodeId c : candidates) {
-    if (static_cast<int>(targets.size()) >= count) break;
+  candidates_.clear();
+  for (const auto& e : g.rss.entries()) candidates_.push_back(e.node);
+  rng_.shuffle(candidates_);
+  targets_.clear();
+  for (NodeId c : candidates_) {
+    if (static_cast<int>(targets_.size()) >= count) break;
     if (detector_) {
       // Message mode: membership is the node's own belief, not the oracle -
       // suspects are still gossiped to (they get a chance to refute).
-      if (!detector_->believes_dead(from, c)) targets.push_back(c);
+      if (!detector_->believes_dead(from, c)) targets_.push_back(c);
     } else if (alive_(c)) {
-      targets.push_back(c);
+      targets_.push_back(c);
     }
   }
-  return targets;
+  return targets_;
+}
+
+template <typename Deliver>
+void MixedGossipService::post_message(NodeId from, NodeId to, std::uint64_t bytes,
+                                      Deliver deliver) {
+  static_assert(sizeof(Deliver) <= sim::kInlineFnCapacity,
+                "delivery captures must fit the engine's inline event buffer");
+  ++messages_sent_;
+  bytes_sent_ += bytes;
+  // Without a plan (or with all message knobs zero) the draw consumes no
+  // randomness and yields the default fate: one copy, no extra delay.
+  const sim::MessageFate fate = faults_ != nullptr ? faults_->draw_message_fate()
+                                                   : sim::MessageFate{};
+  if (fate.lost) return;
+  const double delay = std::max(0.0, latency_(from, to)) + fate.extra_delay_s;
+  for (int c = 0; c < fate.copies; ++c) engine_.schedule_in(delay, deliver);
 }
 
 void MixedGossipService::epidemic_push(NodeId from) {
@@ -145,41 +161,37 @@ void MixedGossipService::epidemic_push(NodeId from) {
   for (NodeId to : pick_targets(from, fanout_)) {
     post_message(from, to, message_bytes, [this, to, message] {
       if (!alive_(to)) return;  // died while the message was in flight
-      for (const auto& entry : *message) merge_entry(to, entry);
+      receive(to, *message);
     });
   }
 }
 
-void MixedGossipService::post_message(NodeId from, NodeId to, std::uint64_t bytes,
-                                      std::function<void()> deliver) {
-  ++messages_sent_;
-  bytes_sent_ += bytes;
-  // Without a plan (or with all message knobs zero) the draw consumes no
-  // randomness and yields the default fate: one copy, no extra delay.
-  const sim::MessageFate fate = faults_ != nullptr ? faults_->draw_message_fate()
-                                                   : sim::MessageFate{};
-  if (fate.lost) return;
-  const double delay = std::max(0.0, latency_(from, to)) + fate.extra_delay_s;
-  for (int c = 0; c < fate.copies; ++c) {
-    engine_.schedule_in(delay, [deliver] { deliver(); });
-  }
-}
-
-void MixedGossipService::merge_entry(NodeId to, const ResourceEntry& entry) {
-  if (entry.node == to) return;  // no self-entries
+void MixedGossipService::receive(NodeId to, const std::vector<ResourceEntry>& entries) {
+  auto& rss = nodes_[static_cast<std::size_t>(to.get())].rss;
+  const auto accept_all = [](const ResourceEntry&) { return true; };
   if (detector_) {
     // SWIM rumor filter: state about a dead-believed peer is accepted only
     // when the snapshot post-dates the death declaration (rejoin evidence).
-    if (!detector_->indirect_evidence(to, entry.node, entry.stamped_at)) return;
-  } else if (!alive_(entry.node)) {
-    return;  // idealized mode: oracular filter of state about dead peers
+    // It runs before the stamp floor: it may revive the belief and count a
+    // refutation even for an entry the full view then skips.
+    floor_rejections_ += rss.merge_message(
+        entries,
+        [this, to](const ResourceEntry& e) {
+          return e.node != to && detector_->indirect_evidence(to, e.node, e.stamped_at);
+        },
+        accept_all);
+    return;
   }
-  nodes_[static_cast<std::size_t>(to.get())].rss.merge(entry);
+  // Idealized mode: the self check and the oracular filter of state about
+  // dead peers are pure reads, so entries below the floor skip them.
+  floor_rejections_ += rss.merge_message(
+      entries, accept_all,
+      [this, to](const ResourceEntry& e) { return e.node != to && alive_(e.node); });
 }
 
 void MixedGossipService::aggregation_exchange(NodeId from) {
   // One push-pull averaging step with a random alive partner from the view.
-  auto targets = pick_targets(from, 1);
+  const auto& targets = pick_targets(from, 1);
   if (targets.empty()) return;
   const NodeId partner = targets.front();
   if (detector_) {
@@ -275,9 +287,15 @@ void MixedGossipService::on_sync(NodeId from, NodeId to,
   // than the initiator (push) + nodes the initiator knows fresher (want).
   auto push = std::make_shared<std::vector<ResourceEntry>>();
   auto want = std::make_shared<std::vector<NodeId>>();
-  std::vector<char> in_digest(static_cast<std::size_t>(n_), 0);
+  if (++digest_epoch_ == 0) {  // wrapped: old marks could alias the new epoch
+    std::fill(digest_mark_.begin(), digest_mark_.end(), 0U);
+    digest_epoch_ = 1;
+  }
+  const auto in_digest = [this](NodeId node) {
+    return digest_mark_[static_cast<std::size_t>(node.get())] == digest_epoch_;
+  };
   for (const auto& s : *digest) {
-    in_digest[static_cast<std::size_t>(s.node.get())] = 1;
+    digest_mark_[static_cast<std::size_t>(s.node.get())] = digest_epoch_;
     if (s.node == to) continue;  // own state is always freshest locally
     const ResourceEntry* mine = g.rss.find(s.node);
     const SimTime my_stamp = mine != nullptr ? mine->stamped_at : -1.0;
@@ -288,11 +306,11 @@ void MixedGossipService::on_sync(NodeId from, NodeId to,
     }
   }
   // Entries the initiator does not have at all - own state first.
-  if (in_digest[static_cast<std::size_t>(to.get())] == 0) {
+  if (!in_digest(to)) {
     if (auto own = forwardable_entry(to, to)) push->push_back(*own);
   }
   for (const auto& e : g.rss.entries()) {
-    if (e.node == from || in_digest[static_cast<std::size_t>(e.node.get())] != 0) continue;
+    if (e.node == from || in_digest(e.node)) continue;
     if (auto fwd = forwardable_entry(to, e.node)) push->push_back(*fwd);
   }
   post_message(to, from, 20 + 20 * push->size() + 4 * want->size(),
@@ -305,7 +323,7 @@ void MixedGossipService::on_ack1(NodeId from, NodeId to,
   // Runs at the initiator (`to`); `from` is the responder that answered.
   if (!alive_(to)) return;
   detector_->direct_evidence(to, from, engine_.now());
-  for (const auto& entry : *push) merge_entry(to, entry);
+  receive(to, *push);
   // ACK2: the entries the responder asked for.
   auto reply = std::make_shared<std::vector<ResourceEntry>>();
   reply->reserve(want->size());
@@ -317,7 +335,7 @@ void MixedGossipService::on_ack1(NodeId from, NodeId to,
   post_message(to, from, 20 + 20 * reply->size(), [this, to, from, reply] {
     if (!alive_(from)) return;
     detector_->direct_evidence(from, to, engine_.now());
-    for (const auto& entry : *reply) merge_entry(from, entry);
+    receive(from, *reply);
   });
 }
 

@@ -127,9 +127,21 @@ class MixedGossipService {
   /// Sends skipped because the per-cycle message budget was exhausted.
   [[nodiscard]] std::uint64_t messages_suppressed() const { return messages_suppressed_; }
 
+  /// Entries a delivery skipped because they were stamped below the
+  /// receiver's stamp floor (the view was full and they could not change it).
+  [[nodiscard]] std::uint64_t floor_rejections() const { return floor_rejections_; }
+
   /// Runs one epidemic + aggregation cycle immediately (tests drive this
   /// directly; normal operation uses start()).
   void run_cycle(std::uint64_t cycle);
+
+  /// Merges the entries of one message delivered to `to`, with one batched
+  /// view merge. Drops self-entries; in message mode every other entry first
+  /// reaches the failure detector (stale rumors about dead-believed peers are
+  /// dropped there), in the idealized mode the oracular alive() filter runs
+  /// only for entries above the stamp floor. Every gossip leg delivers
+  /// through here; tests drive it directly.
+  void receive(NodeId to, const std::vector<ResourceEntry>& entries);
 
  private:
   /// One wire-format resource summary: (node, snapshot time). 12 bytes.
@@ -141,7 +153,9 @@ class MixedGossipService {
   void epidemic_push(NodeId from);
   void aggregation_exchange(NodeId from);
   void reseed_aggregation(NodeId n);
-  [[nodiscard]] std::vector<NodeId> pick_targets(NodeId from, int count);
+  /// Up to `count` gossip partners from `from`'s view. The result lives in a
+  /// member buffer that the next call overwrites.
+  [[nodiscard]] const std::vector<NodeId>& pick_targets(NodeId from, int count);
 
   // --- message-level mode ---
   void run_cycle_message(std::uint64_t cycle);
@@ -154,11 +168,10 @@ class MixedGossipService {
   /// exhausted - the message is simply never sent, as a real rate limiter
   /// would do, and the peer's ack timeout handles the fallout.
   [[nodiscard]] bool try_consume_budget(NodeId n);
-  /// Applies fault fates and schedules delivery copies.
-  void post_message(NodeId from, NodeId to, std::uint64_t bytes, std::function<void()> deliver);
-  /// Detector-aware merge: drops self-entries and stale rumors about
-  /// dead-believed peers; oracular alive() filter only in the idealized mode.
-  void merge_entry(NodeId to, const ResourceEntry& entry);
+  /// Applies fault fates and schedules delivery copies of `deliver` straight
+  /// into the engine's inline event callbacks.
+  template <typename Deliver>
+  void post_message(NodeId from, NodeId to, std::uint64_t bytes, Deliver deliver);
   /// The entry `from` forwards about `node` right now (own fresh state when
   /// node == from, ttl-decremented cache entry otherwise; nullopt when the
   /// entry is gone or out of forwarding budget).
@@ -179,6 +192,10 @@ class MixedGossipService {
   std::unique_ptr<sim::PeriodicProcess> cycle_process_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
+  std::uint64_t floor_rejections_ = 0;
+  /// pick_targets() scratch: the shuffled view and the chosen partners.
+  std::vector<NodeId> candidates_;
+  std::vector<NodeId> targets_;
 
   // --- message-level mode state ---
   std::unique_ptr<FailureDetector> detector_;
@@ -187,6 +204,10 @@ class MixedGossipService {
   double suspect_timeout_ = 0.0;
   int message_budget_ = 0;
   std::uint64_t messages_suppressed_ = 0;
+  /// on_sync() scratch: digest_mark_[node] == digest_epoch_ marks a node the
+  /// SYNC being answered carries. Bumping the epoch clears every mark.
+  std::vector<std::uint32_t> digest_mark_;
+  std::uint32_t digest_epoch_ = 0;
 };
 
 }  // namespace dpjit::gossip

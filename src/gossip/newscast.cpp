@@ -11,10 +11,16 @@ namespace dpjit::gossip {
 // so layout changes would silently change simulation results.
 
 bool ResourceView::merge(const ResourceEntry& entry) {
+  // Below the floor, a resident about the same node is no fresher than the
+  // stalest one (no-op), and an absent node would not evict it. Equal stamps
+  // go on: they may raise a resident's TTL.
+  if (entry.stamped_at < stamp_floor()) return false;
   const std::uint16_t slot = lookup(entry.node);
   if (slot != kNoSlot) {
     ResourceEntry& e = entries_[slot];
     if (entry.stamped_at > e.stamped_at) {
+      // A raised stamp elsewhere leaves the first minimum where it was.
+      if (slot == stalest_) stalest_ = kNoSlot;
       e = entry;
       return true;
     }
@@ -26,16 +32,17 @@ bool ResourceView::merge(const ResourceEntry& entry) {
   if (entries_.size() < capacity_) {
     index(entry.node, entries_.size());
     entries_.push_back(entry);
+    stalest_ = kNoSlot;
     return true;
   }
   // Full: evict the stalest entry if the newcomer is fresher.
-  auto stalest = std::min_element(
-      entries_.begin(), entries_.end(),
-      [](const ResourceEntry& a, const ResourceEntry& b) { return a.stamped_at < b.stamped_at; });
-  if (stalest->stamped_at < entry.stamped_at) {
-    unindex(stalest->node);
-    index(entry.node, static_cast<std::size_t>(stalest - entries_.begin()));
-    *stalest = entry;
+  const std::uint16_t stalest = stalest_slot();
+  ResourceEntry& victim = entries_[stalest];
+  if (victim.stamped_at < entry.stamped_at) {
+    unindex(victim.node);
+    index(entry.node, stalest);
+    victim = entry;
+    stalest_ = kNoSlot;
     return true;
   }
   return false;
@@ -51,6 +58,7 @@ void ResourceView::expire(SimTime now, double max_age, NodeId self) {
   // erase_if compacted the survivors; refresh their slots.
   if (entries_.size() != before) {
     for (std::size_t i = 0; i < entries_.size(); ++i) index(entries_[i].node, i);
+    stalest_ = kNoSlot;
   }
 }
 
@@ -60,6 +68,7 @@ bool ResourceView::forget(NodeId node) {
   unindex(node);
   entries_.erase(entries_.begin() + slot);
   for (std::size_t i = slot; i < entries_.size(); ++i) index(entries_[i].node, i);
+  stalest_ = kNoSlot;
   return true;
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/types.hpp"
@@ -29,14 +30,19 @@ struct ResourceEntry {
 ///
 /// Entry *order* is part of the observable behavior (neighbor selection
 /// shuffles the entries in order, consuming RNG draws), so all mutations keep
-/// the same vector layout the naive implementation produced. A direct-mapped
-/// node -> slot side index makes the per-entry lookup O(1): merge() is the
-/// single hottest function of an end-to-end run (tens of millions of calls),
-/// and the linear scan it replaced dominated the profile.
+/// the same vector layout the naive implementation produced. Two side
+/// structures make a merge cheap without touching that layout: a
+/// direct-mapped node -> slot index (O(1) lookup) and a lazily recomputed
+/// cached stalest slot. The stalest stamp is the view's *stamp floor*: once
+/// the view is full, an entry stamped strictly below it cannot change the
+/// view, so it is rejected before any lookup. Most entries a receiver gets
+/// are about peers it does not hold, and without the cache each of those
+/// paid a full-view min scan.
 class ResourceView {
  public:
   explicit ResourceView(std::size_t capacity = 30) : capacity_(capacity) {}
 
+  /// Shrinking below size() keeps every entry; the view just stays full.
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -44,6 +50,39 @@ class ResourceView {
   /// inserts otherwise. When full, the stalest entry is evicted if the
   /// incoming one is fresher. Returns true if the view changed.
   bool merge(const ResourceEntry& entry);
+
+  /// Merges the entries of one delivered message in order. Equivalent to
+  ///   for (e : entries) if (screen(e) && accept(e)) merge(e);
+  /// except that entries stamped below the stamp floor skip `accept` and
+  /// merge(), which would have been no-ops. `accept` must therefore be a
+  /// pure read; `screen` runs for every entry and may have side effects.
+  /// Returns the number of entries the floor skipped.
+  template <typename Screen, typename Accept>
+  std::size_t merge_message(const std::vector<ResourceEntry>& entries, Screen&& screen,
+                            Accept&& accept) {
+    std::size_t skipped = 0;
+    SimTime floor = stamp_floor();
+    for (const ResourceEntry& e : entries) {
+      if (!screen(e)) continue;
+      if (e.stamped_at < floor) {
+        ++skipped;
+        continue;
+      }
+      // Only a merge that changed the view can move the floor.
+      if (accept(e) && merge(e)) floor = stamp_floor();
+    }
+    return skipped;
+  }
+
+  /// Entries stamped strictly below this are no-ops for merge(): the stalest
+  /// resident's stamp once the view is full, -infinity before. May fill the
+  /// stalest-slot cache, so a view is not safe for concurrent readers.
+  [[nodiscard]] SimTime stamp_floor() const {
+    if (entries_.empty() || entries_.size() < capacity_) {
+      return -std::numeric_limits<SimTime>::infinity();
+    }
+    return entries_[stalest_slot()].stamped_at;
+  }
 
   /// Drops entries older than `now - max_age` and entries about `self`.
   void expire(SimTime now, double max_age, NodeId self);
@@ -67,6 +106,7 @@ class ResourceView {
   void clear() {
     entries_.clear();
     std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
+    stalest_ = kNoSlot;
   }
 
  private:
@@ -87,11 +127,27 @@ class ResourceView {
     const auto i = static_cast<std::size_t>(node.get());
     if (i < slot_of_.size()) slot_of_[i] = kNoSlot;
   }
+  /// The slot min_element would pick (first minimum stamp). Requires a
+  /// non-empty view; recomputed only after an invalidation.
+  [[nodiscard]] std::uint16_t stalest_slot() const {
+    assert(!entries_.empty());
+    if (stalest_ == kNoSlot) {
+      const auto it = std::min_element(
+          entries_.begin(), entries_.end(),
+          [](const ResourceEntry& a, const ResourceEntry& b) { return a.stamped_at < b.stamped_at; });
+      stalest_ = static_cast<std::uint16_t>(it - entries_.begin());
+    }
+    return stalest_;
+  }
 
   std::size_t capacity_;
   std::vector<ResourceEntry> entries_;
   /// node id -> slot in entries_ (kNoSlot when absent); lazily grown.
   std::vector<std::uint16_t> slot_of_;
+  /// Cached stalest_slot(), kNoSlot when it must be recomputed. Every
+  /// mutation that can change which slot holds the first minimum stamp
+  /// resets it; adjust_load and the equal-stamp TTL bump touch no stamp.
+  mutable std::uint16_t stalest_ = kNoSlot;
 };
 
 /// Push-pull averaging state for one metric (Jelasity et al., TOCS 2005).

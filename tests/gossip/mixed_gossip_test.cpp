@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "gossip/mixed_gossip.hpp"
 
 namespace dpjit::gossip {
@@ -173,6 +175,51 @@ TEST(MixedGossip, NoSelfEntries) {
   for (int i = 0; i < h.n_; ++i) {
     EXPECT_FALSE(h.service_->rss(NodeId{i}).contains(NodeId{i}));
   }
+}
+
+TEST(MixedGossip, MessageModeDetectorSeesEntriesBelowTheStampFloor) {
+  // Five nodes with room for three peers each: once the receiver has
+  // forgotten the dead peer, its three alive peers fill the view.
+  GossipParams params;
+  params.message_level = true;
+  params.cache_size = 3;
+  GossipHarness h(5, params);
+  const double cycle = params.cycle_s;
+  h.service_->start();
+  h.engine_.run_until(3 * cycle);  // views populate while everyone is up
+
+  const NodeId dead{4};
+  h.alive_[4] = false;
+  const FailureDetector* detector = h.service_->detector();
+  ASSERT_NE(detector, nullptr);
+  std::optional<NodeId> receiver;
+  double declared_by = 3 * cycle;
+  while (!receiver && declared_by < 30 * cycle) {
+    declared_by += cycle;
+    h.engine_.run_until(declared_by);
+    for (int i = 0; i < 4 && !receiver; ++i) {
+      if (detector->believes_dead(NodeId{i}, dead)) receiver = NodeId{i};
+    }
+  }
+  ASSERT_TRUE(receiver.has_value()) << "no node declared the silent peer dead";
+  // Later rounds refresh the receiver's view past the declaration time.
+  h.engine_.run_until(declared_by + 4 * cycle);
+  const ResourceView& view = h.service_->rss(*receiver);
+  ASSERT_EQ(view.size(), view.capacity());
+  ASSERT_FALSE(view.contains(dead));
+  ASSERT_TRUE(detector->believes_dead(*receiver, dead));
+
+  // Newer than the death declaration (rejoin evidence), staler than every
+  // entry the full view holds (no merge could take it).
+  const SimTime stamp = declared_by + 1.0;
+  ASSERT_LT(stamp, view.stamp_floor());
+  const auto refutations = detector->refutations();
+  const auto rejections = h.service_->floor_rejections();
+  h.service_->receive(*receiver, {ResourceEntry{dead, 0.0, 1.0, stamp, 4}});
+  EXPECT_EQ(detector->refutations(), refutations + 1);
+  EXPECT_FALSE(detector->believes_dead(*receiver, dead));
+  EXPECT_FALSE(view.contains(dead));
+  EXPECT_EQ(h.service_->floor_rejections(), rejections + 1);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "gossip/view.hpp"
 #include "util/rng.hpp"
@@ -155,6 +158,18 @@ class NaiveView {
     });
   }
 
+  bool adjust_load(NodeId node, double delta_mi) {
+    for (auto& e : entries_) {
+      if (e.node != node) continue;
+      e.load_mi = std::max(0.0, e.load_mi + delta_mi);
+      return true;
+    }
+    return false;
+  }
+
+  void clear() { entries_.clear(); }
+  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
+
   [[nodiscard]] const std::vector<ResourceEntry>& entries() const { return entries_; }
 
  private:
@@ -162,10 +177,34 @@ class NaiveView {
   std::vector<ResourceEntry> entries_;
 };
 
+void expect_same_layout(const ResourceView& fast, const NaiveView& slow) {
+  ASSERT_EQ(fast.size(), slow.entries().size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    const auto& a = fast.entries()[i];
+    const auto& b = slow.entries()[i];
+    ASSERT_EQ(a.node, b.node) << "slot " << i << " diverged";
+    ASSERT_EQ(a.stamped_at, b.stamped_at);
+    ASSERT_EQ(a.ttl, b.ttl);
+    ASSERT_EQ(a.load_mi, b.load_mi);
+    ASSERT_EQ(fast.find(a.node), &fast.entries()[i]);
+  }
+}
+
+/// The stalest resident stamp once the naive view is full: what the stamp
+/// floor must report.
+SimTime naive_floor(const NaiveView& v, std::size_t capacity) {
+  if (v.entries().empty() || v.entries().size() < capacity) {
+    return -std::numeric_limits<SimTime>::infinity();
+  }
+  SimTime floor = v.entries().front().stamped_at;
+  for (const auto& e : v.entries()) floor = std::min(floor, e.stamped_at);
+  return floor;
+}
+
 TEST(ResourceView, RandomizedDifferentialAgainstNaiveReference) {
   util::Rng rng(20260808);
   for (int round = 0; round < 20; ++round) {
-    const std::size_t cap = 1 + rng.index(12);
+    std::size_t cap = 1 + rng.index(12);
     ResourceView fast(cap);
     NaiveView slow(cap);
     double now = 0.0;
@@ -173,29 +212,149 @@ TEST(ResourceView, RandomizedDifferentialAgainstNaiveReference) {
       now += rng.uniform(0.0, 2.0);
       const int node = 1 + static_cast<int>(rng.index(20));
       const double roll = rng.uniform01();
-      if (roll < 0.75) {
+      if (roll < 0.55) {
         // Stamps drawn near `now`, quantized so equal-stamp ties actually occur.
         const double stamp = std::floor(rng.uniform(0.0, now + 1.0));
         const auto e = ResourceEntry{NodeId{node}, rng.uniform(0.0, 50.0), 2.0, stamp,
                                      static_cast<int>(rng.index(5))};
         EXPECT_EQ(fast.merge(e), slow.merge(e));
-      } else if (roll < 0.85) {
+      } else if (roll < 0.70) {
+        // Equal-stamp tie with the stalest resident of a (typically full)
+        // view: must not be rejected by the floor, since it may raise a TTL.
+        if (!slow.entries().empty()) {
+          SimTime stalest = slow.entries().front().stamped_at;
+          for (const auto& r : slow.entries()) stalest = std::min(stalest, r.stamped_at);
+          const NodeId who = rng.bernoulli(0.5)
+                                 ? slow.entries()[rng.index(slow.entries().size())].node
+                                 : NodeId{node};
+          const auto e = ResourceEntry{who, 1.0, 2.0, stalest, static_cast<int>(rng.index(5))};
+          EXPECT_EQ(fast.merge(e), slow.merge(e));
+        }
+      } else if (roll < 0.78) {
         EXPECT_EQ(fast.forget(NodeId{node}), slow.forget(NodeId{node}));
-      } else {
+      } else if (roll < 0.86) {
         fast.expire(now, 5.0, NodeId{node});
         slow.expire(now, 5.0, NodeId{node});
+      } else if (roll < 0.93) {
+        const double delta = rng.uniform(-30.0, 30.0);
+        EXPECT_EQ(fast.adjust_load(NodeId{node}, delta), slow.adjust_load(NodeId{node}, delta));
+      } else if (roll < 0.98) {
+        // Often shrinks below size(): the view then stays over-full.
+        cap = 1 + rng.index(12);
+        fast.set_capacity(cap);
+        slow.set_capacity(cap);
+      } else {
+        fast.clear();
+        slow.clear();
       }
-      ASSERT_EQ(fast.size(), slow.entries().size());
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        const auto& a = fast.entries()[i];
-        const auto& b = slow.entries()[i];
+      expect_same_layout(fast, slow);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(fast.stamp_floor(), naive_floor(slow, cap));
+    }
+  }
+}
+
+TEST(ResourceView, FloorRejectsStalerThanStalestOnlyWhenFull) {
+  ResourceView v(3);
+  v.merge(entry(1, 0, 5.0));
+  v.merge(entry(2, 0, 4.0));
+  EXPECT_EQ(v.stamp_floor(), -std::numeric_limits<SimTime>::infinity());
+  EXPECT_TRUE(v.merge(entry(3, 0, 1.0)));  // not full yet: inserted
+  EXPECT_EQ(v.stamp_floor(), 1.0);
+  EXPECT_FALSE(v.merge(entry(4, 0, 0.5)));
+  EXPECT_TRUE(v.merge(entry(3, 0, 6.0)));  // refreshing the stalest moves the floor
+  EXPECT_EQ(v.stamp_floor(), 4.0);
+  v.adjust_load(NodeId{2}, 7.0);  // no stamp changes
+  EXPECT_EQ(v.stamp_floor(), 4.0);
+  v.set_capacity(2);  // shrunk below size(): still full, nothing dropped
+  EXPECT_EQ(v.size(), 3u);
+  EXPECT_EQ(v.stamp_floor(), 4.0);
+  v.forget(NodeId{2});
+  EXPECT_EQ(v.stamp_floor(), 5.0);
+  v.clear();
+  EXPECT_EQ(v.stamp_floor(), -std::numeric_limits<SimTime>::infinity());
+}
+
+TEST(ResourceView, FloorFollowsCompactionOfAFullView) {
+  // Removals shift the survivors' slots; the cached stalest slot must follow
+  // even when the view stays full (its capacity shrank below its size).
+  ResourceView v(3);
+  v.merge(entry(1, 0, 5.0));
+  v.merge(entry(2, 0, 1.0));  // stalest, slot 1
+  v.merge(entry(3, 0, 7.0));
+  v.merge(entry(4, 0, 0.5));  // full: rejected by the floor
+  EXPECT_EQ(v.stamp_floor(), 1.0);
+  v.set_capacity(2);
+  v.expire(/*now=*/8.0, /*max_age=*/100.0, /*self=*/NodeId{1});  // node 2 -> slot 0
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.stamp_floor(), 1.0);
+  EXPECT_TRUE(v.merge(entry(5, 0, 3.0)));  // evicts node 2 from slot 0
+  EXPECT_EQ(v.entries()[0].node, NodeId{5});
+  EXPECT_EQ(v.stamp_floor(), 3.0);
+  v.merge(entry(6, 0, 9.0));  // evicts node 5: [6 (9.0), 3 (7.0)]
+  v.set_capacity(1);
+  v.forget(NodeId{6});  // node 3 -> slot 0
+  EXPECT_EQ(v.stamp_floor(), 7.0);
+  EXPECT_FALSE(v.merge(entry(7, 0, 6.0)));
+  EXPECT_TRUE(v.merge(entry(7, 0, 8.0)));
+  EXPECT_EQ(v.entries()[0].node, NodeId{7});
+}
+
+TEST(ResourceView, BatchedMessageMergeMatchesEntryByEntry) {
+  util::Rng rng(977);
+  std::uint64_t skipped_total = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t cap = 1 + rng.index(10);
+    ResourceView batched(cap);
+    ResourceView single(cap);
+    double now = 0.0;
+    for (int msg = 0; msg < 60; ++msg) {
+      now += rng.uniform(0.0, 3.0);
+      std::vector<ResourceEntry> message(rng.index(12));
+      for (auto& e : message) {
+        e = ResourceEntry{NodeId{1 + static_cast<int>(rng.index(24))}, rng.uniform(0.0, 50.0),
+                          2.0, std::floor(rng.uniform(0.0, now + 1.0)),
+                          static_cast<int>(rng.index(5))};
+      }
+      // Pure filters standing in for the self check and alive(): the screen
+      // counts its calls, since it must see every entry.
+      const auto screen_pred = [](const ResourceEntry& e) { return e.node.get() != 7; };
+      const auto accept_pred = [](const ResourceEntry& e) { return e.node.get() % 5 != 0; };
+      std::size_t screened = 0;
+      const std::size_t skipped = batched.merge_message(
+          message,
+          [&](const ResourceEntry& e) {
+            ++screened;
+            return screen_pred(e);
+          },
+          accept_pred);
+      EXPECT_EQ(screened, message.size());
+      // The floor skips exactly the screened entries below the floor of the
+      // view as it stands when they arrive.
+      std::size_t below_floor = 0;
+      for (const auto& e : message) {
+        if (!screen_pred(e)) continue;
+        if (e.stamped_at < single.stamp_floor()) ++below_floor;
+        if (accept_pred(e)) single.merge(e);
+      }
+      EXPECT_EQ(skipped, below_floor);
+      skipped_total += skipped;
+      ASSERT_EQ(batched.size(), single.size());
+      for (std::size_t i = 0; i < batched.size(); ++i) {
+        const auto& a = batched.entries()[i];
+        const auto& b = single.entries()[i];
         ASSERT_EQ(a.node, b.node) << "slot " << i << " diverged";
         ASSERT_EQ(a.stamped_at, b.stamped_at);
         ASSERT_EQ(a.ttl, b.ttl);
-        ASSERT_EQ(fast.find(a.node), &fast.entries()[i]);
+        ASSERT_EQ(a.load_mi, b.load_mi);
+      }
+      if (rng.bernoulli(0.1)) {
+        batched.expire(now, 6.0, NodeId{0});
+        single.expire(now, 6.0, NodeId{0});
       }
     }
   }
+  EXPECT_GT(skipped_total, 0u);  // the floor fast path actually ran
 }
 
 TEST(ResourceView, ExpireDropsOldAndSelf) {
