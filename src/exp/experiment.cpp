@@ -30,6 +30,7 @@ ExperimentResult summarize(const World& world, double wall_seconds) {
   r.tasks_dispatched = system.tasks_dispatched();
   r.tasks_failed = system.tasks_failed();
   r.tasks_rescheduled = system.tasks_rescheduled();
+  r.tasks_reoffered = system.tasks_reoffered();
   r.schedule_points_offered = system.schedule_points_offered();
   r.gossip_messages = system.gossip_service().messages_sent();
   r.gossip_bytes = system.gossip_service().bytes_sent();
@@ -54,8 +55,8 @@ std::uint64_t result_digest(const ExperimentResult& r) {
     h ^= v;
     h *= 0x100000001b3ULL;
   };
-  // Exactly these fields, in this order: the fig11 anchor digest recorded in
-  // BENCH_2.json / ROADMAP.md depends on it.
+  // Exactly these fields, in this order: the fig11 anchor digest pinned by
+  // BenchParity.Fig11PerfAnchorN500MatchesRecordedDigest depends on it.
   mix(std::bit_cast<std::uint64_t>(r.act));
   mix(std::bit_cast<std::uint64_t>(r.ae));
   mix(std::bit_cast<std::uint64_t>(r.mean_response));

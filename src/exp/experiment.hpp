@@ -42,6 +42,9 @@ struct ExperimentResult {
   std::uint64_t tasks_dispatched = 0;
   std::uint64_t tasks_failed = 0;
   std::uint64_t tasks_rescheduled = 0;
+  /// Tasks pulled back from executors their home suspects dead
+  /// (message-level gossip). NOT part of result_digest.
+  std::uint64_t tasks_reoffered = 0;
   /// Schedule points offered to the first phase over all cycles: the
   /// scheduler's per-cycle work, which tracks the frontier, not the backlog.
   std::uint64_t schedule_points_offered = 0;
@@ -62,8 +65,8 @@ struct ExperimentResult {
 
 /// FNV-1a over the bit patterns of the result's headline metrics: a cheap
 /// fingerprint for "this change did not alter simulation output". Excludes
-/// wall-clock time, so the digest is machine-independent; used by the perf
-/// harness, the scenario conformance tier and CI golden-digest checks.
+/// wall-clock time, so the digest is machine-independent; used by the
+/// benchmark's pins, the scenario conformance tier and CI golden-digest checks.
 [[nodiscard]] std::uint64_t result_digest(const ExperimentResult& r);
 
 /// Order-sensitive combination of per-result digests for whole sweeps.

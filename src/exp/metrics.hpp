@@ -82,8 +82,8 @@ class WorkflowMetrics : public core::MetricsSink {
 
   /// Per-workflow report records currently held in memory. Retaining: one
   /// per finished workflow. Streaming: bounded by the reservoir capacity
-  /// regardless of workload size — the O(1)-memory guarantee the heavy-
-  /// traffic harness stage asserts.
+  /// regardless of workload size — the O(1)-memory guarantee
+  /// OpenStreamFullScale asserts on the million-task stream.
   [[nodiscard]] virtual std::size_t live_reports() const = 0;
 
   [[nodiscard]] virtual double horizon() const = 0;

@@ -116,10 +116,16 @@ void write_results_json(std::ostream& os, const std::vector<ExperimentResult>& r
     json.kv("tasks_dispatched", r.tasks_dispatched);
     json.kv("tasks_failed", r.tasks_failed);
     json.kv("tasks_rescheduled", r.tasks_rescheduled);
+    json.kv("tasks_reoffered", r.tasks_reoffered);
     json.kv("schedule_points_offered", r.schedule_points_offered);
     json.kv("gossip_messages", r.gossip_messages);
     json.kv("gossip_bytes", r.gossip_bytes);
     json.kv("gossip_floor_rejections", r.gossip_floor_rejections);
+    json.kv("events_processed", r.events_processed);
+    json.kv("live_reports", static_cast<std::uint64_t>(r.live_reports));
+    json.kv("ct_p50_s", r.ct_p50);
+    json.kv("ct_p95_s", r.ct_p95);
+    json.kv("ct_p99_s", r.ct_p99);
     json.kv("wall_seconds", r.wall_seconds);
     const std::pair<const char*, const std::vector<CurvePoint>*> curves[] = {
         {"throughput", &r.throughput},

@@ -29,7 +29,7 @@ ScenarioRegistry build_registry() {
            "Table-I static environment at the bench default scale n=200 (Figs. 4-6 shape)",
            "IV.A", RuntimeTier::kFast, mutate([](ExperimentConfig& c) { c.nodes = 200; })});
   reg.add({"paper/static-n500",
-           "Table-I static environment at n=500, the recorded perf-anchor scale (BENCH_2.json)",
+           "Table-I static environment at n=500, the pinned perf-anchor scale (BenchParity)",
            "IV.A", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) { c.nodes = 500; })});
   reg.add({"paper/static-n1000",
            "Table-I static environment at the publication scale n=1000",
@@ -327,9 +327,9 @@ ScenarioRegistry build_registry() {
   // constants (transforms must be pure — no file reads); scenario_runner
   // --trace=<file> swaps in a real archive log. The conformance preset caps
   // trace.max_jobs so these digest-check at sub-second scale like everything
-  // else; the heavy-traffic full scale runs in the perf harness
-  // (BENCH_10.json), which asserts the streaming collector's O(1)-memory
-  // bound while the open stream passes a million tasks.
+  // else; the heavy-traffic full scale runs in the trace tier
+  // (OpenStreamFullScale), which asserts the streaming collector's O(1)-memory
+  // bound while the open stream passes a million tasks, and in perfbench.
   reg.add({"trace/gwa-replay",
            "direct replay of the bundled GWA sample log: per-owner home placement, task "
            "counts from allocated processors, task loads from recorded runtimes",
@@ -353,7 +353,7 @@ ScenarioRegistry build_registry() {
   reg.add({"trace/open-stream-1m",
            "heavy-traffic open stream fitted from the SWF sample: 125k synthetic jobs of "
            ">= 8 tasks (a million-task arrival stream) scattered over all homes, streaming "
-           "metrics holding a bounded report set - the BENCH_10 nightly scale point",
+           "metrics holding a bounded report set - the perfbench open-stream-1m workload",
            "", RuntimeTier::kSlow, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.trace.text = std::string(sample_swf_trace());

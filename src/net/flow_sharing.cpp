@@ -621,8 +621,8 @@ double FairShareSolver::probe_rate_reference(const std::vector<LinkId>& links) c
   // real flows. Every arithmetic operation up to the probe flow's freeze
   // round is then operation-for-operation identical to what add() would do,
   // which is what makes probe == rate-after-add bit-exact. (This is the
-  // pre-schedule implementation, kept verbatim: the slow-path fallback, the
-  // differential anchor for probe_rate(), and the perf harness's "before".)
+  // pre-schedule implementation, kept verbatim: the slow-path fallback and
+  // the differential anchor for probe_rate().)
   for (const std::uint32_t li : comp_links_) {
     remaining_[li] = caps_[li];
     active_[li] = 0;

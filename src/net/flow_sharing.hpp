@@ -120,9 +120,8 @@ class FairShareSolver {
   /// The from-scratch probe: collects the component and runs the
   /// round-synchronous fill until the phantom flow freezes, exactly like
   /// add() would (early-out at the probe's freeze round). This is the slow
-  /// path probe_rate() falls back to, its differential-test anchor, and the
-  /// "before" side of the perf harness's probe stage. Same purity contract
-  /// as probe_rate().
+  /// path probe_rate() falls back to and its differential-test anchor. Same
+  /// purity contract as probe_rate().
   [[nodiscard]] double probe_rate_reference(const std::vector<LinkId>& links) const;
 
   [[nodiscard]] bool contains(std::uint64_t id) const { return flows_.count(id) > 0; }

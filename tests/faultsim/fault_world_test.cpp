@@ -145,6 +145,8 @@ TEST(FaultWorld, CrashWavesDriveSuspicionAndReoffer) {
   EXPECT_GT(detector->refutations(), 0u);
   // Tasks sitting on dead-believed executors were pulled back and re-offered.
   EXPECT_GT(w.system().tasks_reoffered(), 0u);
+  // The run summary (and so `--json`) carries the same count.
+  EXPECT_EQ(summarize(w, 0.0).tasks_reoffered, w.system().tasks_reoffered());
   EXPECT_GT(w.system().finished_workflows(), 0u);
 }
 

@@ -68,8 +68,8 @@ TEST(BenchParity, Fig11ScenarioPathReproducesPrePortDigests) {
   }
 }
 
-// The n=500 DSMF end-to-end anchor recorded by PR 2 in BENCH_2.json /
-// ROADMAP.md; ties exp::result_digest to the published fingerprint.
+// The n=500 DSMF end-to-end anchor first recorded by the retired perf
+// harness; ties exp::result_digest to that published fingerprint.
 TEST(BenchParity, Fig11PerfAnchorN500MatchesRecordedDigest) {
   ExperimentConfig cfg = scenario_registry().at("paper/static-n500").config();
   EXPECT_EQ(cfg.nodes, 500);
