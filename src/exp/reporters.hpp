@@ -1,4 +1,4 @@
-// Presentation of experiment results: the bench binaries print the same rows
+// Presentation of experiment results: the figure drivers print the same rows
 // and series the paper's tables and figures report, in aligned text tables
 // and optionally CSV.
 #pragma once

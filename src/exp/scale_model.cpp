@@ -52,8 +52,9 @@ constexpr double kCapacities[] = {1.0, 2.0, 4.0, 8.0, 16.0};
 struct Layout {
   int regions = 1;
   int shards = 1;
-  /// Engine window: min latency over ALL region pairs plus the intra-region
-  /// floor — invariant to the requested shard count by construction.
+  /// Engine window: the intra-region (LAN) latency floor,
+  /// max(intra_region_latency_s, 1 us) — invariant to the requested shard
+  /// count by construction. Every message delay is clamped up to it.
   double window = 0.0;
   /// Min inter-shard latency at THIS shard count (reporting only).
   double lookahead = 0.0;

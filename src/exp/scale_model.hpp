@@ -66,7 +66,7 @@ struct ScaleParams {
   /// Gossip/transfer partners per peer.
   int contacts = 4;
   /// Message latency between peers of the same region (the LAN floor); also
-  /// bounds the engine window from above.
+  /// the engine window length.
   double intra_region_latency_s = 0.01;
   /// Waxman backbone connecting the regions (node_count is overwritten with
   /// `regions`); inter-region latency/bandwidth come from its routed paths.
@@ -104,7 +104,8 @@ struct ScaleResult {
   int shards = 1;
   int threads = 0;
   std::uint64_t parallel_windows = 0;
-  /// Engine window length (min latency over ALL region pairs, S-invariant).
+  /// Engine window length: the intra-region latency floor,
+  /// max(intra_region_latency_s, 1 us); S-invariant.
   double window_s = 0.0;
   /// Min latency between regions in different shards at THIS shard count.
   double lookahead_s = 0.0;

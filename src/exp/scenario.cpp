@@ -83,7 +83,7 @@ ScenarioRegistry build_registry() {
            "(100-10000 Mb) so concurrent transfers genuinely contend",
            "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
-             c.fair_sharing = true;
+             c.system.network_mode = net::NetworkMode::kFluidFair;
              c.set_load_range(10, 1000);
              c.set_data_range(100, 10000);
            })});
@@ -92,7 +92,7 @@ ScenarioRegistry build_registry() {
            "contending flows, exercising the batched fluid teardown path",
            "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
-             c.fair_sharing = true;
+             c.system.network_mode = net::NetworkMode::kFluidFair;
              c.dynamic_factor = 0.2;
              c.set_load_range(10, 1000);
              c.set_data_range(100, 10000);
@@ -110,7 +110,7 @@ ScenarioRegistry build_registry() {
            "", RuntimeTier::kSlow, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.algorithm = "dsmf-ca";
-             c.fair_sharing = true;
+             c.system.network_mode = net::NetworkMode::kFluidFair;
              c.set_load_range(10, 1000);
              c.set_data_range(100, 10000);
            })});
@@ -120,7 +120,7 @@ ScenarioRegistry build_registry() {
            "", RuntimeTier::kSlow, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.algorithm = "dsmf-ca";
-             c.fair_sharing = true;
+             c.system.network_mode = net::NetworkMode::kFluidFair;
              c.dynamic_factor = 0.2;
              c.set_load_range(10, 1000);
              c.set_data_range(100, 10000);
@@ -132,7 +132,7 @@ ScenarioRegistry build_registry() {
            "", RuntimeTier::kSlow, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.algorithm = "lookahead-ca";
-             c.fair_sharing = true;
+             c.system.network_mode = net::NetworkMode::kFluidFair;
              c.set_load_range(10, 1000);
              c.set_data_range(100, 10000);
            })});
@@ -144,7 +144,7 @@ ScenarioRegistry build_registry() {
              c.nodes = 200;
              c.workflows_per_node = 8;
              c.algorithm = "dsmf-tc";
-             c.fair_sharing = true;
+             c.system.network_mode = net::NetworkMode::kFluidFair;
              c.set_load_range(10, 1000);
              c.set_data_range(100, 10000);
            })});

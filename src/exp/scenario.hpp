@@ -1,7 +1,7 @@
 // Named, self-describing end-to-end scenarios.
 //
 // The ROADMAP's "as many scenarios as you can imagine" lives here: instead of
-// each bench binary wiring its own ad-hoc Table-I sweep, a scenario is a
+// each figure driver wiring its own ad-hoc Table-I sweep, a scenario is a
 // registered, documented transform over ExperimentConfig — the paper's static
 // and dynamic environments, the four CCR regimes, and extension workloads
 // (Poisson open arrivals, flash-crowd bursts, heavy-tailed task sizes,

@@ -106,15 +106,12 @@ struct ExperimentConfig {
   double dynamic_factor = 0.0;
   /// Extension: reschedule tasks lost to churn.
   bool reschedule = false;
-  /// Ablation: max-min fair network sharing instead of the bottleneck model.
+  /// Legacy switch for the fluid model, kept only for perfbench's traced
+  /// runner; select the model with `system.network_mode` instead.
   bool fair_sharing = false;
-  /// The network mode the built world will actually run: folds the
-  /// experiment-level `fair_sharing` convenience flag (copied into the
-  /// SystemConfig only at build time, see build_system_config) into
-  /// SystemConfig::effective_network_mode(). Callers inspecting an unbuilt
-  /// config (scenario_runner --describe and its run banner) must
-  /// use THIS, not cfg.system.effective_network_mode(), or fluid scenarios
-  /// misreport as bottleneck.
+  /// The network mode the built world will actually run: folds the legacy
+  /// `fair_sharing` flag (copied into the SystemConfig only at build time,
+  /// see build_system_config) into SystemConfig::effective_network_mode().
   [[nodiscard]] net::NetworkMode effective_network_mode() const {
     if (system.network_mode != net::NetworkMode::kBottleneck) return system.network_mode;
     return (fair_sharing || system.fair_sharing) ? net::NetworkMode::kFluidFair

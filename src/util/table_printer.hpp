@@ -1,4 +1,4 @@
-// Column-aligned plain-text tables: the bench binaries print the same
+// Column-aligned plain-text tables: the figure drivers print the same
 // rows/series the paper's figures plot, and this keeps them readable.
 #pragma once
 

@@ -71,7 +71,7 @@ TEST(EndToEnd, ThroughputCurveIsMonotone) {
 
 TEST(EndToEnd, FairSharingAblationStillCompletes) {
   auto cfg = small_config("dsmf");
-  cfg.fair_sharing = true;
+  cfg.system.network_mode = net::NetworkMode::kFluidFair;
   cfg.nodes = 16;
   const auto result = run_experiment(cfg);
   EXPECT_EQ(result.workflows_finished, result.workflows_submitted);

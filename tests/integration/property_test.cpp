@@ -71,7 +71,7 @@ TEST(NetworkModelProperty, FairSharingNeverFinishesMoreThanBottleneck) {
     cfg.seed = seed;
     cfg.system.horizon_s = 8 * 3600.0;  // tight horizon so the bound can bind
     const auto base = run_experiment(cfg);
-    cfg.fair_sharing = true;
+    cfg.system.network_mode = net::NetworkMode::kFluidFair;
     const auto fair = run_experiment(cfg);
     EXPECT_LE(fair.workflows_finished, base.workflows_finished) << "seed " << seed;
   }

@@ -1,13 +1,13 @@
-// Bench-port parity: the fig binaries were moved from hand-rolled configs
-// onto the scenario registry; these digests were recorded from the PRE-PORT
-// binaries, so the registry path must reproduce the old outputs
+// Figure-config parity: the figure drivers were moved from hand-rolled
+// configs onto the scenario registry; these digests were recorded from the
+// pre-registry drivers, so exp::figure_config must reproduce the old outputs
 // bit-identically. They double as a standing regression net for the whole
-// stack at bench scales (bigger n than the conformance preset).
+// stack at figure scales (bigger n than the conformance preset).
 #include <gtest/gtest.h>
 
 #include <string_view>
 
-#include "bench_common.hpp"
+#include "exp/figures.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 
@@ -16,7 +16,7 @@ namespace {
 
 util::Config cli_from(std::string_view text) { return util::Config::from_string(text); }
 
-// Recorded from the pre-port fig04 path (bench::base_config(cli, 200) with
+// Recorded from the pre-registry fig04 driver (Table-I defaults at n=200,
 // --nodes=64): one digest per algorithm in across_algorithms order.
 struct AlgoDigest {
   const char* algorithm;
@@ -34,7 +34,7 @@ constexpr AlgoDigest kFig04N64[] = {
 };
 
 TEST(BenchParity, Fig04ScenarioPathReproducesPrePortDigests) {
-  const auto base = bench::scenario_config(cli_from("nodes=64"), "paper/static-n200");
+  const auto base = figure_config(cli_from("nodes=64"), "paper/static-n200");
   EXPECT_EQ(base.nodes, 64);
   const auto results = run_sweep(across_algorithms(base));
   ASSERT_EQ(results.size(), std::size(kFig04N64));
@@ -44,7 +44,7 @@ TEST(BenchParity, Fig04ScenarioPathReproducesPrePortDigests) {
   }
 }
 
-// Recorded from the pre-port fig11 path (bench::base_config(cli, 100),
+// Recorded from the pre-registry fig11 driver (Table-I defaults at n=100,
 // algorithm=dsmf) at its first two scales.
 constexpr std::pair<int, std::uint64_t> kFig11Scales[] = {
     {100, 4652137975387078828ULL},
@@ -52,7 +52,7 @@ constexpr std::pair<int, std::uint64_t> kFig11Scales[] = {
 };
 
 TEST(BenchParity, Fig11ScenarioPathReproducesPrePortDigests) {
-  auto base = bench::scenario_config(cli_from(""), "paper/static-n1000", /*bench_scale_nodes=*/100);
+  auto base = figure_config(cli_from(""), "paper/static-n1000", /*bench_scale_nodes=*/100);
   base.algorithm = "dsmf";
   std::vector<ExperimentConfig> configs;
   for (const auto& [n, digest] : kFig11Scales) {
@@ -78,18 +78,36 @@ TEST(BenchParity, Fig11PerfAnchorN500MatchesRecordedDigest) {
   EXPECT_EQ(result_digest(result), 9659472094034910224ULL);
 }
 
-// scenario_config must honour the same CLI overrides base_config did.
-TEST(BenchParity, ScenarioConfigAppliesCliOverridesLikeBaseConfig) {
-  const auto cli = cli_from("nodes=80\nworkflows=5\nseed=9\nhours=12");
-  const auto from_scenario = bench::scenario_config(cli, "paper/static-n200");
-  const auto legacy = bench::base_config(cli, 200);
-  EXPECT_EQ(from_scenario.nodes, legacy.nodes);
-  EXPECT_EQ(from_scenario.workflows_per_node, legacy.workflows_per_node);
-  EXPECT_EQ(from_scenario.seed, legacy.seed);
-  EXPECT_DOUBLE_EQ(from_scenario.system.horizon_s, legacy.system.horizon_s);
+// `--figure` (figure_config) and `--run` (the scenario config, then
+// apply_cli_overrides) must apply the shared overrides identically.
+TEST(BenchParity, FigureAndRunApplyCliOverridesIdentically) {
+  for (const char* text : {"nodes=80\nworkflows=5\nseed=9\nhours=12", "paper=true",
+                           "paper=true\nnodes=300", ""}) {
+    const auto cli = cli_from(text);
+    const auto figure = figure_config(cli, "paper/static-n200");
+    ExperimentConfig run = scenario_registry().at("paper/static-n200").config();
+    apply_cli_overrides(cli, run);
+    EXPECT_EQ(figure.nodes, run.nodes) << text;
+    EXPECT_EQ(figure.workflows_per_node, run.workflows_per_node) << text;
+    EXPECT_EQ(figure.seed, run.seed) << text;
+    EXPECT_EQ(figure.system.horizon_s, run.system.horizon_s) << text;
+  }
 
-  const auto paper = bench::scenario_config(cli_from("paper=true"), "paper/static-n200");
-  EXPECT_EQ(paper.nodes, 1000);
+  const auto overridden = figure_config(cli_from("nodes=80\nworkflows=5\nseed=9\nhours=12"),
+                                        "paper/static-n200");
+  EXPECT_EQ(overridden.nodes, 80);
+  EXPECT_EQ(overridden.workflows_per_node, 5);
+  EXPECT_EQ(overridden.seed, 9u);
+  EXPECT_DOUBLE_EQ(overridden.system.horizon_s, 12 * 3600.0);
+
+  const auto defaults = figure_config(cli_from(""), "paper/static-n200", 64);
+  EXPECT_EQ(defaults.nodes, 64);
+  EXPECT_EQ(defaults.workflows_per_node, 3);
+  EXPECT_EQ(defaults.seed, 1u);
+  EXPECT_DOUBLE_EQ(defaults.system.horizon_s, 36 * 3600.0);
+
+  EXPECT_EQ(figure_config(cli_from("paper=true"), "paper/static-n200", 64).nodes, 1000);
+  EXPECT_EQ(figure_config(cli_from("paper=true\nnodes=300"), "paper/static-n200").nodes, 300);
 }
 
 }  // namespace

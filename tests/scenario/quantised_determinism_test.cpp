@@ -34,7 +34,7 @@ TEST(QuantisedDeterminism, RegistryHasTheQuantisedFamily) {
     // not the scale model (see Scenario::sharded).
     EXPECT_FALSE(s->sharded) << s->name;
     const auto cfg = s->config();
-    EXPECT_EQ(cfg.system.effective_network_mode(), net::NetworkMode::kQuantisedFair) << s->name;
+    EXPECT_EQ(cfg.system.network_mode, net::NetworkMode::kQuantisedFair) << s->name;
   }
 }
 

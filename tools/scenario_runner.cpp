@@ -4,6 +4,7 @@
 //   scenario_runner --describe=NAME [--json] full metadata + resolved config
 //   scenario_runner --run=NAME [overrides]   run one scenario at full scale
 //   scenario_runner --digest [--run=NAME]    conformance digests (golden doc)
+//   scenario_runner --figure[=NAME]          list the paper figures, or run one
 //
 // `--digest` emits the canonical golden-digest document for every registered
 // scenario (or just NAME) at the small-n conformance preset — byte-identical
@@ -11,7 +12,8 @@
 //
 //   ./scenario_runner --digest > tests/scenario/golden_digests.json
 //
-// Run overrides: --nodes, --workflows, --seed, --hours, --algorithm,
+// Run overrides: --paper (n = 1000), --nodes, --workflows, --seed, --hours
+// (exp::apply_cli_overrides, shared with --figure), --algorithm,
 // --small (applies the conformance preset before running), and the CCR
 // knobs --load=MIN:MAX (task load, MI) / --data=MIN:MAX (edge data, Mb) so
 // any scenario sweeps across the Figs. 9-10 regimes without registering
@@ -26,6 +28,12 @@
 // caps the worker threads driving parallel windows (also results-neutral).
 // Classic scenarios always run the serial engine and warn that both flags
 // are ignored (see exp::Scenario::sharded).
+//
+// `--figure=NAME` regenerates one table/figure/ablation of the paper's
+// Section IV (exp/figures.hpp) on stdout, e.g. `--figure=fig05 --paper`.
+// Figures take the shared overrides above plus their own flags: --seeds and
+// --max-load-factor (fig07-10), --algorithm (fig11-14), --reschedule and
+// --no-result-collection (fig12-14).
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -33,6 +41,7 @@
 #include <vector>
 
 #include "core/policy_registry.hpp"
+#include "exp/figures.hpp"
 #include "exp/reporters.hpp"
 #include "exp/scale_model.hpp"
 #include "exp/scenario.hpp"
@@ -106,7 +115,7 @@ int describe_scenario(const std::string& name, bool as_json) {
   // mode row comes straight from the net::NetworkModel matrix so this listing
   // cannot drift from the engine's actual branch.
   const std::string_view network_model =
-      net::network_mode_info(cfg.effective_network_mode()).name;
+      net::network_mode_info(cfg.system.network_mode).name;
   const auto algo = core::make_algorithm(cfg.algorithm);
   const bool ca_suffix = cfg.algorithm.size() > 3 &&
                          cfg.algorithm.compare(cfg.algorithm.size() - 3, 3, "-ca") == 0;
@@ -127,7 +136,6 @@ int describe_scenario(const std::string& name, bool as_json) {
     std::cout << "  \"workflows_per_node\": " << cfg.workflows_per_node << ",\n";
     std::cout << "  \"horizon_hours\": " << cfg.system.horizon_s / 3600.0 << ",\n";
     std::cout << "  \"seed\": " << cfg.seed << ",\n";
-    std::cout << "  \"fair_sharing\": " << (cfg.fair_sharing ? "true" : "false") << ",\n";
     std::cout << "  \"network_model\": \"" << network_model << "\",\n";
     std::cout << "  \"oracle_path\": \"" << oracle_path << "\",\n";
     std::cout << "  \"dynamic_factor\": " << cfg.dynamic_factor << ",\n";
@@ -152,7 +160,6 @@ int describe_scenario(const std::string& name, bool as_json) {
   std::cout << "workflows/node:    " << cfg.workflows_per_node << "\n";
   std::cout << "horizon:           " << cfg.system.horizon_s / 3600.0 << " h\n";
   std::cout << "seed:              " << cfg.seed << "\n";
-  std::cout << "fair sharing:      " << (cfg.fair_sharing ? "yes" : "no") << "\n";
   std::cout << "network model:     " << network_model << "\n";
   std::cout << "oracle path:       " << oracle_path << "\n";
   std::cout << "dynamic factor:    " << cfg.dynamic_factor << "\n";
@@ -271,11 +278,7 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
   exp::ExperimentConfig cfg = scenario->config();
   if (cli.get_bool("small", false)) cfg = exp::conformance_preset(std::move(cfg));
   cfg.algorithm = cli.get_string("algorithm", cfg.algorithm);
-  cfg.nodes = static_cast<int>(cli.get_int("nodes", cfg.nodes));
-  cfg.workflows_per_node =
-      static_cast<int>(cli.get_int("workflows", cfg.workflows_per_node));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.system.horizon_s = cli.get_double("hours", cfg.system.horizon_s / 3600.0) * 3600.0;
+  exp::apply_cli_overrides(cli, cfg);
   // CCR overrides, "MIN:MAX" (e.g. --load=100:10000 --data=10:1000 is the
   // paper's compute-heavy regime).
   const auto parse_range = [](const std::string& spec, const char* flag,
@@ -327,7 +330,7 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
             << "nodes=" << cfg.nodes << " workflows/node=" << cfg.workflows_per_node
             << " algorithm=" << cfg.algorithm << " horizon=" << cfg.system.horizon_s / 3600.0
             << "h seed=" << cfg.seed;
-  if (cfg.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
+  if (cfg.system.network_mode == net::NetworkMode::kQuantisedFair) {
     std::cerr << " epoch=" << cfg.system.quantised_epoch_s << "s";
   }
   std::cerr << "\n\n";
@@ -347,6 +350,27 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
   return 0;
 }
 
+int list_figures() {
+  util::TablePrinter table({"figure", "reproduces"});
+  for (const auto& f : exp::figure_table()) table.add_row({f.name, f.title});
+  table.print(std::cout);
+  std::cout << "\n"
+            << exp::figure_table().size()
+            << " figures. Run one: scenario_runner --figure=<name> [--paper] [--nodes=N]\n";
+  return 0;
+}
+
+int run_figure(const util::Config& cli, const std::string& name) {
+  if (name.empty()) return list_figures();
+  const auto* figure = exp::find_figure(name);
+  if (figure == nullptr) {
+    std::cerr << "scenario_runner: unknown figure '" << name << "' (try --figure)\n";
+    return 1;
+  }
+  figure->run(cli, std::cout);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -361,6 +385,12 @@ int main(int argc, char** argv) {
   const bool run_requested = cli.has("run");
   if (name.empty() && !cli.positional().empty()) name = cli.positional().front();
 
+  // Accept --figure=NAME and `--figure NAME`; a bare --figure lists them.
+  if (cli.has("figure")) {
+    std::string figure = cli.get_string("figure", "");
+    if (figure == "true") figure = cli.positional().empty() ? "" : cli.positional().front();
+    return run_figure(cli, figure);
+  }
   if (cli.get_bool("digest", false)) {
     return emit_digests(name, static_cast<int>(cli.get_int("shards", 1)),
                         static_cast<int>(cli.get_int("threads", 1)));
