@@ -40,8 +40,8 @@ struct TaskEstimateInputs {
 using BandwidthEstimateFn = std::function<double(NodeId from, NodeId to)>;
 
 /// Full transfer-time estimate (seconds, including path latency) for moving
-/// `size_mb` megabits. Contention-aware policies plug a live
-/// net::RateOracle::expected_transfer_time_s in here; the static variant
+/// `size_mb` megabits. Contention-aware policies plug the live
+/// grid::TransferManager::expected_transfer_time_s in here; the static variant
 /// above only divides size by an average bandwidth.
 using TransferTimeFn = std::function<double(NodeId from, NodeId to, double size_mb)>;
 

@@ -35,12 +35,13 @@ struct PlannerOracle {
   /// True pairwise bottleneck bandwidth.
   BandwidthEstimateFn bandwidth;
   /// Optional live transfer-time estimator (latency + size over the rate the
-  /// network would allocate right now - net::RateOracle semantics). When set,
-  /// the planners charge edge and image movement through it instead of the
-  /// static `size / bandwidth` division; when empty, planning is byte-for-byte
+  /// network would allocate right now, as in
+  /// TransferManager::expected_transfer_time_s). When set, the planners
+  /// charge edge and image movement through it instead of the static
+  /// `size / bandwidth` division; when empty, planning is byte-for-byte
   /// the classic static-bandwidth HEFT/SMF (the goldens of heft/smf/heft-la
-  /// depend on that). The contention-aware registry entries (dheft-ca,
-  /// lookahead-ca) are what set it.
+  /// depend on that). The contention-aware registry entry lookahead-ca is
+  /// what sets it.
   TransferTimeFn transfer_time;
 };
 

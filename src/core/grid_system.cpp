@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "core/rpm.hpp"
@@ -150,12 +149,13 @@ class SystemDispatchContext final : public DispatchContext {
                                              const gossip::ResourceEntry& resource) const override {
     // Live-oracle LTD: the TransferManager answers what each input transfer
     // would cost if it started now (in fair-sharing mode a what-if probe of
-    // the max-min solver; in bottleneck mode the true routed path rate).
-    prefill_oracle_cache();
-    TransferTimeFn oracle_fn = [this](NodeId from, NodeId to, double mb) {
-      return oracle_transfer_time(from, to, mb);
-    };
-    return estimate_finish_time(task.inputs, resource, oracle_fn).finish_s;
+    // the max-min solver, memoized per pair for the cycle by the manager's
+    // probe cache; in bottleneck mode the true routed path rate).
+    return estimate_finish_time(task.inputs, resource,
+                                [this](NodeId from, NodeId to, double mb) {
+                                  return sys_.transfers_->expected_transfer_time_s(from, to, mb);
+                                })
+        .finish_s;
   }
 
   void dispatch(const CandidateTask& task, NodeId target) override {
@@ -176,61 +176,6 @@ class SystemDispatchContext final : public DispatchContext {
   }
 
  private:
-  static std::uint64_t pair_key(NodeId from, NodeId to) {
-    const auto src_bits = static_cast<std::uint64_t>(static_cast<std::uint32_t>(from.get()));
-    return (src_bits << 32) | static_cast<std::uint32_t>(to.get());
-  }
-
-  /// Fills the per-cycle cache with every (input location, resource) pair a
-  /// contention-aware policy can ask about this cycle, through one batched
-  /// RateOracle::probe_rates call. Lazy on the first contended estimate so
-  /// static algorithms pay nothing; probes are side-effect-free, so prefilling
-  /// pairs the policy never ends up ranking cannot change any answer.
-  void prefill_oracle_cache() const {
-    if (oracle_prefilled_) return;
-    oracle_prefilled_ = true;
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    std::unordered_set<std::uint64_t> seen;
-    for (const auto& wf : pending_) {
-      for (const auto& t : wf.tasks) {
-        for (const auto& in : t.inputs.inputs) {
-          for (const auto& r : resources_) {
-            if (in.location == r.node) continue;  // loopback: no probe needed
-            if (seen.insert(pair_key(in.location, r.node)).second) {
-              pairs.emplace_back(in.location, r.node);
-            }
-          }
-        }
-      }
-    }
-    const std::vector<double> rates = sys_.transfers_->probe_rates(pairs);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto [from, to] = pairs[i];
-      oracle_cache_.emplace(pair_key(from, to),
-                            std::pair<double, double>{sys_.routing_.latency_s(from, to), rates[i]});
-    }
-  }
-
-  /// Oracle-backed transfer time with a per-cycle (src, dst) cache. The
-  /// context lives for exactly one scheduling cycle and the engine processes
-  /// no events while it runs, so the in-flight flow set - and therefore every
-  /// oracle answer - is frozen: caching the (latency, rate) pair and redoing
-  /// the `latency + mb / rate` arithmetic is bit-identical to re-probing,
-  /// while collapsing the probe count from tasks x resources x inputs to the
-  /// number of distinct node pairs.
-  [[nodiscard]] double oracle_transfer_time(NodeId from, NodeId to, double mb) const {
-    if (from == to) return 0.0;
-    const std::uint64_t key = pair_key(from, to);
-    auto it = oracle_cache_.find(key);
-    if (it == oracle_cache_.end()) {
-      const double latency = sys_.routing_.latency_s(from, to);
-      const double rate = sys_.transfers_->predicted_rate_mbps(from, to);
-      it = oracle_cache_.emplace(key, std::pair<double, double>{latency, rate}).first;
-    }
-    const auto [latency, rate] = it->second;
-    return net::transfer_time_from_rate(latency, rate, mb);
-  }
-
   [[nodiscard]] BandwidthEstimateFn bandwidth_fn() const {
     const double fallback = averages_.bandwidth_mbps;
     const auto* landmarks = &sys_.landmarks_;
@@ -244,9 +189,6 @@ class SystemDispatchContext final : public DispatchContext {
   dag::AverageEstimates averages_;
   std::vector<gossip::ResourceEntry> resources_;
   std::vector<PendingWorkflow> pending_;
-  /// (src << 32 | dst) -> (latency_s, predicted rate) for this cycle.
-  mutable std::unordered_map<std::uint64_t, std::pair<double, double>> oracle_cache_;
-  mutable bool oracle_prefilled_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -692,12 +634,10 @@ void GridSystem::deliver_dispatch(TaskRef ref, NodeId target, grid::ReadyTask re
   ready.pending_inputs = static_cast<int>(sources.size());
   node.add_ready(ready);
 
-  auto& ids = task_transfers_[ref];
-  ids.clear();
+  task_transfers_[ref].clear();
   for (const Src& src : sources) {
     start_input_transfer(ref, target, src.from, src.mb);
   }
-  (void)ids;
 }
 
 void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source, double mb,

@@ -4,9 +4,9 @@
 // remaining makespan, schedule points by descending RPM - but Formula (9) is
 // evaluated through DispatchContext::finish_time_contended(): the
 // transmission-delay term of each candidate placement comes from the live
-// network oracle (net::RateOracle; in fair-sharing mode a what-if probe of
-// the max-min solver against the current in-flight transfer set) instead of
-// the gossip/landmark bandwidth averages. At transfer-bound CCR this steers
+// network oracle (TransferManager::expected_transfer_time_s; in fair-sharing
+// mode a what-if probe of the max-min solver against the current in-flight
+// transfer set) instead of the gossip/landmark bandwidth averages. At transfer-bound CCR this steers
 // tasks away from resource nodes whose input paths are currently saturated -
 // the placement signal static-bandwidth DSMF cannot see. In a context with
 // no live network (unit tests, bottleneck-model worlds where routing already

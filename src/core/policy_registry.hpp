@@ -26,9 +26,9 @@ struct Algorithm {
   std::function<std::unique_ptr<FullAheadPlanner>()> make_planner;
   /// Always non-null.
   std::function<std::unique_ptr<ReadyQueuePolicy>()> make_second;
-  /// Full-ahead algorithms only: plan transfer costs through the live
-  /// net::RateOracle (PlannerOracle::transfer_time gets wired to the
-  /// TransferManager) instead of the static bandwidth matrix. Meaningless
+  /// Full-ahead algorithms only: plan transfer costs through the live-rate
+  /// oracle (PlannerOracle::transfer_time gets wired to
+  /// TransferManager::expected_transfer_time_s) instead of the static bandwidth matrix. Meaningless
   /// for just-in-time algorithms, whose -ca variants probe per dispatch.
   bool contended_planner = false;
 
@@ -40,7 +40,7 @@ struct Algorithm {
 /// Second-phase ablation variants (original HCW'99-style, FCFS ready set):
 ///   "minmin-fcfs", "maxmin-fcfs", "sufferage-fcfs", "dheft-fcfs", "dsmf-fcfs".
 /// Extension (paper related-work [24]): "heft-la" - lookahead HEFT.
-/// Contention-aware extensions (consume the live net::RateOracle):
+/// Contention-aware extensions (consume the live-rate oracle):
 ///   "dsmf-ca" - DSMF with Formula (9) ranked by oracle-predicted completion
 ///               time (live what-if probes of the fair-sharing solver);
 ///   "dsmf-tc" - DSMF with the transfer-time-corrected "tcms" second phase

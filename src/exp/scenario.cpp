@@ -100,7 +100,7 @@ ScenarioRegistry build_registry() {
 
   // --- contention-aware scheduling on the fluid model ----------------------
   // The policies that *consume* the fair-sharing model's live rates (via the
-  // net::RateOracle what-if probes), pinned end-to-end at the same
+  // TransferManager's what-if probes), pinned end-to-end at the same
   // transfer-bound CCR as the fair-* scenarios so the placement signal the
   // oracle adds is actually load-bearing. Makespan comparisons against
   // static-bandwidth DSMF are recorded in docs/EXPERIMENTS.md.

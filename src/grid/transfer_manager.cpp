@@ -1,7 +1,7 @@
 // Mode-agnostic facade of the TransferManager: flow bookkeeping, transfer
-// lifecycle entry points and the RateOracle probes. The per-mode machinery
-// lives behind the net::NetworkModel seam in models/fluid_fair.cpp and
-// models/quantised_fair.cpp.
+// lifecycle entry points and the live-rate oracle probes. The per-mode
+// machinery lives behind the net::NetworkModel seam in
+// models/fluid_fair.cpp and models/quantised_fair.cpp.
 #include "grid/transfer_manager.hpp"
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "grid/models/transfer_model_detail.hpp"
+#include "net/rate_oracle.hpp"
 
 namespace dpjit::grid {
 namespace {
@@ -160,7 +161,7 @@ void TransferManager::link_state_changed(LinkId l, bool up) {
   }
 }
 
-// --- net::RateOracle --------------------------------------------------------
+// --- live-rate oracle (see rate_oracle.hpp) --------------------------------
 
 double TransferManager::predicted_rate_mbps_uncached(NodeId src, NodeId dst) const {
   if (src == dst) return kInf;  // loopback transfers are free
@@ -223,14 +224,6 @@ double TransferManager::predicted_rate_mbps(NodeId src, NodeId dst) const {
   const double rate = predicted_rate_mbps_uncached(src, dst);
   probe_cache_.emplace(key, rate);
   return rate;
-}
-
-std::vector<double> TransferManager::probe_rates(
-    const std::vector<std::pair<NodeId, NodeId>>& pairs) const {
-  std::vector<double> rates;
-  rates.reserve(pairs.size());
-  for (const auto& [src, dst] : pairs) rates.push_back(predicted_rate_mbps(src, dst));
-  return rates;
 }
 
 double TransferManager::expected_transfer_time_s(NodeId src, NodeId dst, double size_mb) const {

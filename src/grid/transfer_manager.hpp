@@ -30,9 +30,10 @@
 //    schedules NO completion events in this mode - run_quantised() owns the
 //    clock. Machinery: models/quantised_fair.cpp.
 //
-// The manager also implements net::RateOracle: what-if transfer-rate and
-// transfer-time queries against the live network, consumed by the
-// contention-aware scheduling policies (see rate_oracle.hpp). Contended-mode
+// The manager also answers the live-rate oracle queries: what-if
+// transfer-rate and transfer-time probes against the live network, consumed
+// by the contention-aware scheduling policies (see rate_oracle.hpp). Every
+// contended estimate goes through expected_transfer_time_s. Contended-mode
 // probes are memoized per (src, dst) pair in an epoch-keyed cache: a cached
 // rate is valid exactly while the solver's mutation stamp, the manager's
 // link-state stamp AND (quantised mode) the epoch barrier stamp all stand
@@ -57,13 +58,12 @@
 #include "grid/completion_index.hpp"
 #include "net/flow_sharing.hpp"
 #include "net/network_model.hpp"
-#include "net/rate_oracle.hpp"
 #include "net/routing.hpp"
 #include "sim/engine.hpp"
 
 namespace dpjit::grid {
 
-class TransferManager : public net::RateOracle {
+class TransferManager {
  public:
   /// The network-model seam: behaviour is selected per net/network_model.hpp.
   using Mode = net::NetworkMode;
@@ -133,7 +133,7 @@ class TransferManager : public net::RateOracle {
   /// Flows waiting (propagation done) to be admitted at the next barrier.
   [[nodiscard]] std::size_t quantised_pending_joins() const;
 
-  // --- net::RateOracle -------------------------------------------------------
+  // --- live-rate oracle (see rate_oracle.hpp) ------------------------------
 
   /// Rate a new src->dst transfer would get right now. Bottleneck mode: the
   /// routed path's bottleneck bandwidth (flows never contend). Contended
@@ -141,18 +141,12 @@ class TransferManager : public net::RateOracle {
   /// solver against the current in-flight flow set, memoized per pair until
   /// the next solver mutation, link-state change or (quantised) epoch
   /// barrier (see the class comment).
-  [[nodiscard]] double predicted_rate_mbps(NodeId src, NodeId dst) const override;
+  [[nodiscard]] double predicted_rate_mbps(NodeId src, NodeId dst) const;
 
   /// latency(path) + size_mb / predicted_rate_mbps. 0 for loopback; +inf for
   /// unreachable pairs and saturated (zero-rate) paths. In contended modes
   /// this extrapolates the instantaneous allocation over the whole transfer.
-  [[nodiscard]] double expected_transfer_time_s(NodeId src, NodeId dst,
-                                                double size_mb) const override;
-
-  /// Batched probe; every entry goes through (and warms) the probe cache, so
-  /// a cycle's worth of pairs costs one component solve per *distinct* pair.
-  [[nodiscard]] std::vector<double> probe_rates(
-      const std::vector<std::pair<NodeId, NodeId>>& pairs) const override;
+  [[nodiscard]] double expected_transfer_time_s(NodeId src, NodeId dst, double size_mb) const;
 
   /// The pre-cache probe path: routes and solves on every call, never reads
   /// or writes the cache. This is the reference the cached answer must match
@@ -241,8 +235,8 @@ class TransferManager : public net::RateOracle {
   // --- contended-mode probe cache (see class comment). Keyed
   // (src << 32 | dst); valid while (solver mutation stamp, manager link
   // stamp, barrier stamp) all match the values captured when the cache was
-  // last cleared. `mutable`: the oracle interface is const and the cache is
-  // pure memoization - by the solver's probe-purity invariant a hit and a
+  // last cleared. `mutable`: the probes are const and the cache is pure
+  // memoization - by the solver's probe-purity invariant a hit and a
   // fresh probe are indistinguishable.
   mutable std::unordered_map<std::uint64_t, double> probe_cache_;
   mutable std::uint64_t probe_cache_solver_stamp_ = 0;

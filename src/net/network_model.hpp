@@ -1,7 +1,7 @@
 // The network-model seam (ROADMAP item 1, PR 9).
 //
 // Every layer that cares how transfers share the network - the
-// grid::TransferManager that executes them, the net::RateOracle probes the
+// grid::TransferManager that executes them, the live-rate probes the
 // contention-aware policies consume, core::GridSystem's run loop, and the
 // scenario registry - selects behaviour through this one enum instead of a
 // scattered `bool fair_sharing`. The mode matrix below is the single source
@@ -49,7 +49,7 @@ struct NetworkModeInfo {
   std::string_view name;        ///< canonical spelling, e.g. "quantised-fair"
   bool contended = false;       ///< concurrent transfers share link capacity
   bool zero_lookahead = false;  ///< rate changes propagate instantly
-  std::string_view oracle_path;  ///< how RateOracle probes are answered
+  std::string_view oracle_path;  ///< how live-rate probes are answered
 };
 
 /// The matrix row for `mode`.

@@ -3,14 +3,15 @@
 // The first scheduling phase estimates transfer costs when ranking candidate
 // resource nodes (Eq. 4's LTD term). The baseline policies use *static*
 // estimates - gossiped averages or landmark coordinates - which ignore what
-// the network is doing right now. A RateOracle answers the question those
-// policies cannot ask: "if a new transfer started on this path at this
+// the network is doing right now. The live-rate oracle answers the question
+// those policies cannot ask: "if a new transfer started on this path at this
 // instant, what rate would it actually get, and when would it finish?"
 //
-// grid::TransferManager implements this interface for both network models:
+// grid::TransferManager answers it (predicted_rate_mbps,
+// expected_transfer_time_s) for every network model:
 //  - bottleneck mode: the routed path's bottleneck bandwidth (transfers do
 //    not contend, so the static answer is also the live one);
-//  - fair-sharing mode: a what-if probe of the incremental max-min solver
+//  - fair-sharing modes: a what-if probe of the incremental max-min solver
 //    (net::FairShareSolver::probe_rate) - the rate the flow would be
 //    allocated against the *current* set of in-flight transfers, without
 //    mutating any solver state.
@@ -22,16 +23,14 @@
 #pragma once
 
 #include <cmath>
-#include <utility>
-#include <vector>
 
 #include "util/types.hpp"
 
 namespace dpjit::net {
 
-/// The canonical transfer-time ladder shared by every oracle implementation
-/// and cache: `latency + size / rate` with the edge cases pinned in one
-/// place (unreachable pair -> +inf, empty payload -> latency only, saturated
+/// The canonical transfer-time ladder of the live-rate oracle:
+/// `latency + size / rate` with the edge cases pinned in one place
+/// (unreachable pair -> +inf, empty payload -> latency only, saturated
 /// zero-rate path -> +inf, infinite rate -> latency only). Loopback is the
 /// caller's job (src == dst costs 0 before any latency lookup).
 [[nodiscard]] inline double transfer_time_from_rate(double latency_s, double rate_mbps,
@@ -42,37 +41,5 @@ namespace dpjit::net {
   if (std::isinf(rate_mbps)) return latency_s;
   return latency_s + size_mb / rate_mbps;
 }
-
-/// Read-only view of the live network for what-if transfer queries.
-/// Implementations must not mutate observable network state when answering.
-class RateOracle {
- public:
-  virtual ~RateOracle() = default;
-
-  /// Rate (Mb/s) a new src->dst transfer would be allocated if it started
-  /// now. +inf for loopback (src == dst); 0 when the routed path is
-  /// unreachable or crosses a saturated/zero-capacity link.
-  [[nodiscard]] virtual double predicted_rate_mbps(NodeId src, NodeId dst) const = 0;
-
-  /// Predicted wall-clock seconds to deliver `size_mb` megabits from src to
-  /// dst starting now: propagation latency plus size over the predicted
-  /// rate. 0 for loopback; +inf when the transfer could never complete
-  /// (unreachable pair or zero predicted rate).
-  [[nodiscard]] virtual double expected_transfer_time_s(NodeId src, NodeId dst,
-                                                        double size_mb) const = 0;
-
-  /// Batched probe: one predicted rate per (src, dst) pair, in pair order.
-  /// Each entry equals predicted_rate_mbps(src, dst) bit-for-bit - the batch
-  /// is a convenience (one virtual call, one walk) for callers that prefetch
-  /// a scheduling cycle's worth of pairs, not a different estimator.
-  /// Duplicate pairs are allowed and each receives the same answer.
-  [[nodiscard]] virtual std::vector<double> probe_rates(
-      const std::vector<std::pair<NodeId, NodeId>>& pairs) const {
-    std::vector<double> rates;
-    rates.reserve(pairs.size());
-    for (const auto& [src, dst] : pairs) rates.push_back(predicted_rate_mbps(src, dst));
-    return rates;
-  }
-};
 
 }  // namespace dpjit::net

@@ -156,26 +156,5 @@ TEST(ProbeCacheCounters, HitsRequireUnchangedStamps) {
   EXPECT_EQ(bn.probe_cache_hits() + bn.probe_cache_misses(), 0u);
 }
 
-TEST(ProbeCacheBatch, ProbeRatesMatchesScalarAnswers) {
-  const auto topo = net::Topology::from_links(3, {{NodeId{0}, NodeId{1}, 10.0, 0.1},
-                                                  {NodeId{1}, NodeId{2}, 4.0, 0.1}});
-  const net::Routing routing(topo);
-  sim::Engine engine;
-  TransferManager tm(engine, topo, routing, TransferManager::Mode::kFluidFair);
-  tm.start(NodeId{0}, NodeId{2}, 1000.0, [](bool) {});
-  engine.run_until(1.0);
-
-  const std::vector<std::pair<NodeId, NodeId>> pairs = {
-      {NodeId{0}, NodeId{1}}, {NodeId{0}, NodeId{2}}, {NodeId{1}, NodeId{1}},
-      {NodeId{2}, NodeId{0}}, {NodeId{0}, NodeId{2}},  // duplicate on purpose
-  };
-  const auto batch = tm.probe_rates(pairs);
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(batch[i], tm.predicted_rate_mbps_uncached(pairs[i].first, pairs[i].second)) << i;
-  }
-  EXPECT_EQ(batch[1], batch[4]);  // duplicates get the same (cached) answer
-}
-
 }  // namespace
 }  // namespace dpjit::grid

@@ -1,12 +1,11 @@
-// TransferManager as net::RateOracle: what-if rate/transfer-time queries
-// against both network models, and their side-effect-freedom on a live
-// fluid simulation.
+// TransferManager's live-rate oracle: what-if rate/transfer-time queries
+// against every network model, the edge cases of the transfer-time ladder,
+// and the probes' side-effect-freedom on a live fluid simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "grid/transfer_manager.hpp"
-#include "net/rate_oracle.hpp"
 
 namespace dpjit::grid {
 namespace {
@@ -22,14 +21,13 @@ TEST(RateOracle, BottleneckModeReportsRoutedPathRate) {
   const net::Routing routing(topo);
   sim::Engine engine;
   TransferManager tm(engine, topo, routing, TransferManager::Mode::kBottleneck);
-  const net::RateOracle& oracle = tm;
 
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
-  EXPECT_TRUE(std::isinf(oracle.predicted_rate_mbps(NodeId{1}, NodeId{1})));
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
+  EXPECT_TRUE(std::isinf(tm.predicted_rate_mbps(NodeId{1}, NodeId{1})));
   // Latency comes through the Routing float matrices; compare against them.
-  EXPECT_DOUBLE_EQ(oracle.expected_transfer_time_s(NodeId{0}, NodeId{2}, 100.0),
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 100.0),
                    routing.latency_s(NodeId{0}, NodeId{2}) + 100.0 / 10.0);
-  EXPECT_DOUBLE_EQ(oracle.expected_transfer_time_s(NodeId{1}, NodeId{1}, 100.0), 0.0);
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{1}, NodeId{1}, 100.0), 0.0);
 }
 
 TEST(RateOracle, FairModeProbesSeeLiveContention) {
@@ -37,10 +35,9 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   const net::Routing routing(topo);
   sim::Engine engine;
   TransferManager tm(engine, topo, routing, TransferManager::Mode::kFluidFair);
-  const net::RateOracle& oracle = tm;
 
   // Idle network: the probe reports the full path rate.
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
 
   // One fluid flow across 0->2; once it is past the latency phase a second
   // flow on the same path would have to share every link.
@@ -48,9 +45,9 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   tm.start(NodeId{0}, NodeId{2}, 1000.0, [&](bool) { done = true; });
   engine.run_until(1.0);  // past the 0.2 s latency phase, far from completion
   ASSERT_FALSE(done);
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{2}), 5.0);
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{1}), 5.0);
-  EXPECT_DOUBLE_EQ(oracle.expected_transfer_time_s(NodeId{0}, NodeId{2}, 10.0),
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 5.0);
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{1}), 5.0);
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 10.0),
                    routing.latency_s(NodeId{0}, NodeId{2}) + 10.0 / 5.0);
 
   // The probe must not have perturbed the live flow: it still completes at
@@ -59,6 +56,45 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   EXPECT_TRUE(done);
   EXPECT_NEAR(engine.now(), routing.latency_s(NodeId{0}, NodeId{2}) + 100.0, 1e-6);
 }
+
+// expected_transfer_time_s is the only copy of the transfer-time ladder the
+// contended schedulers read; pin its edge cases in both contended modes.
+class ExpectedTransferTime : public ::testing::TestWithParam<TransferManager::Mode> {};
+
+TEST_P(ExpectedTransferTime, EdgeCasesOfTheLadder) {
+  // 0 - 1 at 10 Mb/s, 1 - 2 at zero capacity, node 3 isolated.
+  const auto topo = net::Topology::from_links(4, {{NodeId{0}, NodeId{1}, 10.0, 0.1},
+                                                  {NodeId{1}, NodeId{2}, 0.0, 0.1}});
+  const net::Routing routing(topo);
+  sim::Engine engine;
+  TransferManager tm(engine, topo, routing, GetParam());
+
+  // Loopback is free, whatever the payload.
+  EXPECT_EQ(tm.expected_transfer_time_s(NodeId{1}, NodeId{1}, 100.0), 0.0);
+  // Unreachable pair: no route, no finite answer.
+  EXPECT_TRUE(std::isinf(tm.expected_transfer_time_s(NodeId{0}, NodeId{3}, 100.0)));
+  EXPECT_TRUE(std::isinf(tm.expected_transfer_time_s(NodeId{0}, NodeId{3}, 0.0)));
+  // Empty (or negative) payload: latency only, even across the dead link.
+  const double lat01 = routing.latency_s(NodeId{0}, NodeId{1});
+  const double lat02 = routing.latency_s(NodeId{0}, NodeId{2});
+  EXPECT_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{1}, 0.0), lat01);
+  EXPECT_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{1}, -5.0), lat01);
+  EXPECT_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 0.0), lat02);
+  // Saturated zero-capacity path: the probe allocates rate 0, so a real
+  // payload never arrives.
+  EXPECT_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 0.0);
+  EXPECT_TRUE(std::isinf(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 100.0)));
+  // The live path for comparison: latency + size / rate.
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{1}, 100.0), lat01 + 10.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ContendedModes, ExpectedTransferTime,
+                         ::testing::Values(TransferManager::Mode::kFluidFair,
+                                           TransferManager::Mode::kQuantisedFair),
+                         [](const auto& info) {
+                           return info.param == TransferManager::Mode::kFluidFair ? "fluid"
+                                                                                  : "quantised";
+                         });
 
 TEST(RateOracle, ProbesDoNotChangeFluidOutcomes) {
   // Two identical simulations; one answers a barrage of oracle queries while

@@ -110,7 +110,7 @@ int describe_scenario(const std::string& name, bool as_json) {
     arrivals = "open-poisson";
   }
   // Which transfer model the run simulates, and whether the algorithm reads
-  // the live RateOracle or only static estimates - the two axes a reader of
+  // the live-rate oracle or only static estimates - the two axes a reader of
   // a contention/* or quantised/* result needs to know to interpret it. The
   // mode row comes straight from the net::NetworkModel matrix so this listing
   // cannot drift from the engine's actual branch.
@@ -121,9 +121,10 @@ int describe_scenario(const std::string& name, bool as_json) {
                          cfg.algorithm.compare(cfg.algorithm.size() - 3, 3, "-ca") == 0;
   const char* oracle_path = "static estimates (gossip averages / bandwidth matrix)";
   if (algo.contended_planner) {
-    oracle_path = "live RateOracle probes at plan time (batched probe_rates)";
+    oracle_path = "live expected_transfer_time_s probes at plan time, one per (src, dst) pair";
   } else if (ca_suffix) {
-    oracle_path = "live RateOracle probes per scheduling cycle (what-if fair-share solves)";
+    oracle_path =
+        "live expected_transfer_time_s probes per scheduling cycle (what-if fair-share solves)";
   }
   if (as_json) {
     std::cout << "{\n";
