@@ -35,6 +35,12 @@ ExperimentResult summarize(const World& world, double wall_seconds) {
   r.gossip_messages = system.gossip_service().messages_sent();
   r.gossip_bytes = system.gossip_service().bytes_sent();
   r.gossip_floor_rejections = system.gossip_service().floor_rejections();
+  const auto& transfers = system.transfers();
+  r.solver_resumed = transfers.solver_resumed();
+  r.solver_full = transfers.solver_full();
+  r.probe_cache_hits = transfers.probe_cache_hits();
+  r.probe_cache_misses = transfers.probe_cache_misses();
+  r.link_aborts = transfers.link_aborts();
   r.wall_seconds = wall_seconds;
   return r;
 }

@@ -53,6 +53,18 @@ struct ExperimentResult {
   /// Gossip entries skipped by the receiver's stamp floor (the delivery fast
   /// path's hit count). NOT part of result_digest.
   std::uint64_t gossip_floor_rejections = 0;
+  /// Contended network modes: fair-share solver mutations that resumed a
+  /// recorded fill / re-solved their component from scratch, live-rate
+  /// probes answered by the pair cache / by a fresh solver probe, and
+  /// transfers aborted by link failures. All 0 where they do not apply.
+  /// The resumed/full split depends on the probe pattern as well: a probe
+  /// may record a component, letting its next mutation resume. NOT part of
+  /// result_digest.
+  std::uint64_t solver_resumed = 0;
+  std::uint64_t solver_full = 0;
+  std::uint64_t probe_cache_hits = 0;
+  std::uint64_t probe_cache_misses = 0;
+  std::uint64_t link_aborts = 0;
   std::uint64_t events_processed = 0;
   double wall_seconds = 0.0;
 };

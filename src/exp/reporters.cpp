@@ -121,6 +121,11 @@ void write_results_json(std::ostream& os, const std::vector<ExperimentResult>& r
     json.kv("gossip_messages", r.gossip_messages);
     json.kv("gossip_bytes", r.gossip_bytes);
     json.kv("gossip_floor_rejections", r.gossip_floor_rejections);
+    json.kv("solver_resumed", r.solver_resumed);
+    json.kv("solver_full", r.solver_full);
+    json.kv("probe_cache_hits", r.probe_cache_hits);
+    json.kv("probe_cache_misses", r.probe_cache_misses);
+    json.kv("link_aborts", r.link_aborts);
     json.kv("events_processed", r.events_processed);
     json.kv("live_reports", static_cast<std::uint64_t>(r.live_reports));
     json.kv("ct_p50_s", r.ct_p50);

@@ -31,7 +31,7 @@ void TransferManager::fair_flow_started(std::uint64_t id) {
     finish(id, true);
     return;
   }
-  flow.fluid = true;
+  join_pool(flow);
   // The Flow's address is stable (node-based unordered_map), so it rides
   // along as the solver's user cookie: every future rate update for this
   // flow comes back with the pointer attached, sparing a hash lookup per
@@ -43,10 +43,15 @@ void TransferManager::fair_flow_started(std::uint64_t id) {
 }
 
 void TransferManager::fair_abort_stalled() {
-  // In practice only a newly added flow crossing a zero-capacity link gets
-  // rate <= 0 (removals never lower surviving rates), but the scan over the
-  // re-solved component is cheap, and running it after every mutation makes
-  // the no-zero-rate-fluid-flow invariant unconditional.
+  // A rate of 0 only comes from a zero-capacity link on the flow's own path:
+  // a link with capacity keeps a positive remainder while it still carries
+  // an unfrozen flow, so every round share it sets is positive. Such a flow
+  // is therefore stalled from the add that admits it. A removal can lower
+  // surviving rates (max-min fairness is not population-monotone: with A,
+  // B, D on one unit link and B, C on another, removing A drops C from 2/3
+  // to 1/2), but never to 0. The scan over the re-solved component is cheap,
+  // and running it after every mutation makes the no-zero-rate-fluid-flow
+  // invariant unconditional.
   std::vector<std::uint64_t> stalled;
   for (const auto& u : solver_.updated()) {
     if (u.rate <= 0.0) stalled.push_back(u.id);
@@ -60,9 +65,8 @@ void TransferManager::fair_advance_to_now() {
   const SimTime now = engine_.now();
   const double dt = now - fair_clock_;
   if (dt > 0.0) {
-    for (auto& [id, flow] : flows_) {
-      if (!flow.fluid) continue;
-      flow.remaining_mb = std::max(0.0, flow.remaining_mb - flow.rate_mbps * dt);
+    for (Flow* flow : pool_) {
+      flow->remaining_mb = std::max(0.0, flow->remaining_mb - flow->rate_mbps * dt);
     }
   }
   fair_clock_ = now;
@@ -118,7 +122,7 @@ void TransferManager::fair_resolve_batch(const std::vector<std::uint64_t>& ids, 
       delivered_mb_ += flow.size_mb;
     }
     callbacks.push_back(std::move(flow.on_done));
-    flows_.erase(it);
+    erase_flow(it);
   }
   if (!fluid_ids.empty()) {
     solver_.remove_batch(fluid_ids);
@@ -160,10 +164,9 @@ void TransferManager::fair_schedule_next_completion() {
   }
 #ifndef NDEBUG
   double scan = kInf;
-  for (const auto& [id, flow] : flows_) {
-    if (!flow.fluid) continue;
-    assert(flow.rate_mbps > 0.0);
-    scan = std::min(scan, flow.remaining_mb / flow.rate_mbps);
+  for (const Flow* flow : pool_) {
+    assert(flow->rate_mbps > 0.0);
+    scan = std::min(scan, flow->remaining_mb / flow->rate_mbps);
   }
   assert(scan == soonest && "CompletionIndex diverged from the brute-force scan");
 #endif
@@ -179,14 +182,13 @@ void TransferManager::fair_tick() {
   fair_advance_to_now();
   std::vector<std::uint64_t> done;
   const SimTime now = engine_.now();
-  for (const auto& [id, flow] : flows_) {
-    if (!flow.fluid) continue;
+  for (const Flow* flow : pool_) {
     // Delivered - or so close that the completion event could not advance
     // simulated time: with a sub-ulp remaining/rate, re-arming would fire at
     // exactly `now` again with dt == 0 and spin forever.
-    if (flow.remaining_mb <= kEpsilonMb ||
-        now + flow.remaining_mb / flow.rate_mbps <= now) {
-      done.push_back(id);
+    if (flow->remaining_mb <= kEpsilonMb ||
+        now + flow->remaining_mb / flow->rate_mbps <= now) {
+      done.push_back(flow->id);
     }
   }
   std::sort(done.begin(), done.end());

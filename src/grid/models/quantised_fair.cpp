@@ -84,7 +84,7 @@ void TransferManager::quantised_barrier() {
       zero_size.push_back(id);
       continue;
     }
-    flow.fluid = true;
+    join_pool(flow);
     solver_.add(id, flow.links, &flow);
   }
   pending_joins_.clear();
@@ -94,14 +94,13 @@ void TransferManager::quantised_barrier() {
   // ones simply vanish from flows_ before the rate collection below.
   for (const std::uint64_t id : zero_size) finish(id, true);
 
-  // 2. Re-freeze every active flow's rate for the coming epoch. Iteration is
-  // hash order, so collect and sort by id: the stall callbacks below must
-  // fire in the same order run to run for the golden digests to hold.
+  // 2. Re-freeze every active flow's rate for the coming epoch. pool_ is in
+  // no particular order, so collect and sort by id: the stall callbacks
+  // below must fire in the same order run to run for the golden digests to
+  // hold.
   std::vector<std::uint64_t> active;
-  active.reserve(flows_.size());
-  for (const auto& [id, flow] : flows_) {
-    if (flow.fluid) active.push_back(id);
-  }
+  active.reserve(pool_.size());
+  for (const Flow* flow : pool_) active.push_back(flow->id);
   std::sort(active.begin(), active.end());
   std::vector<std::uint64_t> stalled;
   for (const std::uint64_t id : active) {
@@ -119,21 +118,20 @@ void TransferManager::quantised_barrier() {
 
 void TransferManager::quantised_integrate(SimTime epoch_start, double epoch_s) {
   assert(drained_.empty());
-  for (auto& [id, flow] : flows_) {
-    if (!flow.fluid) continue;
-    // The barrier's stall guard aborts zero-rate flows and removals never
-    // lower surviving solver rates, so every frozen rate is strictly
-    // positive and the division below is safe.
+  for (Flow* pooled : pool_) {
+    Flow& flow = *pooled;
+    // The barrier's stall guard aborts zero-rate flows and frozen rates only
+    // move at barriers, so every frozen rate is strictly positive and the
+    // division below is safe.
     assert(flow.rate_mbps > 0.0);
     if (flow.remaining_mb - flow.rate_mbps * epoch_s <= kEpsilonMb) {
       drained_.emplace_back(epoch_start + std::min(epoch_s, flow.remaining_mb / flow.rate_mbps),
-                            id);
+                            flow.id);
     } else {
       flow.remaining_mb -= flow.rate_mbps * epoch_s;
     }
   }
-  // (finish_s, id) order: hash-order collection must not leak into the
-  // callback order.
+  // (finish_s, id) order: pool order must not leak into the callback order.
   std::sort(drained_.begin(), drained_.end());
 }
 
@@ -163,12 +161,14 @@ void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& 
       delivered_mb_ += flow.size_mb;
     }
     callbacks.push_back(std::move(flow.on_done));
-    flows_.erase(it);
+    erase_flow(it);
   }
   // One batched removal; the re-solve result is deliberately NOT applied -
   // surviving flows keep their frozen rates until the next barrier reads the
-  // solver back. (Removals never lower surviving rates, so no stall guard is
-  // needed here either.)
+  // solver back. No stall guard is needed here: a removal can lower a
+  // surviving solver rate (max-min fairness is not population-monotone), but
+  // never to 0 - only a zero-capacity link on the flow's own path yields 0,
+  // and the barrier that admitted the flow already aborted it for that.
   if (!pool_ids.empty()) solver_.remove_batch(pool_ids);
   // Callbacks fire last, against fully consistent state: they may re-enter
   // start()/abort() (the grid restarts lost input transfers from the home
@@ -195,7 +195,7 @@ void TransferManager::quantised_deliver() {
     ++completed_;
     delivered_mb_ += flow.size_mb;
     callbacks.push_back(std::move(flow.on_done));
-    flows_.erase(it);
+    erase_flow(it);
   }
   drained_.clear();
   // Frozen-rate semantics again: remove in one batch, apply nothing.
@@ -205,11 +205,7 @@ void TransferManager::quantised_deliver() {
   }
 }
 
-std::size_t TransferManager::quantised_active() const {
-  std::size_t n = 0;
-  for (const auto& [id, flow] : flows_) n += flow.fluid ? 1 : 0;
-  return n;
-}
+std::size_t TransferManager::quantised_active() const { return pool_.size(); }
 
 std::size_t TransferManager::quantised_pending_joins() const {
   std::size_t n = 0;

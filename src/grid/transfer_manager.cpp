@@ -34,6 +34,7 @@ std::uint64_t TransferManager::start(NodeId src, NodeId dst, double size_mb,
   assert(size_mb >= 0.0);
   const std::uint64_t id = next_id_++;
   Flow flow;
+  flow.id = id;
   flow.src = src;
   flow.dst = dst;
   flow.size_mb = size_mb;
@@ -107,8 +108,26 @@ void TransferManager::finish(std::uint64_t id, bool success) {
     ++completed_;
     delivered_mb_ += it->second.size_mb;
   }
-  flows_.erase(it);
+  erase_flow(it);
   if (cb) cb(success);
+}
+
+void TransferManager::join_pool(Flow& flow) {
+  assert(!flow.fluid);
+  flow.fluid = true;
+  flow.pool_slot = static_cast<std::uint32_t>(pool_.size());
+  pool_.push_back(&flow);
+}
+
+void TransferManager::erase_flow(std::unordered_map<std::uint64_t, Flow>::iterator it) {
+  if (it->second.fluid) {
+    const std::uint32_t slot = it->second.pool_slot;
+    assert(pool_[slot] == &it->second);
+    pool_[slot] = pool_.back();
+    pool_[slot]->pool_slot = slot;
+    pool_.pop_back();
+  }
+  flows_.erase(it);
 }
 
 void TransferManager::node_left(NodeId n) {

@@ -155,7 +155,7 @@ class TransferManager {
 
   /// The legacy probe path: routes and then re-runs the progressive fill from
   /// scratch (FairShareSolver::probe_rate_reference), bypassing both the pair
-  /// cache and the solver's recorded probe schedules: what every probe cost
+  /// cache and the solver's fill-record replay: what every probe cost
   /// prior to the cache layers, kept as the differential anchor of
   /// fluid_differential_test.
   [[nodiscard]] double predicted_rate_mbps_reference(NodeId src, NodeId dst) const;
@@ -165,8 +165,16 @@ class TransferManager {
   [[nodiscard]] std::uint64_t probe_cache_hits() const { return probe_cache_hits_; }
   [[nodiscard]] std::uint64_t probe_cache_misses() const { return probe_cache_misses_; }
 
+  /// Contended-mode solver mutations that resumed a component's recorded
+  /// fill / that re-solved from scratch (see net::FairShareSolver). Probes
+  /// move the split too: a probe may record a component, so its next
+  /// mutation resumes.
+  [[nodiscard]] std::uint64_t solver_resumed() const { return solver_.resumed_solves(); }
+  [[nodiscard]] std::uint64_t solver_full() const { return solver_.full_solves(); }
+
  private:
   struct Flow {
+    std::uint64_t id = 0;
     NodeId src;
     NodeId dst;
     double size_mb = 0.0;
@@ -187,9 +195,15 @@ class TransferManager {
     /// to skip the id hash lookup on re-key. Stale values are safe: the index
     /// validates the hint against the flow id before trusting it.
     std::uint32_t ci_slot = CompletionIndex::kNoSlot;
+    /// Index in pool_ while `fluid` (swap-erase keeps it in sync).
+    std::uint32_t pool_slot = 0;
   };
 
   void finish(std::uint64_t id, bool success);
+  /// Marks the flow fluid and appends it to pool_.
+  void join_pool(Flow& flow);
+  /// Erases a flow, swap-erasing it from pool_ first when it is fluid.
+  void erase_flow(std::unordered_map<std::uint64_t, Flow>::iterator it);
 
   // --- fluid-fair machinery (models/fluid_fair.cpp) ---
   void fair_flow_started(std::uint64_t id);
@@ -248,6 +262,11 @@ class TransferManager {
   /// failure and recovery alike, so cached paths go stale either way.
   std::uint64_t link_stamp_ = 0;
   std::unordered_map<std::uint64_t, Flow> flows_;
+  /// The fluid flows of flows_, densely: the per-mutation passes (fluid
+  /// advance, completion sweep, barrier integration) iterate this instead of
+  /// a map that also holds every latency-phase and loopback flow. Order is
+  /// arbitrary; every consumer either updates flows independently or sorts.
+  std::vector<Flow*> pool_;
   net::FairShareSolver solver_;
   /// Fluid mode: projected absolute finish per fluid flow, min-heap-ordered.
   CompletionIndex next_completion_;

@@ -97,13 +97,15 @@ std::vector<double> max_min_fair_rates(const std::vector<FlowPath>& flows,
 FairShareSolver::FairShareSolver(std::vector<double> link_capacity_mbps)
     : caps_(std::move(link_capacity_mbps)),
       link_flows_(caps_.size()),
+      link_comp_(caps_.size(), kNoComp),
+      track_(caps_.size()),
+      link_delta_(caps_.size(), 0),
       link_mark_(caps_.size(), 0),
       remaining_(caps_.size(), 0.0),
       active_(caps_.size(), 0),
       ratio_(caps_.size(), 0.0),
       bottleneck_(caps_.size(), 0),
-      touch_mark_(caps_.size(), 0),
-      link_sched_(caps_.size(), {0, 0}) {}
+      touch_mark_(caps_.size(), 0) {}
 
 void FairShareSolver::add(std::uint64_t id, std::vector<LinkId> links, void* user) {
   ++mutation_stamp_;
@@ -111,6 +113,7 @@ void FairShareSolver::add(std::uint64_t id, std::vector<LinkId> links, void* use
   assert(inserted && "FairShareSolver::add: duplicate flow id");
   (void)inserted;
   FlowRec& rec = it->second;
+  rec.id = id;
   rec.links = std::move(links);
   rec.user = user;
   if (rec.links.empty()) {
@@ -119,17 +122,54 @@ void FairShareSolver::add(std::uint64_t id, std::vector<LinkId> links, void* use
     updated_.push_back(UpdatedFlow{id, kInf, user});
     return;
   }
+
+  // The flow resumes a record when every flowed link of its path belongs to
+  // one recorded component. A path over flowless links only starts a new
+  // component; one touching two components (or one without a record) merges
+  // them. Both re-collect from scratch.
+  group_path(rec.links);
+  std::uint32_t ci = kNoComp;
+  bool resumable = true;
+  for (const ProbeCursor& c : probe_cursors_) {
+    if (link_flows_[c.link].empty()) continue;
+    const std::uint32_t lc = link_comp_[c.link];
+    if (lc == kNoComp || (ci != kNoComp && lc != ci)) {
+      resumable = false;
+      break;
+    }
+    ci = lc;
+  }
+  // The round the flow freezes at: the rounds before it are untouched.
+  std::uint32_t r0 = 0;
+  if (resumable && ci != kNoComp) r0 = replay(ci).round;
+
   rec.slot.resize(rec.links.size());
   for (std::size_t k = 0; k < rec.links.size(); ++k) {
     const LinkId l = rec.links[k];
     assert(l.valid() && static_cast<std::size_t>(l.get()) < caps_.size());
     auto& slots = link_flows_[static_cast<std::size_t>(l.get())];
     rec.slot[k] = static_cast<std::uint32_t>(slots.size());
-    slots.push_back(LinkSlot{id, static_cast<std::uint32_t>(k), &rec});
+    slots.push_back(LinkSlot{&rec, static_cast<std::uint32_t>(k)});
   }
-  ++epoch_;
-  collect_component(rec.links);
-  solve_component();
+  if (!resumable || ci == kNoComp) {
+    ++full_solves_;
+    solve_from_scratch(rec.links);
+    return;
+  }
+
+  ++resumed_solves_;
+  for (const ProbeCursor& c : probe_cursors_) {
+    link_delta_[c.link] += c.crossings;
+    if (link_comp_[c.link] == kNoComp) {  // a flowless link joins the component
+      link_comp_[c.link] = ci;
+      comps_[ci].links.push_back(c.link);
+      track_[c.link].assign(1, LinkEvent{0, 0, caps_[c.link]});
+    }
+  }
+  resume(ci, r0, &rec);
+#ifndef NDEBUG
+  check_resumed(rec.links);
+#endif
 }
 
 void FairShareSolver::unlink(FlowRec& rec) {
@@ -148,31 +188,78 @@ void FairShareSolver::unlink(FlowRec& rec) {
   }
 }
 
-void FairShareSolver::remove(std::uint64_t id) {
-  ++mutation_stamp_;
-  const auto it = flows_.find(id);
-  assert(it != flows_.end() && "FairShareSolver::remove: unknown flow id");
-  unlink(it->second);
-  const std::vector<LinkId> seed = std::move(it->second.links);
-  flows_.erase(it);
-  ++epoch_;
-  collect_component(seed);
-  solve_component();
-}
+void FairShareSolver::remove(std::uint64_t id) { remove_batch({id}); }
 
 void FairShareSolver::remove_batch(const std::vector<std::uint64_t>& ids) {
   ++mutation_stamp_;
-  std::vector<LinkId> seed;
+  // The batch resumes when every removed path lies in one recorded
+  // component, at the earliest freeze round among the removed flows.
+  batch_.clear();
+  std::uint32_t ci = kNoComp;
+  bool resumable = true;
+  std::uint32_t r0 = kUnfrozen;
   for (const std::uint64_t id : ids) {
     const auto it = flows_.find(id);
     assert(it != flows_.end() && "FairShareSolver::remove_batch: unknown flow id");
-    unlink(it->second);
-    seed.insert(seed.end(), it->second.links.begin(), it->second.links.end());
-    flows_.erase(it);
+    FlowRec& rec = it->second;
+    batch_.push_back(&rec);
+    if (rec.links.empty()) continue;  // loopback: in no component
+    const std::uint32_t lc = link_comp_[static_cast<std::size_t>(rec.links.front().get())];
+    if (lc == kNoComp || (ci != kNoComp && lc != ci)) resumable = false;
+    ci = lc;
+    r0 = std::min(r0, rec.round);
   }
+  std::vector<LinkId> seed;
+  for (FlowRec* rec : batch_) {
+    unlink(*rec);
+    seed.insert(seed.end(), rec->links.begin(), rec->links.end());
+    if (!resumable) continue;
+    for (const LinkId l : rec->links) --link_delta_[static_cast<std::size_t>(l.get())];
+    rec->round = kRemoved;
+  }
+  const auto erase_batch = [this, &ids] {
+    for (const std::uint64_t id : ids) flows_.erase(id);
+  };
+  if (!resumable) {
+    erase_batch();
+    ++full_solves_;
+    solve_from_scratch(seed);
+    return;
+  }
+  updated_.clear();
+  if (ci == kNoComp) {  // loopback flows only
+    erase_batch();
+    return;
+  }
+
+  // The removed flows' links that still carry flows: every part the
+  // component may split into touches one of them.
+  seeds_.clear();
   ++epoch_;
-  collect_component(seed);
-  solve_component();
+  for (const LinkId l : seed) {
+    const auto li = static_cast<std::uint32_t>(l.get());
+    if (link_mark_[li] == epoch_) continue;
+    link_mark_[li] = epoch_;
+    if (!link_flows_[li].empty()) seeds_.push_back(li);
+  }
+  if (seeds_.empty()) {  // the batch removed the whole component
+    for (const LinkId l : seed) link_delta_[static_cast<std::size_t>(l.get())] = 0;
+    drop_component(ci);
+    erase_batch();
+    return;
+  }
+
+  ++resumed_solves_;
+  if (resume(ci, r0, nullptr) && !connected(seeds_)) {
+    // Split: the resumed fill is the joint fill over every part, exactly
+    // what the BFS from all removed links solves; but it is the record of
+    // no single part, so each re-collects at its next mutation.
+    drop_component(ci);
+  }
+  erase_batch();
+#ifndef NDEBUG
+  check_resumed(seed);
+#endif
 }
 
 double FairShareSolver::rate(std::uint64_t id) const {
@@ -181,53 +268,132 @@ double FairShareSolver::rate(std::uint64_t id) const {
   return it->second.rate;
 }
 
-void FairShareSolver::collect_component(const std::vector<LinkId>& seed_links) const {
+std::size_t FairShareSolver::collect_component(const std::vector<LinkId>& seed_links) const {
   comp_links_.clear();
   comp_flows_.clear();
-  for (const LinkId l : seed_links) {
-    const auto li = static_cast<std::uint32_t>(l.get());
-    if (link_mark_[li] != epoch_) {
-      link_mark_[li] = epoch_;
-      remaining_[li] = caps_[li];
-      active_[li] = 0;
-      comp_links_.push_back(li);
-    }
-  }
-  // BFS over the flow/link sharing graph; comp_links_ doubles as the
-  // frontier. The fill state is seeded in the same walk (reset at link
-  // discovery, one active increment per crossing at flow discovery), so the
-  // solve and schedule-build paths start without another pass over the
+  std::size_t parts = 0;
+  // One BFS over the flow/link sharing graph per not-yet-reached seed;
+  // comp_links_ doubles as the frontier. The fill state is seeded in the same
+  // walk (reset at link discovery, one active increment per crossing at flow
+  // discovery), so the solve paths start without another pass over the
   // component's flow paths.
-  for (std::size_t head = 0; head < comp_links_.size(); ++head) {
-    for (const LinkSlot& s : link_flows_[comp_links_[head]]) {
-      const FlowRec& f = *s.rec;
-      if (f.mark == epoch_) continue;
-      f.mark = epoch_;
-      f.frozen = false;
-      comp_flows_.emplace_back(s.flow, s.rec);
-      for (const LinkId fl : f.links) {
-        const auto li = static_cast<std::uint32_t>(fl.get());
-        if (link_mark_[li] != epoch_) {
-          link_mark_[li] = epoch_;
-          remaining_[li] = caps_[li];
-          active_[li] = 0;
-          comp_links_.push_back(li);
+  for (const LinkId seed : seed_links) {
+    const auto si = static_cast<std::uint32_t>(seed.get());
+    if (link_mark_[si] == epoch_) continue;
+    link_mark_[si] = epoch_;
+    remaining_[si] = caps_[si];
+    active_[si] = 0;
+    std::size_t head = comp_links_.size();
+    comp_links_.push_back(si);
+    if (!link_flows_[si].empty()) ++parts;
+    for (; head < comp_links_.size(); ++head) {
+      for (const LinkSlot& s : link_flows_[comp_links_[head]]) {
+        FlowRec& f = *s.rec;
+        if (f.mark == epoch_) continue;
+        f.mark = epoch_;
+        comp_flows_.push_back(&f);
+        for (const LinkId fl : f.links) {
+          const auto li = static_cast<std::uint32_t>(fl.get());
+          if (link_mark_[li] != epoch_) {
+            link_mark_[li] = epoch_;
+            remaining_[li] = caps_[li];
+            active_[li] = 0;
+            comp_links_.push_back(li);
+          }
+          ++active_[li];
         }
-        ++active_[li];
       }
     }
   }
+  return parts;
 }
 
-void FairShareSolver::solve_component() {
+FairShareSolver::FreshFill FairShareSolver::fill_from_scratch(
+    const std::vector<LinkId>& seed_links) const {
+  ++epoch_;
+  const std::size_t parts = collect_component(seed_links);
+  // The collected components are re-filled (and merged) here; their old
+  // records describe flow sets that no longer exist.
+  for (const std::uint32_t li : comp_links_) {
+    if (link_comp_[li] != kNoComp) drop_component(link_comp_[li]);
+  }
+  if (comp_flows_.empty()) return FreshFill{kNoComp, true, 0};
+  for (FlowRec* f : comp_flows_) f->round = kUnfrozen;
+  const std::uint32_t ci = new_component();
+  return FreshFill{ci, fill(comps_[ci], 0, comp_flows_.size()), parts};
+}
+
+void FairShareSolver::solve_from_scratch(const std::vector<LinkId>& seed_links) {
+  const FreshFill r = fill_from_scratch(seed_links);
+  updated_.clear();
+  if (r.comp == kNoComp) return;
+  publish(comps_[r.comp], r.clean ? nullptr : &comp_flows_);
+  // Several parts (a removal that split its component) were filled jointly:
+  // that is the record of none of them.
+  if (!r.clean || r.parts > 1) drop_component(r.comp);
+}
+
+bool FairShareSolver::resume(std::uint32_t ci, std::uint32_t r0, FlowRec* added) {
+  Component& c = comps_[ci];
+  assert(r0 <= c.round_share.size());
+  // Reopen the flows that froze at r0 or later; the prefix keeps its rounds.
+  const std::size_t first = r0 < c.round_first.size() ? c.round_first[r0] : c.flows.size();
+  reopened_.clear();
+  for (std::size_t i = first; i < c.flows.size(); ++i) {
+    FlowRec* f = c.flows[i];
+    if (f->round == kRemoved) continue;
+    f->round = kUnfrozen;
+    reopened_.push_back(f);
+  }
+  if (added != nullptr) {
+    added->round = kUnfrozen;
+    reopened_.push_back(added);
+  }
+  c.flows.resize(first);
+  c.round_first.resize(r0);
+  c.round_share.resize(r0);
+
+  // Restore every member link's state at the start of r0. The mutated flows
+  // were active through every earlier round, so their crossings shift the
+  // active count of each prefix checkpoint of their links; the remaining
+  // capacities are untouched (a flow subtracts only from its freeze round
+  // on). Links the mutation left without flows leave the component.
+  comp_links_.clear();
+  std::size_t keep = 0;
+  for (const std::uint32_t li : c.links) {
+    const std::int32_t delta = link_delta_[li];
+    link_delta_[li] = 0;
+    if (link_flows_[li].empty()) {
+      link_comp_[li] = kNoComp;
+      continue;
+    }
+    c.links[keep++] = li;
+    std::vector<LinkEvent>& track = track_[li];
+    while (track.back().round > r0) track.pop_back();
+    if (delta != 0) {
+      for (LinkEvent& e : track) e.active += delta;
+    }
+    remaining_[li] = track.back().remaining;
+    active_[li] = track.back().active;
+    if (active_[li] > 0) comp_links_.push_back(li);
+  }
+  c.links.resize(keep);
+
+  const bool clean = fill(c, r0, reopened_.size());
+  publish(c, clean ? nullptr : &reopened_);
+  if (!clean) drop_component(ci);
+  return clean;
+}
+
+bool FairShareSolver::fill(Component& c, std::uint32_t round, std::size_t unfrozen) const {
   // Same round-synchronous progressive filling as max_min_fair_rates, but
-  // restricted to the collected component and freezing flows through the
-  // per-link flow sets. Disjoint components are independent subproblems, so
-  // the rates computed here are the ones a full solve would assign: the
-  // per-round shares of a component are computed from per-link state only its
-  // own flows mutate, and every flow frozen in a round subtracts the same
-  // share value, making the arithmetic identical operation-for-operation.
-  // (Sole caveat: a cross-component tie within kShareTolerance can merge two
+  // restricted to one component and freezing flows through the per-link flow
+  // sets. Disjoint components are independent subproblems, so the rates
+  // computed here are the ones a full solve would assign: the per-round
+  // shares of a component are computed from per-link state only its own
+  // flows mutate, and every flow frozen in a round subtracts the same share
+  // value, making the arithmetic identical operation-for-operation. (Sole
+  // caveat: a cross-component tie within kShareTolerance can merge two
   // freeze rounds in the full solve; capacities that close are last-ulp
   // noise, and the differential tests exercise exactly this equivalence.)
   //
@@ -241,9 +407,8 @@ void FairShareSolver::solve_component() {
   //    pre-round state the two-pass mask was computed from, and the frozen
   //    SET is therefore identical; within a round the subtractions commute
   //    (every freeze subtracts the same share, clamped at 0).
-  // collect_component() already reset the member links and counted active
-  // crossings; only the ratio cache needs seeding here.
-  updated_.clear();
+  // The caller seeded remaining_/active_ of the scan set; only the ratio
+  // cache needs seeding here.
   std::size_t alive = 0;
   for (const std::uint32_t li : comp_links_) {
     if (active_[li] == 0) continue;  // seed of a removed flow: no carriers left
@@ -271,7 +436,6 @@ void FairShareSolver::solve_component() {
   std::size_t near_n = 0;  // comp_links_[0..near_n) is the near set
   double far_trip = -std::numeric_limits<double>::infinity();
 
-  std::size_t unfrozen = comp_flows_.size();
   while (unfrozen > 0) {
     double share = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < near_n;) {
@@ -301,9 +465,11 @@ void FairShareSolver::solve_component() {
         ++i;
       }
     }
-    if (!std::isfinite(share)) break;  // defensive: no constrained link left
+    if (!std::isfinite(share)) return false;  // defensive: no constrained link left
     share = std::max(share, 0.0);
     const double band = share * (1.0 + kShareTolerance);
+    c.round_first.push_back(static_cast<std::uint32_t>(c.flows.size()));
+    c.round_share.push_back(share);
 
     bool froze_any = false;
     touched_.clear();
@@ -314,9 +480,9 @@ void FairShareSolver::solve_component() {
       if (ratio_[li] > band) continue;  // not a bottleneck this round
       for (const LinkSlot& s : link_flows_[li]) {
         FlowRec& f = *s.rec;
-        if (f.frozen) continue;
-        f.frozen = true;
-        f.rate = share;
+        if (f.round != kUnfrozen) continue;
+        f.round = round;
+        c.flows.push_back(&f);
         froze_any = true;
         --unfrozen;
         for (const LinkId fl : f.links) {
@@ -331,9 +497,13 @@ void FairShareSolver::solve_component() {
         }
       }
     }
-    if (!froze_any) break;  // defensive: numerical stalemate
+    if (!froze_any) return false;  // defensive: numerical stalemate
+    ++round;
+    // Checkpoint every link this round's freezes changed: the state holds
+    // from the start of the next round.
     for (const std::uint32_t li : touched_) {
       if (active_[li] > 0) ratio_[li] = remaining_[li] / active_[li];
+      track_[li].push_back(LinkEvent{round, active_[li], remaining_[li]});
     }
     if (full_round) {
       // Rebuild the partition from post-round ratios. Links drained this
@@ -358,129 +528,98 @@ void FairShareSolver::solve_component() {
       }
     }
   }
+  return true;
+}
 
-  for (const auto& cf : comp_flows_) {
-    FlowRec* f = cf.second;
-    if (!f->frozen) f->rate = 0.0;  // stalemate fallback, mirrors the reference
-    updated_.push_back(UpdatedFlow{cf.first, f->rate, f->user});
+void FairShareSolver::publish(const Component& c, const std::vector<FlowRec*>* leftover) {
+  updated_.clear();
+  for (FlowRec* f : c.flows) {
+    f->rate = c.round_share[f->round];
+    updated_.push_back(UpdatedFlow{f->id, f->rate, f->user});
+  }
+  if (leftover == nullptr) return;
+  for (FlowRec* f : *leftover) {
+    if (f->round != kUnfrozen) continue;
+    f->rate = 0.0;  // stalemate fallback, mirrors the reference
+    updated_.push_back(UpdatedFlow{f->id, 0.0, f->user});
   }
 }
 
-std::uint32_t FairShareSolver::build_probe_schedule(LinkId seed) const {
-  const auto idx = static_cast<std::uint32_t>(scheds_.size());
-  scheds_.emplace_back();
-
-  ++epoch_;
-  const std::vector<LinkId> seed_vec{seed};
-  collect_component(seed_vec);
-  // Label every member link: any flowed link of this component now resolves
-  // to this schedule for as long as the mutation stamp holds. (Seeding from a
-  // single flowed link and walking flow adjacencies only means a "component"
-  // here is exactly one flow-connected island - flowless probe links never
-  // glue two islands into one label.)
+std::uint32_t FairShareSolver::new_component() const {
+  std::uint32_t ci;
+  if (free_comps_.empty()) {
+    ci = static_cast<std::uint32_t>(comps_.size());
+    comps_.emplace_back();
+  } else {
+    ci = free_comps_.back();
+    free_comps_.pop_back();
+  }
+  Component& c = comps_[ci];
   for (const std::uint32_t li : comp_links_) {
-    link_sched_[li] = {sched_stamp_, idx};
+    if (active_[li] == 0) continue;  // a removed flow's seed link: no carriers
+    link_comp_[li] = ci;
+    c.links.push_back(li);
+    track_[li].assign(1, LinkEvent{0, active_[li], remaining_[li]});
   }
-
-  // Replay solve_component()'s progressive fill on the scratch arrays -
-  // identical arithmetic, identical rounds - but record instead of assign:
-  // the share of every round, and a checkpoint for each link a freeze
-  // touched. FlowRec::rate is never written (probes are pure); the mutable
-  // frozen flags are solve scratch and get reset by the next solve anyway.
-  ProbeSchedule& sched = scheds_[idx];
-  sched.links.reserve(comp_links_.size());
-  for (const std::uint32_t li : comp_links_) {
-    sched.links.emplace(li, ProbeSchedule::LinkTrack{active_[li], 0, 0});
-    if (active_[li] > 0) ratio_[li] = remaining_[li] / active_[li];
-  }
-
-  struct RawEvent {
-    std::uint32_t link;
-    ProbeSchedule::LinkEvent ev;
-  };
-  std::vector<RawEvent> raw;
-  raw.reserve(comp_links_.size() * 2);
-
-  std::size_t unfrozen = comp_flows_.size();
-  std::uint32_t round = 0;
-  while (unfrozen > 0) {
-    double share = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < comp_links_.size();) {
-      const std::uint32_t li = comp_links_[i];
-      if (active_[li] == 0) {
-        comp_links_[i] = comp_links_.back();
-        comp_links_.pop_back();
-        continue;
-      }
-      share = std::min(share, ratio_[li]);
-      ++i;
-    }
-    if (!std::isfinite(share)) break;  // defensive break: schedule unusable
-    share = std::max(share, 0.0);
-    sched.round_share.push_back(share);
-    const double band = share * (1.0 + kShareTolerance);
-
-    bool froze_any = false;
-    touched_.clear();
-    for (const std::uint32_t li : comp_links_) {
-      if (ratio_[li] > band) continue;
-      for (const LinkSlot& s : link_flows_[li]) {
-        const FlowRec& f = *s.rec;
-        if (f.frozen) continue;
-        f.frozen = true;
-        froze_any = true;
-        --unfrozen;
-        for (const LinkId fl : f.links) {
-          const auto i2 = static_cast<std::size_t>(fl.get());
-          remaining_[i2] -= share;
-          if (remaining_[i2] < 0.0) remaining_[i2] = 0.0;
-          --active_[i2];
-          touched_.push_back(static_cast<std::uint32_t>(i2));
-        }
-      }
-    }
-    if (!froze_any) break;  // numerical stalemate: schedule unusable
-    // Checkpoint every link this round's freezes changed: the recorded state
-    // holds from the START of round `round + 1`.
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
-    for (const std::uint32_t li : touched_) {
-      if (active_[li] > 0) ratio_[li] = remaining_[li] / active_[li];
-      raw.push_back(RawEvent{li, {round + 1, active_[li], remaining_[li]}});
-    }
-    ++round;
-  }
-  sched.clean = unfrozen == 0;
-
-  if (sched.clean) {
-    // Group the checkpoints per link (round order within a link is already
-    // ascending; stable sort preserves it).
-    std::stable_sort(raw.begin(), raw.end(),
-                     [](const RawEvent& a, const RawEvent& b) { return a.link < b.link; });
-    sched.events.reserve(raw.size());
-    for (const RawEvent& r : raw) {
-      ProbeSchedule::LinkTrack& track = sched.links.find(r.link)->second;
-      if (track.count == 0) track.first = static_cast<std::uint32_t>(sched.events.size());
-      ++track.count;
-      sched.events.push_back(r.ev);
-    }
-  }
-  return idx;
+  return ci;
 }
 
-double FairShareSolver::probe_rate(const std::vector<LinkId>& links) const {
-  if (links.empty()) return kInf;  // loopback: no shared resource
+void FairShareSolver::drop_component(std::uint32_t ci) const {
+  Component& c = comps_[ci];
+  for (const std::uint32_t li : c.links) link_comp_[li] = kNoComp;
+  c.round_share.clear();
+  c.round_first.clear();
+  c.flows.clear();
+  c.links.clear();
+  free_comps_.push_back(ci);
+}
 
-  if (sched_stamp_ != mutation_stamp_ + 1) {
-    // First probe since a mutation: drop the stale schedules. The per-link
-    // labels invalidate themselves (they carry the stamp they were set at).
-    scheds_.clear();
-    sched_stamp_ = mutation_stamp_ + 1;
+bool FairShareSolver::record_component(std::uint32_t seed) const {
+  const FreshFill r = fill_from_scratch({LinkId(static_cast<LinkId::underlying_type>(seed))});
+  if (r.clean) return true;
+  drop_component(r.comp);
+  return false;
+}
+
+bool FairShareSolver::connected(const std::vector<std::uint32_t>& targets) const {
+  if (targets.size() <= 1) return true;
+  // Cheap sufficient test: one surviving flow crosses every target.
+  const FlowRec& cover = *link_flows_[targets.front()].front().rec;
+  bool covered = true;
+  for (std::size_t k = 1; k < targets.size() && covered; ++k) {
+    covered = std::any_of(cover.links.begin(), cover.links.end(), [&](LinkId l) {
+      return static_cast<std::uint32_t>(l.get()) == targets[k];
+    });
   }
+  if (covered) return true;
 
-  // Group the path to (link, crossings): add() counts one active per
-  // crossing, so the phantom overlay must too. Paths are short; quadratic
-  // grouping beats sorting here.
+  // BFS from the first target, stopping once it has reached the others.
+  const std::uint64_t target_mark = ++epoch_;
+  for (const std::uint32_t li : targets) link_mark_[li] = target_mark;
+  const std::uint64_t visit = ++epoch_;
+  std::size_t missing = targets.size() - 1;
+  link_mark_[targets.front()] = visit;
+  frontier_.assign(1, targets.front());
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    for (const LinkSlot& s : link_flows_[frontier_[head]]) {
+      const FlowRec& f = *s.rec;
+      if (f.mark == visit) continue;
+      f.mark = visit;
+      for (const LinkId fl : f.links) {
+        const auto li = static_cast<std::uint32_t>(fl.get());
+        if (link_mark_[li] == visit) continue;
+        if (link_mark_[li] == target_mark && --missing == 0) return true;
+        link_mark_[li] = visit;
+        frontier_.push_back(li);
+      }
+    }
+  }
+  return false;
+}
+
+void FairShareSolver::group_path(const std::vector<LinkId>& links) const {
+  // add() counts one active per crossing, so the phantom overlay must too.
+  // Paths are short; quadratic grouping beats sorting here.
   probe_cursors_.clear();
   for (const LinkId l : links) {
     assert(l.valid() && static_cast<std::size_t>(l.get()) < caps_.size());
@@ -495,116 +634,87 @@ double FairShareSolver::probe_rate(const std::vector<LinkId>& links) const {
     }
     if (!grouped) probe_cursors_.push_back(ProbeCursor{li, 1, 0, 0.0, 0, 0});
   }
+}
 
-  // Resolve the flow component. All flowed links must land in ONE schedule:
-  // a probe spanning two islands would merge them, which no recorded
-  // single-island schedule can replay - fall back to the from-scratch probe.
-  std::int64_t comp = -1;
-  for (const ProbeCursor& c : probe_cursors_) {
-    if (link_flows_[c.link].empty()) continue;  // flowless: plain capacity
-    if (link_sched_[c.link].first != sched_stamp_) {
-      build_probe_schedule(LinkId(static_cast<std::int32_t>(c.link)));
-    }
-    const std::uint32_t cidx = link_sched_[c.link].second;
-    if (comp < 0) {
-      comp = cidx;
-    } else if (static_cast<std::uint32_t>(comp) != cidx) {
-      return probe_rate_reference(links);
+std::uint32_t FairShareSolver::attach_component() const {
+  std::uint32_t ci = kNoComp;
+  for (const ProbeCursor& pc : probe_cursors_) {
+    if (link_flows_[pc.link].empty()) continue;  // flowless: plain capacity
+    if (link_comp_[pc.link] == kNoComp && !record_component(pc.link)) return kNoReplay;
+    const std::uint32_t lc = link_comp_[pc.link];
+    if (ci != kNoComp && lc != ci) return kNoReplay;  // the phantom would merge them
+    ci = lc;
+  }
+  return ci;
+}
+
+FairShareSolver::Replay FairShareSolver::replay(std::uint32_t ci) const {
+  // Attach each cursor: member links replay their recorded checkpoints with
+  // the phantom crossings overlaid on the active count; flowless links are
+  // constant (cap, crossings) states.
+  for (ProbeCursor& pc : probe_cursors_) {
+    if (link_flows_[pc.link].empty()) {
+      pc.active = pc.crossings;
+      pc.remaining = caps_[pc.link];
+      pc.next = pc.end = 0;
+    } else {
+      const std::vector<LinkEvent>& track = track_[pc.link];
+      pc.active = track.front().active + pc.crossings;
+      pc.remaining = track.front().remaining;
+      pc.next = 1;
+      pc.end = static_cast<std::uint32_t>(track.size());
     }
   }
-  if (comp >= 0 && !scheds_[static_cast<std::size_t>(comp)].clean) {
-    return probe_rate_reference(links);  // builder hit a defensive break
-  }
-
-  double result;
-  if (comp < 0) {
-    // Every crossed link is flowless: the fill has a single round whose share
-    // is the probe's own bottleneck.
+  const auto ratio_min = [this] {
     double m = std::numeric_limits<double>::infinity();
-    for (const ProbeCursor& c : probe_cursors_) {
-      m = std::min(m, caps_[c.link] / c.crossings);
-    }
-    result = std::max(m, 0.0);
-  } else {
-    const ProbeSchedule& sched = scheds_[static_cast<std::size_t>(comp)];
-    // Attach each cursor: member links replay their recorded trajectory with
-    // the phantom crossings overlaid on the active count; flowless links are
-    // constant (cap, crossings) states.
-    for (ProbeCursor& c : probe_cursors_) {
-      const auto it = sched.links.find(c.link);
-      if (it == sched.links.end()) {
-        c.active = c.crossings;
-        c.remaining = caps_[c.link];
-        c.next = c.end = 0;
-      } else {
-        c.active = it->second.active0 + c.crossings;
-        c.remaining = caps_[c.link];
-        c.next = it->second.first;
-        c.end = it->second.first + it->second.count;
-      }
-    }
+    for (const ProbeCursor& pc : probe_cursors_) m = std::min(m, pc.remaining / pc.active);
+    return m;
+  };
 
-    // Walk the recorded rounds. m is the probe flow's own bottleneck ratio
-    // (min over its links of remaining/active-with-phantom). The phantom's
-    // extra crossings only ever LOWER ratios of links the probe itself
-    // crosses, so until the freeze test below fires, the recorded unmodified
-    // process and the probe-modified process are bit-identical; the round it
-    // fires, the modified round share is min(S[r], m) and the probe is in
-    // the bottleneck mask - exactly the reference's early return.
-    double m = std::numeric_limits<double>::infinity();
-    for (const ProbeCursor& c : probe_cursors_) {
-      m = std::min(m, c.remaining / c.active);
-    }
-    const auto rounds = static_cast<std::uint32_t>(sched.round_share.size());
-    bool done = false;
-    result = 0.0;
-    for (std::uint32_t r = 0; r < rounds && !done; ++r) {
-      bool moved = false;
-      for (ProbeCursor& c : probe_cursors_) {
-        while (c.next != c.end && sched.events[c.next].round == r) {
-          c.remaining = sched.events[c.next].remaining;
-          c.active = sched.events[c.next].active + c.crossings;
-          ++c.next;
-          moved = true;
-        }
-      }
-      if (moved) {
-        m = std::numeric_limits<double>::infinity();
-        for (const ProbeCursor& c : probe_cursors_) {
-          m = std::min(m, c.remaining / c.active);
-        }
-      }
-      const double share = sched.round_share[r];
-      if (m <= share * (1.0 + kShareTolerance)) {
-        result = std::min(share, m);
-        done = true;
+  // Walk the recorded rounds. m is the phantom flow's own bottleneck ratio
+  // (min over its links of remaining/active-with-phantom). The phantom's
+  // extra crossings only ever LOWER ratios of links it crosses, so until the
+  // freeze test below fires, the recorded process and the phantom-modified
+  // process are bit-identical; the round it fires, the modified round share
+  // is min(S, m) and the phantom is in the bottleneck mask - exactly the
+  // reference's early return.
+  double m = ratio_min();
+  const std::uint32_t rounds =
+      ci == kNoComp ? 0 : static_cast<std::uint32_t>(comps_[ci].round_share.size());
+  for (std::uint32_t round = 0; round < rounds; ++round) {
+    const double share = comps_[ci].round_share[round];
+    if (m <= share * (1.0 + kShareTolerance)) return Replay{std::min(share, m), round};
+    bool moved = false;
+    for (ProbeCursor& pc : probe_cursors_) {
+      const std::vector<LinkEvent>& track = track_[pc.link];
+      while (pc.next != pc.end && track[pc.next].round == round + 1) {
+        pc.remaining = track[pc.next].remaining;
+        pc.active = track[pc.next].active + pc.crossings;
+        ++pc.next;
+        moved = true;
       }
     }
-    if (!done) {
-      // Drained: every real flow froze without saturating the probe. The
-      // reference's next round has only the phantom active - apply the tail
-      // checkpoints and return its final bottleneck.
-      for (ProbeCursor& c : probe_cursors_) {
-        while (c.next != c.end) {
-          c.remaining = sched.events[c.next].remaining;
-          c.active = sched.events[c.next].active + c.crossings;
-          ++c.next;
-        }
-      }
-      double fin = std::numeric_limits<double>::infinity();
-      for (const ProbeCursor& c : probe_cursors_) {
-        fin = std::min(fin, c.remaining / c.active);
-      }
-      result = std::max(fin, 0.0);
-    }
+    if (moved) m = ratio_min();
   }
+  // Drained: every real flow froze without saturating the phantom. The next
+  // round has only the phantom active; its share is the phantom's final
+  // bottleneck.
+  return Replay{std::max(m, 0.0), rounds};
+}
+
+double FairShareSolver::probe_rate(const std::vector<LinkId>& links) const {
+  if (links.empty()) return kInf;  // loopback: no shared resource
+  group_path(links);
+  const std::uint32_t ci = attach_component();
+  if (ci == kNoReplay) return probe_rate_reference(links);
+  const double result = replay(ci).rate;
 
 #ifndef NDEBUG
   // Sampled differential check: the replay must match the from-scratch probe
   // bit-for-bit. Cheap enough to leave on in every debug run.
   if ((++probe_count_ & 63u) == 0) {
     assert(result == probe_rate_reference(links) &&
-           "probe schedule replay diverged from the from-scratch probe");
+           "probe record replay diverged from the from-scratch probe");
   }
 #endif
   return result;
@@ -621,15 +731,14 @@ double FairShareSolver::probe_rate_reference(const std::vector<LinkId>& links) c
   // real flows. Every arithmetic operation up to the probe flow's freeze
   // round is then operation-for-operation identical to what add() would do,
   // which is what makes probe == rate-after-add bit-exact. (This is the
-  // pre-schedule implementation, kept verbatim: the slow-path fallback and
+  // pre-record implementation, kept verbatim: the slow-path fallback and
   // the differential anchor for probe_rate().)
   for (const std::uint32_t li : comp_links_) {
     remaining_[li] = caps_[li];
     active_[li] = 0;
     bottleneck_[li] = 0;
   }
-  for (const auto& cf : comp_flows_) {
-    const FlowRec* f = cf.second;
+  for (const FlowRec* f : comp_flows_) {
     f->frozen = false;
     for (const LinkId l : f->links) ++active_[static_cast<std::size_t>(l.get())];
   }
@@ -679,6 +788,46 @@ double FairShareSolver::probe_rate_reference(const std::vector<LinkId>& links) c
     if (!froze_any) return 0.0;  // numerical stalemate: mirrors the 0-rate fallback
   }
 }
+
+std::vector<std::pair<std::uint64_t, double>> FairShareSolver::resolve_reference(
+    const std::vector<LinkId>& seed_links) const {
+  ++epoch_;
+  collect_component(seed_links);
+  // Re-index the component's links densely for the stateless reference.
+  std::unordered_map<std::uint32_t, LinkId::underlying_type> local;
+  std::vector<double> caps;
+  for (const std::uint32_t li : comp_links_) {
+    local.emplace(li, static_cast<LinkId::underlying_type>(caps.size()));
+    caps.push_back(caps_[li]);
+  }
+  std::vector<FlowPath> paths;
+  paths.reserve(comp_flows_.size());
+  for (const FlowRec* f : comp_flows_) {
+    FlowPath p;
+    for (const LinkId l : f->links) p.links.emplace_back(local.at(static_cast<std::uint32_t>(l.get())));
+    paths.push_back(std::move(p));
+  }
+  const auto rates = max_min_fair_rates(paths, caps);
+  std::vector<std::pair<std::uint64_t, double>> out;
+  out.reserve(rates.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) out.emplace_back(comp_flows_[i]->id, rates[i]);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+#ifndef NDEBUG
+void FairShareSolver::check_resumed(const std::vector<LinkId>& seed_links) const {
+  // Sampled differential check: a resumed solve must publish exactly the
+  // rates the from-scratch component solve computes, bit for bit.
+  if ((++resume_count_ & 63u) != 0) return;
+  std::vector<std::pair<std::uint64_t, double>> got;
+  got.reserve(updated_.size());
+  for (const UpdatedFlow& u : updated_) got.emplace_back(u.id, u.rate);
+  std::sort(got.begin(), got.end());
+  assert(got == resolve_reference(seed_links) &&
+         "resumed fill diverged from the from-scratch component solve");
+}
+#endif
 
 std::vector<std::pair<std::uint64_t, double>> FairShareSolver::full_solve() const {
   std::vector<std::uint64_t> ids;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <set>
 
@@ -20,6 +21,31 @@ namespace {
 void expect_matches_full_solve(const FairShareSolver& solver) {
   for (const auto& [id, rate] : solver.full_solve()) {
     EXPECT_EQ(solver.rate(id), rate) << "flow " << id << ": incremental diverged from full solve";
+  }
+}
+
+/// Checks one mutation against the from-scratch anchor: updated() must be
+/// exactly the reference component solve seeded with the mutated flows'
+/// links, and every flow must hold the rate the history of those reference
+/// solves gives it (`expected`, updated here), bit for bit.
+void expect_matches_anchor(const FairShareSolver& solver, const std::vector<LinkId>& seeds,
+                           std::map<std::uint64_t, double>& expected) {
+  const auto want = solver.resolve_reference(seeds);
+  std::vector<std::pair<std::uint64_t, double>> got;
+  for (const auto& u : solver.updated()) got.emplace_back(u.id, u.rate);
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].first, want[i].first);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].second),
+              std::bit_cast<std::uint64_t>(want[i].second))
+        << "flow " << got[i].first << ": resumed solve diverged from the anchor";
+  }
+  for (const auto& [id, rate] : want) expected[id] = rate;
+  ASSERT_EQ(solver.flow_count(), expected.size());
+  for (const auto& [id, rate] : expected) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(solver.rate(id)), std::bit_cast<std::uint64_t>(rate))
+        << "flow " << id << " outside the re-solved component moved";
   }
 }
 
@@ -339,13 +365,13 @@ TEST(FairShareSolver, MutationStampMovesOnMutationsOnly) {
 }
 
 TEST(FairShareSolver, ProbeReplayMatchesReferenceUnderRandomizedChurn) {
-  // The fast probe path answers from a recorded per-component fill schedule
-  // (amortized across all probes between two mutations); probe_rate_reference
-  // re-runs the progressive fill from scratch every call. The two must be bit
-  // -identical for every probe - this is what lets the replay answer stand in
-  // for the legacy loop without moving a single golden digest. Paths with
-  // repeated links and probes spanning disjoint islands (which take the
-  // reference fallback internally) are part of the mix on purpose.
+  // The fast probe path answers from the components' recorded fills;
+  // probe_rate_reference re-runs the progressive fill from scratch every
+  // call. The two must be bit-identical for every probe - this is what lets
+  // the replay answer stand in for the legacy loop without moving a single
+  // golden digest. Paths with repeated links and probes spanning disjoint
+  // islands (which fall back to the reference) are part of the mix on
+  // purpose.
   std::mt19937_64 gen(0x5eed8);
   for (const std::size_t n_links : {4UL, 9UL, 16UL}) {
     std::vector<double> caps;
@@ -390,7 +416,7 @@ TEST(FairShareSolver, ProbeReplayMatchesReferenceUnderRandomizedChurn) {
 
 TEST(FairShareSolver, ProbeReplayMatchesReferenceOnLargeComponent) {
   // A single component wide enough (> 2x the near-set size) that the solver's
-  // near/far share-scan partition engages: the recorded schedules and their
+  // near/far share-scan partition engages: the recorded fills and their
   // replays must still match the reference fill exactly, round for round.
   std::mt19937_64 gen(0xb16c0);
   const std::size_t n_links = 220;
@@ -418,6 +444,180 @@ TEST(FairShareSolver, ProbeReplayMatchesReferenceOnLargeComponent) {
     const double ref = solver.probe_rate_reference(path);
     ASSERT_EQ(fast, ref) << "probe " << p << " diverged on the wide component";
   }
+}
+
+TEST(FairShareSolver, RemovalCanLowerASurvivorsRate) {
+  // Max-min fairness is not population-monotone. L0 (cap 1) carries A, B and
+  // D; L1 (cap 1) carries B and C. Removing A lifts B from 1/3 to 1/2, which
+  // takes capacity from C on L1: C drops from 2/3 to 1/2. The removal takes
+  // the resumed path, so this pins it against both anchors.
+  FairShareSolver s({1.0, 1.0});
+  s.add(1, {LinkId{0}});               // A
+  s.add(2, {LinkId{0}, LinkId{1}});    // B
+  s.add(3, {LinkId{1}});               // C
+  s.add(4, {LinkId{0}});               // D
+  EXPECT_DOUBLE_EQ(s.rate(3), 2.0 / 3.0);
+  const std::uint64_t resumed = s.resumed_solves();
+  s.remove(1);
+  EXPECT_EQ(s.resumed_solves(), resumed + 1);
+  EXPECT_EQ(s.rate(3), 0.5);
+  EXPECT_EQ(s.rate(2), 0.5);
+  EXPECT_EQ(s.rate(4), 0.5);
+  expect_matches_full_solve(s);
+  std::map<std::uint64_t, double> expected{{2, 0.5}, {3, 0.5}, {4, 0.5}};
+  expect_matches_anchor(s, {LinkId{0}}, expected);
+}
+
+TEST(FairShareSolver, SplitKeepsTheJointFillThenRecollects) {
+  // A - B - C chained over L0..L3; removing B splits {A} from {C}. The
+  // removal's own solve is the joint fill over both parts (what a BFS from
+  // B's links solves), so C - whose own bottleneck sits within
+  // kShareTolerance above A's - freezes with A at A's share. The record is
+  // dropped: a probe rebuilds C's part alone, and the next add there
+  // resumes from that record.
+  const double cap = 1.0;
+  FairShareSolver s({cap, 4.0, 4.0, cap * (1.0 + 1e-13)});
+  std::map<std::uint64_t, double> expected;
+  s.add(1, {LinkId{0}, LinkId{1}});  // A
+  expect_matches_anchor(s, {LinkId{0}, LinkId{1}}, expected);
+  s.add(2, {LinkId{1}, LinkId{2}});  // B
+  expect_matches_anchor(s, {LinkId{1}, LinkId{2}}, expected);
+  s.add(3, {LinkId{2}, LinkId{3}});  // C
+  expect_matches_anchor(s, {LinkId{2}, LinkId{3}}, expected);
+
+  const std::uint64_t resumed = s.resumed_solves();
+  const std::uint64_t full = s.full_solves();
+  s.remove(2);
+  expected.erase(2);
+  EXPECT_EQ(s.resumed_solves(), resumed + 1);
+  expect_matches_anchor(s, {LinkId{1}, LinkId{2}}, expected);
+  EXPECT_EQ(s.rate(3), s.rate(1)) << "the split's joint fill froze A and C together";
+
+  // Probing C's part builds its own record (C alone would get cap*(1+1e-13))
+  // without touching any rate.
+  EXPECT_EQ(s.probe_rate({LinkId{3}}), s.probe_rate_reference({LinkId{3}}));
+  EXPECT_EQ(s.rate(3), s.rate(1));
+  s.add(4, {LinkId{3}});
+  EXPECT_EQ(s.resumed_solves(), resumed + 2);
+  EXPECT_EQ(s.full_solves(), full);
+  expect_matches_anchor(s, {LinkId{3}}, expected);
+
+  // A's part has no record: its next mutation re-collects from scratch.
+  s.add(5, {LinkId{0}});
+  EXPECT_EQ(s.full_solves(), full + 1);
+  expect_matches_anchor(s, {LinkId{0}}, expected);
+}
+
+TEST(FairShareSolver, BatchRemovalAcrossComponentsReSolvesTheirUnion) {
+  FairShareSolver s({3.0, 5.0, 7.0, 2.0});
+  std::map<std::uint64_t, double> expected;
+  const std::vector<std::vector<LinkId>> paths = {
+      {LinkId{0}}, {LinkId{0}, LinkId{1}}, {LinkId{1}}, {LinkId{2}}, {LinkId{2}, LinkId{3}},
+      {LinkId{3}}};
+  for (std::uint64_t id = 0; id < paths.size(); ++id) {
+    s.add(id + 1, paths[id]);
+    expect_matches_anchor(s, paths[id], expected);
+  }
+  const std::uint64_t full = s.full_solves();
+  s.remove_batch({2, 5});  // one flow of each component
+  EXPECT_EQ(s.full_solves(), full + 1);
+  expected.erase(2);
+  expected.erase(5);
+  std::vector<LinkId> seeds = paths[1];
+  seeds.insert(seeds.end(), paths[4].begin(), paths[4].end());
+  expect_matches_anchor(s, seeds, expected);
+  expect_matches_full_solve(s);
+}
+
+TEST(FairShareSolver, RandomizedResumeMatchesFromScratchAnchor) {
+  // Every mutation is checked bitwise against the from-scratch anchor (BFS
+  // plus reference fill): merges (bridging flows), splits (removing them),
+  // batches spanning components, repeated crossings, zero-capacity links and
+  // capacities tied within kShareTolerance, with probes interleaved.
+  std::mt19937_64 gen(0x2e5c3e);
+  std::uint64_t resumed = 0;
+  std::uint64_t full = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t n_links = 6 + static_cast<std::size_t>(round);
+    std::vector<double> caps;
+    std::uniform_real_distribution<double> cap(0.5, 16.0);
+    std::uniform_int_distribution<int> kind(0, 9);
+    for (std::size_t l = 0; l < n_links; ++l) {
+      const int k = kind(gen);
+      if (k == 0) {
+        caps.push_back(0.0);
+      } else if (k < 4 && !caps.empty()) {
+        caps.push_back(caps.back() * (1.0 + 3e-13));  // a near-tie with the last link
+      } else {
+        caps.push_back(cap(gen));
+      }
+    }
+    FairShareSolver solver(caps);
+    std::map<std::uint64_t, std::vector<LinkId>> live;
+    std::map<std::uint64_t, double> expected;
+    std::uint64_t next_id = 1;
+    // Flows mostly stay inside one of three link clusters; a few bridge two,
+    // so components keep merging and splitting.
+    const std::size_t cluster = n_links / 3;
+    std::uniform_int_distribution<std::size_t> cluster_pick(0, 2);
+    std::uniform_int_distribution<std::size_t> in_cluster(0, cluster - 1);
+    std::uniform_int_distribution<std::size_t> any_link(0, n_links - 1);
+    std::uniform_int_distribution<std::size_t> len(1, 4);
+    std::bernoulli_distribution bridge(0.15);
+    std::uniform_int_distribution<int> op_pick(0, 9);
+    auto random_path = [&] {
+      std::vector<LinkId> links;
+      const std::size_t c = cluster_pick(gen);
+      const std::size_t want = len(gen);
+      for (std::size_t k = 0; k < want; ++k) {
+        const std::size_t l = bridge(gen) ? any_link(gen) : c * cluster + in_cluster(gen);
+        links.push_back(LinkId{static_cast<LinkId::underlying_type>(l)});
+      }
+      return links;  // duplicates allowed: repeated crossings are legal paths
+    };
+    for (int op = 0; op < 250; ++op) {
+      const int what = op_pick(gen);
+      if (live.empty() || what < 5) {
+        std::vector<LinkId> links = random_path();
+        solver.add(next_id, links);
+        live.emplace(next_id, links);
+        expect_matches_anchor(solver, links, expected);
+        ++next_id;
+      } else if (what < 8) {
+        std::uniform_int_distribution<std::size_t> at(0, live.size() - 1);
+        auto it = std::next(live.begin(), static_cast<std::ptrdiff_t>(at(gen)));
+        const std::vector<LinkId> seeds = it->second;
+        solver.remove(it->first);
+        expected.erase(it->first);
+        live.erase(it);
+        expect_matches_anchor(solver, seeds, expected);
+      } else {
+        std::vector<std::uint64_t> doomed;
+        std::vector<LinkId> seeds;
+        std::bernoulli_distribution take(0.2);
+        for (const auto& [id, links] : live) {
+          if (!take(gen)) continue;
+          doomed.push_back(id);
+          seeds.insert(seeds.end(), links.begin(), links.end());
+        }
+        solver.remove_batch(doomed);
+        for (const std::uint64_t id : doomed) {
+          expected.erase(id);
+          live.erase(id);
+        }
+        expect_matches_anchor(solver, seeds, expected);
+      }
+      for (int p = 0; p < 8; ++p) {
+        const std::vector<LinkId> path = random_path();
+        ASSERT_EQ(solver.probe_rate(path), solver.probe_rate_reference(path))
+            << "probe diverged from reference at op " << op;
+      }
+    }
+    resumed += solver.resumed_solves();
+    full += solver.full_solves();
+  }
+  EXPECT_GT(resumed, full) << "the resumed path must carry most mutations";
+  EXPECT_GT(full, 0u);
 }
 
 }  // namespace
