@@ -28,55 +28,11 @@ const std::vector<double>& ranks_under(WorkflowInstance& wf, const dag::AverageE
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Shard mapping for the conservative time-window PDES loop.
-// ---------------------------------------------------------------------------
-
-ShardMap compute_shard_map(const net::Routing& routing, int shards) {
-  const int n = routing.node_count();
-  ShardMap map;
-  map.nodes = n;
-  map.shards = std::clamp(shards, 1, std::max(1, n));
-  map.shard_of.assign(static_cast<std::size_t>(std::max(0, n)), 0);
-
-  // Near-equal contiguous blocks: the first (n % shards) blocks get one extra
-  // node. Contiguity matters because callers lay out co-located entities
-  // (e.g. the scale model's regions) on consecutive ids.
-  const int base = map.shards > 0 ? n / map.shards : 0;
-  const int extra = map.shards > 0 ? n % map.shards : 0;
-  int begin = 0;
-  for (int s = 0; s < map.shards; ++s) {
-    const int size = base + (s < extra ? 1 : 0);
-    map.ranges.emplace_back(begin, begin + size);
-    for (int u = begin; u < begin + size; ++u) {
-      map.shard_of[static_cast<std::size_t>(u)] = s;
-    }
-    begin += size;
-  }
-
-  // Lookahead bounds from the routed latencies. The matrix is symmetric in
-  // practice (undirected links), but scan ordered pairs anyway: correctness
-  // must not depend on that.
-  map.lookahead_s = kInf;
-  map.min_latency_s = kInf;
-  for (int u = 0; u < n; ++u) {
-    for (int v = 0; v < n; ++v) {
-      if (u == v) continue;
-      const double lat = routing.latency_s(NodeId{u}, NodeId{v});
-      map.min_latency_s = std::min(map.min_latency_s, lat);
-      if (map.shard_of[static_cast<std::size_t>(u)] != map.shard_of[static_cast<std::size_t>(v)]) {
-        map.lookahead_s = std::min(map.lookahead_s, lat);
-      }
-    }
-  }
-  return map;
-}
-
-double derive_quantised_epoch(const ShardMap& map, double requested_s) {
+double derive_quantised_epoch(double min_latency_s, double requested_s) {
   if (requested_s > 0.0) return requested_s;
   constexpr double kFloorS = 60.0;
-  if (!std::isfinite(map.min_latency_s)) return kFloorS;  // < 2 nodes
-  return std::max(map.min_latency_s, kFloorS);
+  if (!std::isfinite(min_latency_s)) return kFloorS;  // < 2 nodes
+  return std::max(min_latency_s, kFloorS);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,8 +348,16 @@ void GridSystem::run() {
   if (config_.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
     // The epoch-barrier loop owns the clock: it interleaves world epochs with
     // the frozen-rate flow integration (grid/models/quantised_fair.cpp).
-    const double epoch =
-        derive_quantised_epoch(compute_shard_map(routing_, 1), config_.quantised_epoch_s);
+    // Minimum routed latency over all distinct pairs (+inf below two nodes).
+    double min_latency_s = kInf;
+    const int n = routing_.node_count();
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (u == v) continue;
+        min_latency_s = std::min(min_latency_s, routing_.latency_s(NodeId{u}, NodeId{v}));
+      }
+    }
+    const double epoch = derive_quantised_epoch(min_latency_s, config_.quantised_epoch_s);
     transfers_->run_quantised(epoch, config_.horizon_s);
     return;
   }

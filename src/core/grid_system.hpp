@@ -36,46 +36,12 @@
 
 namespace dpjit::core {
 
-/// Partition of a routed network's nodes into contiguous shard blocks, plus
-/// the conservative-lookahead bounds the sharded PDES loop (sim::ShardEngine)
-/// needs. Produced by compute_shard_map / GridSystem::shard_map.
-///
-/// `lookahead_s` is the minimum routed latency between any two nodes living
-/// in DIFFERENT shards: a conservative time window of at most this length
-/// guarantees no cross-shard message can land inside the window it was sent
-/// from. `min_latency_s` is the minimum over ALL distinct pairs — the
-/// lookahead of the finest possible partition (every node its own shard) and
-/// therefore a window bound that is valid for EVERY shard count at once,
-/// which is what the byte-identical-digests-at-any-shard-count guarantee of
-/// the scale scenarios is built on. A zero lookahead (zero-latency link
-/// between shards) means the partition is not conservatively shardable;
-/// callers must fall back to fewer shards or clamp delays (see
-/// exp::run_scale_model).
-struct ShardMap {
-  int shards = 1;
-  int nodes = 0;
-  /// shard -> [begin, end) contiguous node-id block.
-  std::vector<std::pair<int, int>> ranges;
-  /// node -> owning shard.
-  std::vector<int> shard_of;
-  /// Min latency between nodes in different shards (+inf when shards == 1).
-  double lookahead_s = 0.0;
-  /// Min latency over all distinct node pairs (+inf when nodes < 2).
-  double min_latency_s = 0.0;
-
-  [[nodiscard]] int shard(NodeId n) const { return shard_of[static_cast<std::size_t>(n.get())]; }
-};
-
-/// Partitions the routing's nodes into `shards` near-equal contiguous blocks
-/// and derives the lookahead bounds from the routed latencies. `shards` is
-/// clamped to [1, node_count]. O(n^2) latency scan.
-[[nodiscard]] ShardMap compute_shard_map(const net::Routing& routing, int shards);
-
 /// The quantised-fair epoch a run uses: `requested_s` when positive,
-/// otherwise max(map.min_latency_s, 60 s). The 60 s floor keeps WAN
-/// topologies (sub-millisecond routed latencies) from degenerating into
-/// millions of near-empty barriers.
-[[nodiscard]] double derive_quantised_epoch(const ShardMap& map, double requested_s);
+/// otherwise max(min_latency_s, 60 s), where `min_latency_s` is the minimum
+/// routed latency over all distinct node pairs (+inf when there are fewer
+/// than two nodes). The 60 s floor keeps WAN topologies (sub-millisecond
+/// routed latencies) from degenerating into millions of near-empty barriers.
+[[nodiscard]] double derive_quantised_epoch(double min_latency_s, double requested_s);
 
 /// Runtime state of one task instance.
 enum class TaskState {

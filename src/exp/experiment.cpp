@@ -6,7 +6,7 @@
 namespace dpjit::exp {
 
 ExperimentResult summarize(const World& world, double wall_seconds) {
-  const auto& metrics = world.collector();
+  const auto& metrics = world.metrics();
   const auto& system = world.system();
   ExperimentResult r;
   r.algorithm = world.config().algorithm;

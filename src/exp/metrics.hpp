@@ -6,30 +6,32 @@
 //  - running ACT / AE curves over time (Figs. 5, 6, 13, 14);
 //  - gossip view sizes per cycle (Fig. 11a).
 //
-// Two implementations share the WorkflowMetrics interface:
+// One collector, two modes that differ only in whether they keep the raw
+// records:
 //
-//  - MetricsCollector retains every WorkflowReport/CycleSample (the default;
-//    examples and post-hoc analyses read the raw records), so memory grows
-//    with the workload.
-//  - StreamingMetricsCollector keeps O(1) state per metric — running sums in
-//    arrival order, per-bucket curve accumulators, a t-digest for
-//    completion-time quantiles and a seeded reservoir of sample reports — so
-//    a 1M-task heavy-traffic run holds a bounded number of live reports.
+//  - retaining (the default; examples and post-hoc analyses read the raw
+//    records) keeps every WorkflowReport/CycleSample, so memory grows with
+//    the workload;
+//  - streaming keeps no record: a t-digest stands in for the completion
+//    times, a seeded reservoir holds a bounded sample of reports and a
+//    time-based tail sum stands in for the cycle samples, so a 1M-task
+//    heavy-traffic run holds a bounded number of live reports.
 //
-// The streaming collector accumulates in exactly the floating-point order the
-// retaining collector's end-of-run loops use, so act/ae/mean_response and
-// every digested field are BITWISE identical between the two; selecting it
-// never moves a golden digest. (converged_rss/idle use a time-based tail
-// instead of the retained index-based one — close, not digested.)
+// Both modes fold every report into the same running sums and per-bucket
+// accumulators, in arrival order, and act/ae/mean_response and the curves
+// read only those — so every digested field is the same in either mode.
+// Only the answers that come from the records differ: ct_quantile (exact vs
+// t-digest estimate), converged_* (index-based vs time-based tail) and
+// live_reports.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/metrics_sink.hpp"
 #include "util/reservoir.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/tdigest.hpp"
 
 namespace dpjit::exp {
@@ -47,160 +49,108 @@ struct CurvePoint {
 /// Bucket index for a finish time. Interior times map to floor(t / bucket);
 /// anything at or past the horizon lands in the overflow bucket `buckets` —
 /// including t == horizon exactly, even when the horizon is not a multiple of
-/// the bucket width (historically such a finish fell into an interior bucket
-/// in one collector and the overflow bucket in the other; both collectors now
-/// share this helper, and the regression test pins the boundary).
+/// the bucket width (the regression test pins the boundary).
 [[nodiscard]] std::size_t curve_bucket_index(double finish_s, double horizon_s, double bucket_s,
                                              std::size_t buckets);
 
-/// The metrics surface a World exposes, whichever collector is configured.
-class WorkflowMetrics : public core::MetricsSink {
+class MetricsCollector final : public core::MetricsSink {
  public:
-  /// Workflows finished so far.
-  [[nodiscard]] virtual std::size_t finished() const = 0;
-  /// ACT over finished workflows (paper Eq. 2); 0 when none finished.
-  [[nodiscard]] virtual double act() const = 0;
-  /// AE over finished workflows (paper Eq. 3); 0 when none finished.
-  [[nodiscard]] virtual double ae() const = 0;
-  /// Mean response time (submission -> exit completion).
-  [[nodiscard]] virtual double mean_response() const = 0;
-
-  // --- curves (one point per bucket, cumulative like the paper's plots) ---
-  [[nodiscard]] virtual std::vector<CurvePoint> throughput_curve() const = 0;
-  [[nodiscard]] virtual std::vector<CurvePoint> act_curve() const = 0;
-  [[nodiscard]] virtual std::vector<CurvePoint> ae_curve() const = 0;
-
-  /// Mean RSS size / idle-known over the last quarter of the run (converged
-  /// view sizes, Fig. 11a).
-  [[nodiscard]] virtual double converged_rss_size() const = 0;
-  [[nodiscard]] virtual double converged_idle_known() const = 0;
-
-  /// Completion-time quantile, q in [0, 1]: exact (sorted copy) in the
-  /// retaining collector, t-digest estimate in the streaming one. NaN when
-  /// none finished.
-  [[nodiscard]] virtual double ct_quantile(double q) const = 0;
-
-  /// Per-workflow report records currently held in memory. Retaining: one
-  /// per finished workflow. Streaming: bounded by the reservoir capacity
-  /// regardless of workload size — the O(1)-memory guarantee
-  /// OpenStreamFullScale asserts on the million-task stream.
-  [[nodiscard]] virtual std::size_t live_reports() const = 0;
-
-  [[nodiscard]] virtual double horizon() const = 0;
-  [[nodiscard]] virtual double bucket() const = 0;
-};
-
-class MetricsCollector final : public WorkflowMetrics {
- public:
-  /// `horizon_s` bounds the time axis; `bucket_s` is the plotting resolution
-  /// (the paper's figures use hours).
-  explicit MetricsCollector(double horizon_s, double bucket_s = 3600.0);
-
-  void on_workflow_finished(const core::WorkflowReport& report) override;
-  void on_cycle(const core::CycleSample& sample) override;
-
-  [[nodiscard]] std::size_t finished() const override { return reports_.size(); }
-  [[nodiscard]] double act() const override;
-  [[nodiscard]] double ae() const override;
-  [[nodiscard]] double mean_response() const override;
-
-  [[nodiscard]] std::vector<CurvePoint> throughput_curve() const override;
-  [[nodiscard]] std::vector<CurvePoint> act_curve() const override;
-  [[nodiscard]] std::vector<CurvePoint> ae_curve() const override;
-
-  [[nodiscard]] const std::vector<core::WorkflowReport>& reports() const { return reports_; }
-  [[nodiscard]] const std::vector<core::CycleSample>& samples() const { return samples_; }
-
-  [[nodiscard]] double converged_rss_size() const override;
-  [[nodiscard]] double converged_idle_known() const override;
-
-  /// Exact: linear-interpolated percentile over a sorted copy of the
-  /// completion times.
-  [[nodiscard]] double ct_quantile(double q) const override;
-  [[nodiscard]] std::size_t live_reports() const override { return reports_.size(); }
-
-  [[nodiscard]] double horizon() const override { return horizon_; }
-  [[nodiscard]] double bucket() const override { return bucket_; }
-
- private:
-  double horizon_;
-  double bucket_;
-  std::vector<core::WorkflowReport> reports_;
-  std::vector<core::CycleSample> samples_;
-};
-
-/// O(1)-memory sink for open-stream heavy-traffic runs: every per-metric
-/// state is a fixed-size accumulator, a bounded sketch, or a bounded sample.
-class StreamingMetricsCollector final : public WorkflowMetrics {
- public:
-  /// Default t-digest compression for completion-time quantiles.
+  /// Default t-digest compression for streaming completion-time quantiles.
   static constexpr double kDefaultCompression = 100.0;
-  /// Default reservoir capacity: the live_reports() bound.
+  /// Default reservoir capacity: the streaming live_reports() bound.
   static constexpr std::size_t kDefaultReservoir = 64;
 
-  /// `reservoir_rng` seeds the sample reservoir (fork a dedicated stream so
-  /// sampling never perturbs the simulation's draws).
-  StreamingMetricsCollector(double horizon_s, util::Rng reservoir_rng, double bucket_s = 3600.0,
-                            double compression = kDefaultCompression,
-                            std::size_t reservoir_capacity = kDefaultReservoir);
+  /// Retaining mode. `horizon_s` bounds the time axis; `bucket_s` is the
+  /// plotting resolution (the paper's figures use hours).
+  explicit MetricsCollector(double horizon_s, double bucket_s = 3600.0);
+  /// Streaming mode. `reservoir_rng` seeds the sample reservoir (fork a
+  /// dedicated stream so sampling never perturbs the simulation's draws).
+  MetricsCollector(double horizon_s, util::Rng reservoir_rng, double bucket_s = 3600.0,
+                   double compression = kDefaultCompression,
+                   std::size_t reservoir_capacity = kDefaultReservoir);
 
   void on_workflow_finished(const core::WorkflowReport& report) override;
   void on_cycle(const core::CycleSample& sample) override;
 
-  [[nodiscard]] std::size_t finished() const override { return finished_; }
-  [[nodiscard]] double act() const override;
-  [[nodiscard]] double ae() const override;
-  [[nodiscard]] double mean_response() const override;
+  /// Workflows finished so far.
+  [[nodiscard]] std::size_t finished() const { return finished_; }
+  /// ACT over finished workflows (paper Eq. 2); 0 when none finished.
+  [[nodiscard]] double act() const;
+  /// AE over finished workflows (paper Eq. 3); 0 when none finished.
+  [[nodiscard]] double ae() const;
+  /// Mean response time (submission -> exit completion).
+  [[nodiscard]] double mean_response() const;
 
-  [[nodiscard]] std::vector<CurvePoint> throughput_curve() const override;
-  [[nodiscard]] std::vector<CurvePoint> act_curve() const override;
-  [[nodiscard]] std::vector<CurvePoint> ae_curve() const override;
+  // --- curves (one point per bucket, cumulative like the paper's plots) ---
+  [[nodiscard]] std::vector<CurvePoint> throughput_curve() const;
+  [[nodiscard]] std::vector<CurvePoint> act_curve() const;
+  [[nodiscard]] std::vector<CurvePoint> ae_curve() const;
 
-  [[nodiscard]] double converged_rss_size() const override;
-  [[nodiscard]] double converged_idle_known() const override;
+  /// Mean RSS size / idle-known over the converged tail of the run (Fig.
+  /// 11a): the last quarter of the retained samples, or, when streaming, the
+  /// samples at t >= 3/4 horizon.
+  [[nodiscard]] double converged_rss_size() const;
+  [[nodiscard]] double converged_idle_known() const;
 
-  /// t-digest estimate (exact at q = 0 / 1 via the digest's min/max).
-  [[nodiscard]] double ct_quantile(double q) const override;
-  /// == reservoir size <= reservoir capacity, whatever the workload size.
-  [[nodiscard]] std::size_t live_reports() const override { return reservoir_.size(); }
+  /// Completion-time quantile, q in [0, 1]: the linear-interpolated
+  /// percentile of the retained completion times, or, when streaming, the
+  /// t-digest estimate (exact at q = 0 / 1). NaN when none finished.
+  [[nodiscard]] double ct_quantile(double q) const;
 
-  [[nodiscard]] double horizon() const override { return horizon_; }
-  [[nodiscard]] double bucket() const override { return bucket_; }
-
-  [[nodiscard]] const util::TDigest& ct_digest() const { return ct_digest_; }
-  [[nodiscard]] const util::ReservoirSampler<core::WorkflowReport>& reservoir() const {
-    return reservoir_;
-  }
-  /// Cycle samples observed (none are retained).
+  /// Per-workflow report records held in memory: one per finished workflow
+  /// when retaining; the reservoir size when streaming, bounded by its
+  /// capacity whatever the workload size — the O(1)-memory guarantee
+  /// OpenStreamFullScale asserts on the million-task stream.
+  [[nodiscard]] std::size_t live_reports() const;
+  /// Cycle samples observed (retained or not).
   [[nodiscard]] std::size_t cycles_seen() const { return cycles_seen_; }
 
+  /// The raw records; throw std::logic_error when streaming.
+  [[nodiscard]] const std::vector<core::WorkflowReport>& reports() const;
+  [[nodiscard]] const std::vector<core::CycleSample>& samples() const;
+  /// The sample of reports; throws std::logic_error when retaining.
+  [[nodiscard]] const util::ReservoirSampler<core::WorkflowReport>& reservoir() const;
+
+  [[nodiscard]] double horizon() const { return horizon_; }
+  [[nodiscard]] double bucket() const { return bucket_; }
+
  private:
+  /// Streaming mode's bounded stand-ins for the raw records.
+  struct Sketches {
+    util::TDigest ct_digest;
+    util::ReservoirSampler<core::WorkflowReport> reservoir;
+    // Converged view sizes over the samples at t >= 3/4 horizon.
+    double tail_rss_sum = 0.0;
+    double tail_idle_sum = 0.0;
+    std::size_t tail_n = 0;
+  };
+
   double horizon_;
   double bucket_;
   std::size_t buckets_;
 
-  // Running sums in arrival order — the same FP sequence the retaining
-  // collector's end-of-run loops produce, hence bitwise-equal summaries.
+  // Running sums in arrival order.
   std::size_t finished_ = 0;
   double ct_sum_ = 0.0;
   double eff_sum_ = 0.0;
   double resp_sum_ = 0.0;
+  std::size_t cycles_seen_ = 0;
 
   // Per-bucket curve accumulators (buckets_ + 1 slots, fixed at ctor time).
   std::vector<std::size_t> finished_in_;
   std::vector<double> ct_sum_in_;
   std::vector<double> eff_sum_in_;
 
-  // Converged view sizes: time-based tail (samples at t >= 3/4 horizon)
-  // instead of the retaining collector's index-based last quarter.
-  double tail_start_;
-  double tail_rss_sum_ = 0.0;
-  double tail_idle_sum_ = 0.0;
-  std::size_t tail_n_ = 0;
-  std::size_t cycles_seen_ = 0;
-
-  util::TDigest ct_digest_;
-  util::ReservoirSampler<core::WorkflowReport> reservoir_;
+  // Retaining mode: every record.
+  std::vector<core::WorkflowReport> reports_;
+  std::vector<core::CycleSample> samples_;
+  // Streaming mode only; empty when retaining.
+  std::optional<Sketches> sketches_;
 };
+
+// perfbench/ (frozen with the benchmark) is the last user of these two
+// names; delete them in the next change that may touch it.
+using WorkflowMetrics = MetricsCollector;
+using StreamingMetricsCollector = MetricsCollector;
 
 }  // namespace dpjit::exp

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/grid_system.hpp"
 #include "exp/workload_factory.hpp"
 #include "grid/scale_peer.hpp"
 #include "net/routing.hpp"
@@ -16,6 +15,51 @@
 #include "util/rng.hpp"
 
 namespace dpjit::exp {
+
+// ---------------------------------------------------------------------------
+// Shard mapping for the conservative time-window PDES loop.
+// ---------------------------------------------------------------------------
+
+ShardMap compute_shard_map(const net::Routing& routing, int shards) {
+  const int n = routing.node_count();
+  ShardMap map;
+  map.nodes = n;
+  map.shards = std::clamp(shards, 1, std::max(1, n));
+  map.shard_of.assign(static_cast<std::size_t>(std::max(0, n)), 0);
+
+  // Near-equal contiguous blocks: the first (n % shards) blocks get one extra
+  // node. Contiguity matters because callers lay out co-located entities
+  // (e.g. the scale model's regions) on consecutive ids.
+  const int base = map.shards > 0 ? n / map.shards : 0;
+  const int extra = map.shards > 0 ? n % map.shards : 0;
+  int begin = 0;
+  for (int s = 0; s < map.shards; ++s) {
+    const int size = base + (s < extra ? 1 : 0);
+    map.ranges.emplace_back(begin, begin + size);
+    for (int u = begin; u < begin + size; ++u) {
+      map.shard_of[static_cast<std::size_t>(u)] = s;
+    }
+    begin += size;
+  }
+
+  // Lookahead bounds from the routed latencies. The matrix is symmetric in
+  // practice (undirected links), but scan ordered pairs anyway: correctness
+  // must not depend on that.
+  map.lookahead_s = kInf;
+  map.min_latency_s = kInf;
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u == v) continue;
+      const double lat = routing.latency_s(NodeId{u}, NodeId{v});
+      map.min_latency_s = std::min(map.min_latency_s, lat);
+      if (map.shard_of[static_cast<std::size_t>(u)] != map.shard_of[static_cast<std::size_t>(v)]) {
+        map.lookahead_s = std::min(map.lookahead_s, lat);
+      }
+    }
+  }
+  return map;
+}
+
 namespace {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
@@ -95,7 +139,7 @@ Layout build_layout(const ScaleParams& p) {
   const net::Routing routing(topo, 1);
 
   const int shards = std::clamp(p.shards, 1, l.regions);
-  const core::ShardMap map = core::compute_shard_map(routing, shards);
+  const ShardMap map = compute_shard_map(routing, shards);
   l.shards = map.shards;
   l.region_shard = map.shard_of;
   l.lookahead = map.lookahead_s;

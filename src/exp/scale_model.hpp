@@ -22,12 +22,54 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "net/topology.hpp"
+#include "util/types.hpp"
+
+namespace dpjit::net {
+class Routing;
+}
 
 namespace dpjit::exp {
 
 struct ExperimentConfig;
+
+/// Partition of a routed network's nodes into contiguous shard blocks, plus
+/// the conservative-lookahead bounds the sharded PDES loop (sim::ShardEngine)
+/// needs. Produced by compute_shard_map.
+///
+/// `lookahead_s` is the minimum routed latency between any two nodes living
+/// in DIFFERENT shards: a conservative time window of at most this length
+/// guarantees no cross-shard message can land inside the window it was sent
+/// from. `min_latency_s` is the minimum over ALL distinct pairs — the
+/// lookahead of the finest possible partition (every node its own shard) and
+/// therefore a window bound that is valid for EVERY shard count at once,
+/// which is what the byte-identical-digests-at-any-shard-count guarantee of
+/// the scale scenarios is built on. A zero lookahead (zero-latency link
+/// between shards) means the partition is not conservatively shardable;
+/// callers must fall back to fewer shards or clamp delays (see
+/// run_scale_model).
+struct ShardMap {
+  int shards = 1;
+  int nodes = 0;
+  /// shard -> [begin, end) contiguous node-id block.
+  std::vector<std::pair<int, int>> ranges;
+  /// node -> owning shard.
+  std::vector<int> shard_of;
+  /// Min latency between nodes in different shards (+inf when shards == 1).
+  double lookahead_s = 0.0;
+  /// Min latency over all distinct node pairs (+inf when nodes < 2).
+  double min_latency_s = 0.0;
+
+  [[nodiscard]] int shard(NodeId n) const { return shard_of[static_cast<std::size_t>(n.get())]; }
+};
+
+/// Partitions the routing's nodes into `shards` near-equal contiguous blocks
+/// and derives the lookahead bounds from the routed latencies. `shards` is
+/// clamped to [1, node_count]. O(n^2) latency scan.
+[[nodiscard]] ShardMap compute_shard_map(const net::Routing& routing, int shards);
 
 /// Knobs of one scale-model run. Defaults give the scale/peers-100k scenario.
 struct ScaleParams {

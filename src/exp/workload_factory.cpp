@@ -36,14 +36,13 @@ core::SystemConfig build_system_config(const ExperimentConfig& cfg) {
   return sys;
 }
 
-std::unique_ptr<WorkflowMetrics> build_metrics(const ExperimentConfig& cfg, util::Rng& rng) {
+MetricsCollector build_metrics(const ExperimentConfig& cfg, const util::Rng& rng) {
   if (cfg.streaming_metrics) {
     // Dedicated RNG fork: reservoir draws must not perturb (or be perturbed
     // by) any simulation stream, or streaming-vs-retaining digests diverge.
-    return std::make_unique<StreamingMetricsCollector>(cfg.system.horizon_s,
-                                                       rng.fork("metrics-reservoir"));
+    return MetricsCollector(cfg.system.horizon_s, rng.fork("metrics-reservoir"));
   }
-  return std::make_unique<MetricsCollector>(cfg.system.horizon_s);
+  return MetricsCollector(cfg.system.horizon_s);
 }
 
 void validate_mix(const std::vector<WorkloadMixEntry>& mix) {
@@ -133,7 +132,7 @@ World::World(const ExperimentConfig& config)
   system_ = std::make_unique<core::GridSystem>(engine_, topo_, routing_, landmarks_,
                                                std::move(capacities),
                                                core::make_algorithm(config.algorithm),
-                                               build_system_config(config), metrics_.get(),
+                                               build_system_config(config), &metrics_,
                                                faults_.get());
 
   if (faults_) {
@@ -155,20 +154,6 @@ World::World(const ExperimentConfig& config)
 
 int World::home_count() const {
   return config_.dynamic_factor > 0.0 ? system_->config().churn.stable_count : config_.nodes;
-}
-
-MetricsCollector& World::metrics() {
-  auto* retaining = dynamic_cast<MetricsCollector*>(metrics_.get());
-  if (!retaining) {
-    throw std::logic_error(
-        "World::metrics(): raw reports are unavailable under streaming_metrics; "
-        "use World::collector()");
-  }
-  return *retaining;
-}
-
-const MetricsCollector& World::metrics() const {
-  return const_cast<World*>(this)->metrics();
 }
 
 void World::submit_trace_workload() {

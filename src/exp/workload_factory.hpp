@@ -134,12 +134,11 @@ struct ExperimentConfig {
   /// SWF/GWA trace (replayed or refitted+synthesized) and take precedence
   /// over the closed/open/burst/mix models above.
   TraceConfig trace;
-  /// Collect metrics with the O(1)-memory StreamingMetricsCollector instead
-  /// of the retaining MetricsCollector. Digested summaries are bitwise
-  /// identical either way (see exp/metrics.hpp); the streaming collector
-  /// additionally bounds live per-workflow state, which open-stream runs
-  /// with millions of tasks need. World::metrics() (the raw-report
-  /// accessor) is unavailable in this mode — use World::collector().
+  /// Run the metrics collector in streaming mode: it keeps no raw records,
+  /// so live per-workflow state stays bounded, which open-stream runs with
+  /// millions of tasks need. Digested summaries are the same either way (see
+  /// exp/metrics.hpp); World::metrics().reports()/samples() throw in this
+  /// mode.
   bool streaming_metrics = false;
   /// Pre-sized capacity of the engine's event slab (concurrently pending
   /// events). 0 = derive from `nodes` (gossip keeps O(fanout) messages in
@@ -179,15 +178,9 @@ class World {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] core::GridSystem& system() { return *system_; }
   [[nodiscard]] const core::GridSystem& system() const { return *system_; }
-  /// The retaining collector with its raw report/sample records. Only valid
-  /// when config.streaming_metrics is false (throws std::logic_error
-  /// otherwise) — summaries should go through collector(), which works with
-  /// either implementation.
-  [[nodiscard]] MetricsCollector& metrics();
-  [[nodiscard]] const MetricsCollector& metrics() const;
-  /// The configured metrics implementation behind the common interface.
-  [[nodiscard]] WorkflowMetrics& collector() { return *metrics_; }
-  [[nodiscard]] const WorkflowMetrics& collector() const { return *metrics_; }
+  /// The metrics collector, in the mode config.streaming_metrics selects.
+  [[nodiscard]] MetricsCollector& metrics() { return metrics_; }
+  [[nodiscard]] const MetricsCollector& metrics() const { return metrics_; }
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   [[nodiscard]] const net::Topology& topology() const { return topo_; }
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
@@ -207,7 +200,7 @@ class World {
   net::Topology topo_;
   net::Routing routing_;
   net::LandmarkEstimator landmarks_;
-  std::unique_ptr<WorkflowMetrics> metrics_;
+  MetricsCollector metrics_;
   /// Destroyed after system_ (declared before it): the system's gossip layer
   /// keeps a raw pointer to the plan for per-message fate draws.
   std::unique_ptr<sim::FaultPlan> faults_;

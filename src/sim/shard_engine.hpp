@@ -38,7 +38,7 @@ class ShardEngine {
  public:
   /// Creates `shards` >= 1 shards driven in windows of `window_s` > 0 seconds
   /// of simulated time. `window_s` must not exceed the minimum inter-shard
-  /// message latency (the lookahead; see core::compute_shard_map) or post()
+  /// message latency (the lookahead; see exp::compute_shard_map) or post()
   /// will reject the offending message. Throws std::invalid_argument on a
   /// non-positive/non-finite window or shards < 1.
   ShardEngine(int shards, double window_s);

@@ -1,7 +1,7 @@
 // t-digest quantile sketch (Dunning & Ertl, "Computing extremely accurate
 // quantiles using t-digests"), merging variant.
 //
-// The streaming metrics layer (exp::StreamingMetricsCollector) needs
+// The metrics collector's streaming mode (exp::MetricsCollector) needs
 // completion-time quantiles over millions of observations without retaining
 // them. A t-digest keeps a bounded set of centroids whose sizes follow the
 // k1 scale function: centroids near the median are large, centroids near the

@@ -27,13 +27,14 @@ net::Topology line_topology(int nodes) {
 }
 
 TEST(QuantisedLoop, DerivedEpochIsRequestedOrLatencyFlooredAtSixtySeconds) {
-  const net::Topology topo = line_topology(4);
-  const net::Routing routing(topo, 1);
-  const ShardMap map = compute_shard_map(routing, 1);
-  EXPECT_DOUBLE_EQ(derive_quantised_epoch(map, 5.0), 5.0);
-  // min_latency_s = 1 s here: the 60 s floor wins.
-  EXPECT_DOUBLE_EQ(derive_quantised_epoch(map, 0.0), 60.0);
-  EXPECT_DOUBLE_EQ(derive_quantised_epoch(map, -3.0), 60.0);
+  // A 1 s minimum routed latency: the 60 s floor wins.
+  EXPECT_DOUBLE_EQ(derive_quantised_epoch(1.0, 5.0), 5.0);
+  EXPECT_DOUBLE_EQ(derive_quantised_epoch(1.0, 0.0), 60.0);
+  EXPECT_DOUBLE_EQ(derive_quantised_epoch(1.0, -3.0), 60.0);
+  // Above the floor the minimum routed latency itself; fewer than two nodes
+  // (+inf) fall back to the floor.
+  EXPECT_DOUBLE_EQ(derive_quantised_epoch(90.0, 0.0), 90.0);
+  EXPECT_DOUBLE_EQ(derive_quantised_epoch(kInf, 0.0), 60.0);
 }
 
 TEST(QuantisedLoop, EndToEndTimelineOfOneFlow) {

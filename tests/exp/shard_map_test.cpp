@@ -7,12 +7,12 @@
 #include <cmath>
 #include <vector>
 
-#include "core/grid_system.hpp"
+#include "exp/scale_model.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "util/types.hpp"
 
-namespace dpjit::core {
+namespace dpjit::exp {
 namespace {
 
 net::Topology line_topology(int nodes, double hop_latency_s) {
@@ -136,4 +136,4 @@ TEST(ShardMap, CoarserPartitionsNeverShrinkLookahead) {
 }
 
 }  // namespace
-}  // namespace dpjit::core
+}  // namespace dpjit::exp

@@ -1,9 +1,9 @@
-// The collector-equivalence contract, end-to-end: replaying the exact report
-// and cycle streams of a real conformance-preset run into a
-// StreamingMetricsCollector reproduces every digested summary bitwise, for
-// EVERY classic scenario in the registry — and full A/B World runs with
-// streaming_metrics toggled produce the same result_digest, so selecting the
-// O(1)-memory collector can never move a golden.
+// The collector-mode contract, end-to-end: replaying the exact report and
+// cycle streams of a real conformance-preset run into a streaming-mode
+// MetricsCollector reproduces every digested summary bitwise, for EVERY
+// classic scenario in the registry — and full A/B World runs with
+// streaming_metrics toggled produce the same result_digest, so streaming
+// can never move a golden.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -40,9 +40,9 @@ void expect_curves_equal(const std::vector<CurvePoint>& a, const std::vector<Cur
 
 class StreamingReplayDifferential : public ::testing::TestWithParam<std::string> {};
 
-// Run the scenario once with the retaining collector, then replay its
-// retained records through a streaming collector: every digested field and
-// every curve must match bitwise (same FP accumulation order by design).
+// Run the scenario once retaining records, then replay them through a
+// streaming collector: every digested field and every curve must match
+// bitwise (both modes read the same running sums).
 TEST_P(StreamingReplayDifferential, ReplayMatchesBitwise) {
   auto cfg = conformance_preset(scenario_registry().at(GetParam()).config());
   cfg.streaming_metrics = false;  // we need the raw records to replay
@@ -50,8 +50,7 @@ TEST_P(StreamingReplayDifferential, ReplayMatchesBitwise) {
   world.run();
   const MetricsCollector& retaining = world.metrics();
 
-  StreamingMetricsCollector streaming(retaining.horizon(), util::Rng(12345),
-                                      retaining.bucket());
+  MetricsCollector streaming(retaining.horizon(), util::Rng(12345), retaining.bucket());
   for (const auto& r : retaining.reports()) streaming.on_workflow_finished(r);
   for (const auto& s : retaining.samples()) streaming.on_cycle(s);
 
@@ -64,7 +63,7 @@ TEST_P(StreamingReplayDifferential, ReplayMatchesBitwise) {
   expect_curves_equal(streaming.ae_curve(), retaining.ae_curve(), "ae");
   EXPECT_EQ(streaming.cycles_seen(), retaining.samples().size());
   // Bounded live state even after replaying the whole run.
-  EXPECT_LE(streaming.live_reports(), StreamingMetricsCollector::kDefaultReservoir);
+  EXPECT_LE(streaming.live_reports(), MetricsCollector::kDefaultReservoir);
   // Converged view sizes use a time-based tail instead of the retained
   // index-based quarter: close but not digested, so only sanity-check them.
   if (!retaining.samples().empty() && retaining.converged_rss_size() > 0.0) {
@@ -101,15 +100,15 @@ TEST_P(StreamingWorldAB, SameDigestEitherCollector) {
   const auto streaming = run_experiment(streaming_cfg);
 
   EXPECT_EQ(result_digest(streaming), result_digest(retaining))
-      << GetParam() << ": the collector choice moved the digest";
+      << GetParam() << ": the collector mode moved the digest";
   EXPECT_EQ(streaming.workflows_finished, retaining.workflows_finished);
   EXPECT_EQ(streaming.act, retaining.act);
   EXPECT_EQ(streaming.ae, retaining.ae);
   EXPECT_EQ(streaming.mean_response, retaining.mean_response);
   EXPECT_EQ(streaming.events_processed, retaining.events_processed);
   EXPECT_EQ(retaining.live_reports, retaining.workflows_finished);
-  EXPECT_LE(streaming.live_reports, StreamingMetricsCollector::kDefaultReservoir);
-  // Quantile estimates are collector-dependent (exact vs t-digest) but must
+  EXPECT_LE(streaming.live_reports, MetricsCollector::kDefaultReservoir);
+  // Quantile estimates are mode-dependent (exact vs t-digest) but must
   // land in the same ballpark when anything finished.
   if (retaining.workflows_finished > 0) {
     EXPECT_NEAR(streaming.ct_p50, retaining.ct_p50, 0.1 * retaining.ct_p50 + 1.0);
@@ -128,14 +127,16 @@ INSTANTIATE_TEST_SUITE_P(WorkloadModels, StreamingWorldAB,
                            return name;
                          });
 
-// World::metrics() (the raw-record accessor) is a retaining-only API and
-// must refuse loudly under streaming rather than returning a sliced view.
+// The raw records are a retaining-only API and must refuse loudly under
+// streaming rather than returning an empty vector; the summaries work in
+// either mode.
 TEST(StreamingWorld, RawMetricsAccessorThrowsUnderStreaming) {
   auto cfg = conformance_preset(scenario_registry().at("trace/gwa-replay").config());
   cfg.streaming_metrics = true;
   World world(cfg);
-  EXPECT_THROW((void)world.metrics(), std::logic_error);
-  (void)world.collector();  // the interface accessor works in either mode
+  EXPECT_THROW((void)world.metrics().reports(), std::logic_error);
+  EXPECT_THROW((void)world.metrics().samples(), std::logic_error);
+  EXPECT_EQ(world.metrics().act(), 0.0);
 }
 
 }  // namespace
