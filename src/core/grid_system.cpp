@@ -657,10 +657,8 @@ void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source,
           return;
         }
         trace_.record(engine_.now(), sim::TraceKind::kTransferEnd, target, ref);
-        auto* rd = nodes_[static_cast<std::size_t>(target.get())].find_ready(ref);
-        if (rd == nullptr) return;  // defensive: vanished via churn cleanup
-        if (--rd->pending_inputs == 0) {
-          rd->data_ready_at = engine_.now();
+        // False too when the task vanished from the ready set via churn cleanup.
+        if (nodes_[static_cast<std::size_t>(target.get())].input_arrived(ref, engine_.now())) {
           task_transfers_.erase(ref);
           try_start_task(target);
         }
@@ -969,6 +967,12 @@ const WorkflowInstance& GridSystem::workflow(WorkflowId id) const {
 
 const grid::GridNode& GridSystem::node(NodeId id) const {
   return nodes_.at(static_cast<std::size_t>(id.get()));
+}
+
+std::size_t GridSystem::ready_depth_max() const {
+  std::size_t depth = 0;
+  for (const auto& node : nodes_) depth = std::max(depth, node.ready_depth_max());
+  return depth;
 }
 
 std::size_t GridSystem::alive_count() const {

@@ -248,6 +248,9 @@ class GridSystem {
   /// Schedule points offered to the first phase, summed over all cycles.
   [[nodiscard]] std::uint64_t schedule_points_offered() const { return schedule_points_offered_; }
 
+  /// The deepest any node's ready set has been.
+  [[nodiscard]] std::size_t ready_depth_max() const;
+
   /// Recomputes each workflow's frontier, per-state counts and queue
   /// membership from its task states. Returns the first mismatch with the
   /// incrementally kept bookkeeping, or "" when they agree. O(all tasks).

@@ -23,8 +23,8 @@ std::vector<double> upward_ranks(const Workflow& wf, const AverageEstimates& avg
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskIndex t = *it;
     double best_child = 0.0;
-    const auto& succ = wf.successors(t);
-    const auto& data = wf.successor_data(t);
+    const auto succ = wf.successors(t);
+    const auto data = wf.successor_data(t);
     for (std::size_t i = 0; i < succ.size(); ++i) {
       const double via = expected_transmission_time(data[i], avg) +
                          rank[static_cast<std::size_t>(succ[i].get())];

@@ -11,9 +11,10 @@ void write_dot(std::ostream& os, const Workflow& wf) {
   for (std::size_t i = 0; i < wf.task_count(); ++i) {
     const TaskIndex t{static_cast<TaskIndex::underlying_type>(i)};
     const auto& task = wf.task(t);
-    const char* name = task.name.empty() ? nullptr : task.name.c_str();
-    if (name != nullptr) {
-      std::snprintf(buf, sizeof(buf), "  t%zu [label=\"%s\\n%.0f MI\"];\n", i, name, task.load_mi);
+    const std::string_view name = wf.name(t);
+    if (!name.empty()) {
+      std::snprintf(buf, sizeof(buf), "  t%zu [label=\"%.*s\\n%.0f MI\"];\n", i,
+                    static_cast<int>(name.size()), name.data(), task.load_mi);
     } else {
       std::snprintf(buf, sizeof(buf), "  t%zu [label=\"t%zu\\n%.0f MI\"];\n", i, i, task.load_mi);
     }

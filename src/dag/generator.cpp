@@ -1,8 +1,10 @@
 #include "dag/generator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 namespace dpjit::dag {
 namespace {
@@ -48,20 +50,25 @@ Workflow generate_workflow(WorkflowId id, const GeneratorParams& params, util::R
   Workflow wf(id);
 
   const int n = static_cast<int>(rng.uniform_int(params.min_tasks, params.max_tasks));
-  std::vector<TaskIndex> tasks;
-  tasks.reserve(static_cast<std::size_t>(n));
+  const auto size = static_cast<std::size_t>(n);
+  // Room for a virtual entry and exit; every task's out-degree stays within
+  // max_fanout, and the virtual exit takes at most one in-edge per task.
+  wf.reserve(size + 2, size * static_cast<std::size_t>(params.max_fanout + 1));
   for (int i = 0; i < n; ++i) {
-    // Built in two steps: `"t" + std::to_string(i)` trips a -Wrestrict false
-    // positive in GCC 12 (PR 105329) under -O2.
-    std::string name = "t";
-    name += std::to_string(i);
-    tasks.push_back(wf.add_task(draw_size(rng, params.load_distribution, params.min_load_mi,
-                                          params.max_load_mi, params.load_tail_shape),
-                                rng.uniform(params.min_image_mb, params.max_image_mb),
-                                std::move(name)));
+    char name[16] = {'t'};
+    const auto end = std::to_chars(name + 1, name + sizeof(name), i).ptr;
+    wf.add_task(draw_size(rng, params.load_distribution, params.min_load_mi,
+                          params.max_load_mi, params.load_tail_shape),
+                rng.uniform(params.min_image_mb, params.max_image_mb),
+                std::string_view(name, static_cast<std::size_t>(end - name)));
   }
 
-  std::vector<int> outdeg(static_cast<std::size_t>(n), 0);
+  const auto task = [](int i) { return TaskIndex{static_cast<TaskIndex::underlying_type>(i)}; };
+  std::vector<int> outdeg(size, 0);
+  // parent[i]: the precedent task i took in phase 1 (-1 for task 0).
+  std::vector<int> parent(size, -1);
+  std::vector<int> candidates;
+  candidates.reserve(size);
   auto data = [&] {
     return draw_size(rng, params.data_distribution, params.min_data_mb, params.max_data_mb,
                      params.data_tail_shape);
@@ -71,13 +78,14 @@ Workflow generate_workflow(WorkflowId id, const GeneratorParams& params, util::R
   // earlier tasks that still have fan-out budget. During this phase at most
   // i-1 edges exist among the first i tasks, so a candidate always exists.
   for (int i = 1; i < n; ++i) {
-    std::vector<int> candidates;
+    candidates.clear();
     for (int j = 0; j < i; ++j) {
       if (outdeg[static_cast<std::size_t>(j)] < params.max_fanout) candidates.push_back(j);
     }
     const int j = candidates[rng.index(candidates.size())];
-    wf.add_dependency(tasks[static_cast<std::size_t>(j)], tasks[static_cast<std::size_t>(i)], data());
+    wf.add_dependency(task(j), task(i), data());
     ++outdeg[static_cast<std::size_t>(j)];
+    parent[static_cast<std::size_t>(i)] = j;
   }
 
   // Phase 2 - densification: raise each task's out-degree toward a uniform
@@ -87,18 +95,16 @@ Workflow generate_workflow(WorkflowId id, const GeneratorParams& params, util::R
     const int later = n - 1 - i;
     const int want = std::min(target, later);
     if (outdeg[static_cast<std::size_t>(i)] >= want) continue;
-    // Later tasks not already successors of i.
-    std::vector<int> pool;
+    // Later tasks not already successors of i. Task i's only out-edges so far
+    // are its phase-1 children: earlier rounds wired other sources.
+    candidates.clear();
     for (int k = i + 1; k < n; ++k) {
-      const auto& succ = wf.successors(tasks[static_cast<std::size_t>(i)]);
-      if (std::find(succ.begin(), succ.end(), tasks[static_cast<std::size_t>(k)]) == succ.end()) {
-        pool.push_back(k);
-      }
+      if (parent[static_cast<std::size_t>(k)] != i) candidates.push_back(k);
     }
-    rng.shuffle(pool);
-    for (int k : pool) {
+    rng.shuffle(candidates);
+    for (int k : candidates) {
       if (outdeg[static_cast<std::size_t>(i)] >= want) break;
-      wf.add_dependency(tasks[static_cast<std::size_t>(i)], tasks[static_cast<std::size_t>(k)], data());
+      wf.add_dependency(task(i), task(k), data());
       ++outdeg[static_cast<std::size_t>(i)];
     }
   }

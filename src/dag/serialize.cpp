@@ -32,9 +32,10 @@ std::string num(double v) {
 void write_workflow(std::ostream& os, const Workflow& wf) {
   os << "workflow " << wf.id().get() << '\n';
   for (std::size_t i = 0; i < wf.task_count(); ++i) {
-    const auto& t = wf.task(TaskIndex{static_cast<TaskIndex::underlying_type>(i)});
+    const TaskIndex ti{static_cast<TaskIndex::underlying_type>(i)};
+    const auto& t = wf.task(ti);
     os << "task " << num(t.load_mi) << ' ' << num(t.image_mb);
-    if (!t.name.empty()) os << ' ' << t.name;
+    if (const auto name = wf.name(ti); !name.empty()) os << ' ' << name;
     os << '\n';
   }
   for (std::size_t i = 0; i < wf.task_count(); ++i) {
@@ -74,7 +75,7 @@ Workflow read_workflow(std::istream& is) {
       } else {
         name.clear();
       }
-      wf.add_task(load, image, std::move(name));
+      wf.add_task(load, image, name);
     } else if (keyword == "edge") {
       int from = -1;
       int to = -1;

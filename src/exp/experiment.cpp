@@ -32,6 +32,7 @@ ExperimentResult summarize(const World& world, double wall_seconds) {
   r.tasks_rescheduled = system.tasks_rescheduled();
   r.tasks_reoffered = system.tasks_reoffered();
   r.schedule_points_offered = system.schedule_points_offered();
+  r.ready_depth_max = system.ready_depth_max();
   r.gossip_messages = system.gossip_service().messages_sent();
   r.gossip_bytes = system.gossip_service().bytes_sent();
   r.gossip_floor_rejections = system.gossip_service().floor_rejections();

@@ -65,6 +65,8 @@ struct ExperimentResult {
   std::uint64_t probe_cache_hits = 0;
   std::uint64_t probe_cache_misses = 0;
   std::uint64_t link_aborts = 0;
+  /// The deepest any node's phase-2 ready set got. NOT part of result_digest.
+  std::uint64_t ready_depth_max = 0;
   std::uint64_t events_processed = 0;
   double wall_seconds = 0.0;
 };

@@ -43,6 +43,15 @@ struct ReadyTask {
 /// One peer node's resource-role state. The scheduler role (workflow table,
 /// schedule points) lives in core::GridSystem; gossip state lives in the
 /// gossip service. Aliveness is owned by the system and mirrored here.
+///
+/// The ready set keeps its arrival order, which is observable: the phase-2
+/// policies break ties by candidate position, and total_load_mi() sums left
+/// to right. Removal leaves a tombstone that a compaction drops once
+/// tombstones pass a quarter of the queued tasks, and a TaskRef index (open
+/// addressing over slots) finds a task without a scan. The queued-load sum is
+/// cached: an append extends it (the same left-to-right fold), a removal
+/// invalidates it and the next total_load_mi() recomputes it, so the value is
+/// bitwise the plain left-to-right sum.
 class GridNode {
  public:
   GridNode(NodeId id, double capacity_mips);
@@ -53,20 +62,31 @@ class GridNode {
   void set_alive(bool alive) { alive_ = alive; }
 
   /// --- ready set (RDS) ---
+  /// Pointers into the ready set stay valid until its next mutation.
 
-  /// Adds a dispatched task. Requires no duplicate TaskRef.
+  /// Appends a dispatched task. Throws std::invalid_argument on an invalid
+  /// TaskRef and std::logic_error when the TaskRef is already queued.
   void add_ready(ReadyTask task);
 
   /// Looks up a ready task; nullptr when absent.
-  [[nodiscard]] ReadyTask* find_ready(TaskRef ref);
   [[nodiscard]] const ReadyTask* find_ready(TaskRef ref) const;
+
+  /// One input transfer of a queued task arrived at `now`. Returns true when
+  /// it was the task's last pending input (data_ready_at is stamped and the
+  /// task becomes a phase-2 candidate); false otherwise, including when the
+  /// task is not queued here.
+  bool input_arrived(TaskRef ref, SimTime now);
 
   /// Removes a ready task (when it starts running or fails). False if absent.
   bool remove_ready(TaskRef ref);
 
-  [[nodiscard]] const std::vector<ReadyTask>& ready() const { return ready_; }
+  /// The queued tasks in arrival order.
+  [[nodiscard]] std::vector<const ReadyTask*> ready() const;
+  /// The deepest the ready set has been.
+  [[nodiscard]] std::size_t ready_depth_max() const { return depth_max_; }
 
-  /// Tasks whose inputs have all arrived: the phase-2 candidate set.
+  /// Tasks whose inputs have all arrived, in arrival order: the phase-2
+  /// candidate set. Returns at once when there are none.
   [[nodiscard]] std::vector<const ReadyTask*> data_complete() const;
 
   /// Clears the ready set, returning the dropped tasks (node departure).
@@ -97,10 +117,35 @@ class GridNode {
   [[nodiscard]] double total_load_mi(SimTime now) const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// The index bucket holding `ref`'s slot, or the empty bucket that ends
+  /// its probe chain. Requires a non-empty index.
+  [[nodiscard]] std::size_t probe(TaskRef ref) const;
+  /// Slot of the queued task `ref` in ready_, or kNoSlot.
+  [[nodiscard]] std::uint32_t locate(TaskRef ref) const;
+  /// Resizes the index for `live` tasks and re-inserts the live slots.
+  void rebuild_index(std::size_t live);
+  /// Tombstones a queued task, compacting when tombstones pile up.
+  void erase_slot(std::uint32_t slot);
+
   NodeId id_;
   double capacity_;
   bool alive_ = true;
+  /// Arrival order; a removed task leaves a tombstone (invalid ref).
   std::vector<ReadyTask> ready_;
+  /// Linear-probing table of ready_ slots (kNoSlot = empty). Tombstoned
+  /// slots stay in it until the next rebuild and never match a lookup.
+  std::vector<std::uint32_t> index_;
+  int index_shift_ = 64;
+  std::size_t index_used_ = 0;
+  std::size_t live_ = 0;
+  std::size_t runnable_ = 0;
+  std::size_t depth_max_ = 0;
+  /// Left-to-right sum of the queued loads; valid unless a removal happened
+  /// since it was last computed.
+  mutable double queued_load_ = 0.0;
+  mutable bool queued_load_valid_ = true;
   std::optional<ReadyTask> running_;
   SimTime run_started_ = kNoTime;
   SimTime run_finishes_ = kNoTime;

@@ -5,7 +5,7 @@
 
 Builds nothing and runs no benchmark: each case feeds `perf_ab.compare` five
 hand-written result lines per side, with the bounds of the repository's
-BENCHMARK.json.
+BENCHMARK.json, or parses a command line.
 """
 
 import json
@@ -74,6 +74,45 @@ class PerfAbGate(unittest.TestCase):
         failures = self.failures(runs(), runs(tasks=15000))
         self.assertEqual(len(failures), 1)
         self.assertIn("tasks_completed", failures[0])
+
+
+    def row(self, rows, metric):
+        return next(r for r in rows if r[1] == metric)
+
+    def test_better_in_counts_pairs_where_head_wins(self):
+        base = runs()
+        head = runs(run_s=1.5)
+        head[2]["metrics"]["run_s"]["value"] = 5.0  # one pair goes the other way
+        rows, failures = perf_ab.compare(SPEC, "w", base, head)
+        self.assertEqual(failures, [])
+        self.assertEqual(self.row(rows, "run_s")[7], "4/5")
+        # Equal values are not "better"; for a higher-is-better metric a
+        # larger HEAD value is.
+        self.assertEqual(self.row(rows, "tasks_completed")[7], "0/5")
+        rows, _ = perf_ab.compare(SPEC, "w", runs(), runs(tasks=21000))
+        self.assertEqual(self.row(rows, "tasks_completed")[7], "5/5")
+        self.assertEqual(self.row(rows, "failed share")[7], "-")
+
+    def test_a_single_pair_still_compares(self):
+        rows, failures = perf_ab.compare(SPEC, "w", runs()[:1], runs(run_s=1.0)[:1])
+        self.assertEqual(failures, [])
+        self.assertEqual(self.row(rows, "run_s")[7], "1/1")
+
+
+class PerfAbCommandLine(unittest.TestCase):
+    def test_defaults_match_the_ci_job(self):
+        args = perf_ab.parse_args(["base", "head"])
+        self.assertEqual((args.base_dir, args.head_dir), ("base", "head"))
+        self.assertEqual(args.workload, [])
+        self.assertEqual(args.pairs, 5)
+        self.assertEqual(args.seed, 1)
+
+    def test_workloads_repeat_and_pairs_and_seed_override(self):
+        args = perf_ab.parse_args(["--workload", "open-stream-1m", "--workload", "scale-100k",
+                                   "--pairs", "10", "--seed", "977", "b", "h"])
+        self.assertEqual(args.workload, ["open-stream-1m", "scale-100k"])
+        self.assertEqual(args.pairs, 10)
+        self.assertEqual(args.seed, 977)
 
 
 if __name__ == "__main__":

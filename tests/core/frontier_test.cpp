@@ -112,10 +112,7 @@ const grid::ReadyTask* staged(const GridSystem& system, TaskRef ref) {
   const auto& rt = system.workflow(ref.workflow).tasks[static_cast<std::size_t>(ref.task.get())];
   const auto& node = system.node(rt.exec_node);
   if (node.running() != nullptr && node.running()->ref == ref) return node.running();
-  for (const auto& r : node.ready()) {
-    if (r.ref == ref) return &r;
-  }
-  return nullptr;
+  return node.find_ready(ref);
 }
 
 TEST(Frontier, SubmitSeedsTheEntryFrontier) {

@@ -52,7 +52,8 @@ TEST(Rpm, MakespanShrinksAsExecutionProgresses) {
   const auto wf = dag::generate_workflow(WorkflowId{1}, dag::GeneratorParams{}, rng);
   const auto rpm = rest_path_makespans(wf, {6.2, 5.0});
   const double ms_entry = remaining_makespan(rpm, {wf.entry()});
-  std::vector<TaskIndex> second_wave = wf.successors(wf.entry());
+  const auto entry_succ = wf.successors(wf.entry());
+  const std::vector<TaskIndex> second_wave(entry_succ.begin(), entry_succ.end());
   if (!second_wave.empty()) {
     EXPECT_LE(remaining_makespan(rpm, second_wave), ms_entry);
   }

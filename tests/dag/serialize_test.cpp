@@ -18,7 +18,7 @@ void expect_same(const Workflow& a, const Workflow& b) {
     const TaskIndex t{static_cast<TaskIndex::underlying_type>(i)};
     EXPECT_DOUBLE_EQ(a.task(t).load_mi, b.task(t).load_mi);
     EXPECT_DOUBLE_EQ(a.task(t).image_mb, b.task(t).image_mb);
-    EXPECT_EQ(a.task(t).name, b.task(t).name);
+    EXPECT_EQ(a.name(t), b.name(t));
     ASSERT_EQ(a.successors(t).size(), b.successors(t).size());
     for (TaskIndex s : a.successors(t)) {
       EXPECT_DOUBLE_EQ(a.edge_data(t, s), b.edge_data(t, s));
@@ -64,8 +64,8 @@ TEST(Serialize, CommentsAndBlanksIgnored) {
   const auto wf = read_workflow(ss);
   EXPECT_EQ(wf.id().get(), 5);
   EXPECT_EQ(wf.task_count(), 2u);
-  EXPECT_EQ(wf.task(TaskIndex{0}).name, "alpha");
-  EXPECT_EQ(wf.task(TaskIndex{1}).name, "");
+  EXPECT_EQ(wf.name(TaskIndex{0}), "alpha");
+  EXPECT_EQ(wf.name(TaskIndex{1}), "");
   EXPECT_DOUBLE_EQ(wf.edge_data(TaskIndex{0}, TaskIndex{1}), 7.0);
 }
 

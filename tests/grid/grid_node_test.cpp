@@ -28,6 +28,48 @@ TEST(GridNode, ReadySetAddFindRemove) {
   EXPECT_EQ(n.ready().size(), 1u);
 }
 
+TEST(GridNode, DuplicateReadyTaskThrows) {
+  GridNode n(NodeId{0}, 4.0);
+  n.add_ready(task(1, 1, 100));
+  EXPECT_THROW(n.add_ready(task(1, 1, 50)), std::logic_error);
+  EXPECT_EQ(n.ready().size(), 1u);
+  EXPECT_EQ(n.total_load_mi(0.0), 100.0);
+  // Once removed, the same task may be dispatched here again.
+  EXPECT_TRUE(n.remove_ready(TaskRef{WorkflowId{1}, TaskIndex{1}}));
+  n.add_ready(task(1, 1, 50));
+  EXPECT_EQ(n.ready().size(), 1u);
+}
+
+TEST(GridNode, InvalidTaskRefThrows) {
+  GridNode n(NodeId{0}, 4.0);
+  EXPECT_THROW(n.add_ready(ReadyTask{}), std::invalid_argument);
+}
+
+TEST(GridNode, InputArrivedStampsTheLastInput) {
+  GridNode n(NodeId{0}, 4.0);
+  const TaskRef ref{WorkflowId{1}, TaskIndex{1}};
+  n.add_ready(task(1, 1, 100, 2));
+  EXPECT_FALSE(n.input_arrived(ref, 1.0));
+  EXPECT_TRUE(n.data_complete().empty());
+  EXPECT_TRUE(n.input_arrived(ref, 2.5));
+  ASSERT_EQ(n.data_complete().size(), 1u);
+  EXPECT_EQ(n.find_ready(ref)->data_ready_at, 2.5);
+  // Not queued here: nothing to stamp.
+  EXPECT_FALSE(n.input_arrived(TaskRef{WorkflowId{9}, TaskIndex{9}}, 3.0));
+}
+
+TEST(GridNode, ReadyDepthMaxTracksTheDeepestSet) {
+  GridNode n(NodeId{0}, 4.0);
+  EXPECT_EQ(n.ready_depth_max(), 0u);
+  for (int t = 0; t < 3; ++t) n.add_ready(task(1, t, 10));
+  n.remove_ready(TaskRef{WorkflowId{1}, TaskIndex{0}});
+  n.add_ready(task(1, 7, 10));
+  EXPECT_EQ(n.ready().size(), 3u);
+  EXPECT_EQ(n.ready_depth_max(), 3u);
+  (void)n.drain_ready();
+  EXPECT_EQ(n.ready_depth_max(), 3u);
+}
+
 TEST(GridNode, DataCompleteFiltersPendingInputs) {
   GridNode n(NodeId{0}, 4.0);
   n.add_ready(task(1, 1, 100, 2));

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "dag/generator.hpp"
 #include "exp/scenario.hpp"
@@ -102,7 +103,7 @@ TEST(ScenarioBehavior, MixedWorkloadDrawsEveryTemplateFamily) {
   for (std::size_t w = 0; w < world.system().workflow_count(); ++w) {
     const auto& dag =
         world.system().workflow(WorkflowId{static_cast<WorkflowId::underlying_type>(w)}).dag;
-    const std::string& first = dag.task(TaskIndex{0}).name;
+    const std::string_view first = dag.name(TaskIndex{0});
     if (first.rfind("mProject", 0) == 0) saw_montage = true;
     else if (first == "source") saw_forkjoin = true;
     else if (first == "stage0") saw_pipeline = true;

@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Same-machine A/B of the repository benchmark between two checkouts.
 
-Usage: perf_ab.py BASE_DIR HEAD_DIR
+Usage: perf_ab.py [--workload NAME]... [--pairs N] [--seed S] BASE_DIR HEAD_DIR
 
-For every workload of HEAD_DIR's BENCHMARK.json that BASE_DIR's also names,
-runs five interleaved pairs of
+For every workload of HEAD_DIR's BENCHMARK.json that BASE_DIR's also names
+(or only the --workload ones), runs N interleaved pairs (default 5) of
 
-    python3 perfbench/run.py --workload W --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0
 
 once from each checkout (each builds its own runner under .bench_build/),
 alternating which side runs first. It then prints one table row per workload
 and end-to-end metric: the median and quartiles of each side, the change of
-the median, and the metric's bound.
+the median, the metric's bound, and in how many pairs HEAD was strictly
+better than BASE (the pair-wise reading a speed-up claim needs).
 
 Exits 1 when any run is not `correct`, when a workload's failed share
 (failed / attempted replications) is higher at HEAD, or when an end-to-end
 metric's HEAD median is worse than the BASE median by more than its bound.
 """
 
+import argparse
 import json
 import os
 import statistics
@@ -36,9 +38,9 @@ def load_spec(checkout):
         return json.load(f)
 
 
-def run_once(checkout, workload):
+def run_once(checkout, workload, seed):
     """Runs one workload from `checkout`; returns its parsed result line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
@@ -51,13 +53,17 @@ def run_once(checkout, workload):
 
 def quartiles(values):
     """(q1, median, q3) with the inclusive method, so five values give exact ranks."""
+    if len(values) == 1:
+        return (values[0],) * 3
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def compare(spec, workload, base_runs, head_runs):
     """Gates one workload; returns (table rows, failure messages).
 
-    `base_runs` and `head_runs` are lists of run.py result lines.
+    `base_runs` and `head_runs` are lists of run.py result lines; their i-th
+    entries ran as pair i. Each row ends with the pair-wise "better in k/n"
+    count and the gate verdict.
     """
     failures = []
     for side, runs in (("base", base_runs), ("head", head_runs)):
@@ -76,8 +82,11 @@ def compare(spec, workload, base_runs, head_runs):
     rows = []
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        base = quartiles([r["metrics"][name]["value"] for r in base_runs])
-        head = quartiles([r["metrics"][name]["value"] for r in head_runs])
+        base_values = [r["metrics"][name]["value"] for r in base_runs]
+        head_values = [r["metrics"][name]["value"] for r in head_runs]
+        base, head = quartiles(base_values), quartiles(head_values)
+        sign = 1 if metric["better"] == "lower" else -1
+        better = sum(1 for b, h in zip(base_values, head_values) if sign * (h - b) < 0)
         # BENCHMARK.json metrics are never 0, so the base median divides.
         change = (head[1] - base[1]) / base[1]
         worse = change if metric["better"] == "lower" else -change
@@ -86,9 +95,10 @@ def compare(spec, workload, base_runs, head_runs):
             failures.append("%s: %s median %.6g -> %.6g is %.1f%% worse, bound %.0f%%" %
                             (workload, name, base[1], head[1], 100 * worse,
                              100 * metric["bound"]))
-        rows.append((workload, name, metric["unit"], base, head, change, metric["bound"], ok))
+        rows.append((workload, name, metric["unit"], base, head, change, metric["bound"],
+                     "%d/%d" % (better, len(base_values)), ok))
     rows.append((workload, "failed share", "share", (base_share,) * 3, (head_share,) * 3,
-                 head_share - base_share, 0.0, head_share <= base_share))
+                 head_share - base_share, 0.0, "-", head_share <= base_share))
     return rows, failures
 
 
@@ -97,32 +107,53 @@ def print_table(rows):
         return "%.6g [%.6g, %.6g]" % (q[1], q[0], q[2])
 
     header = ("workload", "metric", "unit", "base median [q1, q3]", "head median [q1, q3]",
-              "change", "bound", "")
+              "change", "bound", "better in", "")
     table = [header] + [(w, m, u, cell(b), cell(h), "%+.1f%%" % (100 * c), "%.0f%%" % (100 * bd),
-                         "ok" if ok else "WORSE") for w, m, u, b, h, c, bd, ok in rows]
+                         k, "ok" if ok else "WORSE") for w, m, u, b, h, c, bd, k, ok in rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         print("  ".join(v.ljust(widths[i]) for i, v in enumerate(r)).rstrip())
 
 
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("base_dir")
+    parser.add_argument("head_dir")
+    parser.add_argument("--workload", action="append", default=[], metavar="NAME",
+                        help="run only this workload (repeatable; default: all)")
+    parser.add_argument("--pairs", type=int, default=PAIRS, metavar="N",
+                        help="interleaved pairs per workload (default %d)" % PAIRS)
+    parser.add_argument("--seed", type=int, default=SEED, metavar="S",
+                        help="perfbench world seed (default %d)" % SEED)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    return args
+
+
 def main():
-    if len(sys.argv) != 3:
-        sys.exit(__doc__.strip().splitlines()[2])
-    base_dir, head_dir = (os.path.abspath(p) for p in sys.argv[1:])
+    args = parse_args(sys.argv[1:])
+    base_dir, head_dir = (os.path.abspath(p) for p in (args.base_dir, args.head_dir))
     spec = load_spec(head_dir)
     base_names = {w["name"] for w in load_spec(base_dir)["workloads"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    for name in args.workload:
+        if name not in workloads:
+            sys.exit("perf_ab: unknown workload %s (known: %s)" % (name, ", ".join(workloads)))
+    if args.workload:
+        workloads = [w for w in workloads if w in args.workload]
 
     rows, failures = [], []
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in workloads:
         if workload not in base_names:
             print("perf_ab: %s is new at HEAD; not gated" % workload, flush=True)
             continue
         runs = {base_dir: [], head_dir: []}
-        for pair in range(PAIRS):
+        for pair in range(args.pairs):
             order = (base_dir, head_dir) if pair % 2 == 0 else (head_dir, base_dir)
             for checkout in order:
-                runs[checkout].append(run_once(checkout, workload))
-            print("perf_ab: %s pair %d/%d done" % (workload, pair + 1, PAIRS), flush=True)
+                runs[checkout].append(run_once(checkout, workload, args.seed))
+            print("perf_ab: %s pair %d/%d done" % (workload, pair + 1, args.pairs), flush=True)
         workload_rows, workload_failures = compare(spec, workload, runs[base_dir],
                                                    runs[head_dir])
         rows += workload_rows
