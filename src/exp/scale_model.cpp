@@ -183,11 +183,12 @@ class ScaleModel {
         engine_(l_.shards, l_.window),
         peers_(static_cast<std::size_t>(params.peers)) {
     engine_.set_threads(p_.threads);
-    // The default gate (128 events/window) sits near the break-even of the
-    // barrier handoff (~10-20 us) against the ~0.3 us handler cost at 4
-    // workers: the 10^6-peer nightly runs a few hundred events per 10 ms
-    // window and parallelises, the 10^5-peer run (~20 per window) stays
-    // inline, where threading could only lose.
+    // The default gate (128 events/window) sits about twice above the
+    // break-even of the barrier handoff (~10-20 us) against the ~0.35 us a
+    // parallel window spends per event (pop plus handler, measured on the
+    // 10^5-peer run) at 4 workers: the 10^6-peer nightly runs a few hundred
+    // events per 10 ms window and parallelises, the 10^5-peer run (~20 per
+    // window) stays inline, where threading could only lose.
     engine_.set_parallel_threshold(p_.parallel_threshold);
   }
 
@@ -231,6 +232,7 @@ class ScaleModel {
     r.state_digest = digest;
     r.events_processed = engine_.processed();
     r.windows = engine_.windows();
+    r.pending_max = engine_.pending_max();
     r.shards = l_.shards;
     r.threads = p_.threads;
     r.parallel_windows = engine_.parallel_windows();
@@ -521,7 +523,7 @@ std::uint64_t scale_digest(const ScaleResult& result) {
     digest *= kFnvPrime;
   };
   // Only shard/thread-invariant fields: never shards, threads, windows,
-  // parallel_windows, window_s, lookahead_s or wall_s.
+  // pending_max, parallel_windows, window_s, lookahead_s or wall_s.
   mix(static_cast<std::uint64_t>(result.peers));
   mix(static_cast<std::uint64_t>(result.regions));
   mix(result.tasks_completed);

@@ -141,6 +141,10 @@ struct ScaleResult {
   /// window sequence depends only on event times); asserted by tests but
   /// excluded from scale_digest so a digest mismatch always means state.
   std::uint64_t windows = 0;
+  /// Most events pending across all shards at any window barrier
+  /// (sim::ShardEngine::pending_max). S-invariant like `windows`, and kept
+  /// out of scale_digest for the same reason.
+  std::uint64_t pending_max = 0;
 
   // --- wall-clock / configuration block: varies with shards and threads ---
   int shards = 1;

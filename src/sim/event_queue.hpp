@@ -9,19 +9,16 @@
 // check, so double-cancel and cancel-after-fire are safe no-ops.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
+#include "sim/time_key.hpp"
 #include "util/types.hpp"
 
 namespace dpjit::sim {
-
-/// Callback executed when an event fires.
-using EventFn = InlineFn;
 
 class EventQueue {
  public:
@@ -93,20 +90,6 @@ class EventQueue {
     std::uint64_t seq;   ///< insertion order, breaks ties on equal time
     std::uint32_t slot;
   };
-
-  /// Maps a double to an integer with the same ordering (IEEE total-order
-  /// trick: flip all bits of negatives, flip the sign bit of non-negatives).
-  /// -0.0 is normalized to +0.0 first so key equality matches `==` on
-  /// doubles, which keeps the FIFO tie-break exactly as before.
-  [[nodiscard]] static std::uint64_t encode_time(SimTime t) {
-    const auto k = std::bit_cast<std::uint64_t>(t + 0.0);
-    constexpr std::uint64_t kSign = 0x8000000000000000ULL;
-    return k ^ ((k & kSign) != 0 ? ~std::uint64_t{0} : kSign);
-  }
-  [[nodiscard]] static SimTime decode_time(std::uint64_t k) {
-    constexpr std::uint64_t kSign = 0x8000000000000000ULL;
-    return std::bit_cast<SimTime>(k ^ ((k & kSign) != 0 ? kSign : ~std::uint64_t{0}));
-  }
 
   /// Branchless (time, seq) lexicographic order: pop sifts the heap with
   /// effectively random keys, and mispredicted compare branches dominate its

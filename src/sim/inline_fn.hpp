@@ -136,4 +136,7 @@ class InlineFunction<R(Args...), Capacity> {
 /// The event-callback type scheduled on the engine.
 using InlineFn = InlineFunction<void()>;
 
+/// Callback executed when an event fires (sim::EventQueue, sim::TwoTierQueue).
+using EventFn = InlineFn;
+
 }  // namespace dpjit::sim

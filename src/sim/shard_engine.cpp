@@ -15,13 +15,25 @@
 
 namespace dpjit::sim {
 
+namespace {
+/// Pending-set geometry, in windows: each coarse bucket spans 64 windows and
+/// the ring 4096 buckets. At the scale model's 0.01 s window that is 0.64 s
+/// buckets (a few hundred events each at 10^5 peers) and a 2 621 s ring,
+/// which holds every periodic timer; rarer, longer delays overflow.
+constexpr double kBucketWindows = 64.0;
+constexpr std::size_t kRingBuckets = 4096;
+}  // namespace
+
 ShardEngine::ShardEngine(int shards, double window_s) : window_(window_s) {
   if (shards < 1) throw std::invalid_argument("ShardEngine: shards must be >= 1");
   if (!(window_s > 0.0) || !std::isfinite(window_s)) {
     throw std::invalid_argument("ShardEngine: window must be positive and finite (got " +
                                 std::to_string(window_s) + ")");
   }
-  shards_.resize(static_cast<std::size_t>(shards));
+  shards_.reserve(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    shards_.emplace_back(TwoTierQueue(kBucketWindows * window_s, kRingBuckets));
+  }
 }
 
 std::size_t ShardEngine::idx(int shard) const {
@@ -34,8 +46,8 @@ std::size_t ShardEngine::idx(int shard) const {
 
 void ShardEngine::seed(int to_shard, SimTime t, std::uint64_t key, EventFn fn) {
   if (running_) throw std::logic_error("ShardEngine::seed: engine already running (use post)");
-  if (t < 0.0) throw std::logic_error("ShardEngine::seed: negative time");
-  pending_.push_back(Message{t, key, static_cast<std::uint32_t>(idx(to_shard)), std::move(fn)});
+  if (!(t >= 0.0)) throw std::logic_error("ShardEngine::seed: negative or NaN time");
+  seeds_.push_back(Message{t, key, static_cast<std::uint32_t>(idx(to_shard)), std::move(fn)});
 }
 
 void ShardEngine::post(int from_shard, int to_shard, SimTime t, std::uint64_t key, EventFn fn) {
@@ -43,7 +55,8 @@ void ShardEngine::post(int from_shard, int to_shard, SimTime t, std::uint64_t ke
   // Conservative-lookahead guarantee: the message may not land inside the
   // window the sender is executing in (floating-point addition is monotonic,
   // so delay >= window implies now + delay >= now + window >= window end).
-  if (t < from.now + window_) {
+  // Written negated so a NaN time fails it too.
+  if (!(t >= from.now + window_)) {
     throw std::logic_error("ShardEngine::post: message at t=" + std::to_string(t) +
                            " violates lookahead (sender now=" + std::to_string(from.now) +
                            ", window=" + std::to_string(window_) + ")");
@@ -52,7 +65,7 @@ void ShardEngine::post(int from_shard, int to_shard, SimTime t, std::uint64_t ke
 }
 
 void ShardEngine::drive_shard(Shard& shard, SimTime window_end, SimTime end) {
-  EventQueue& q = shard.queue;
+  TwoTierQueue& q = shard.queue;
   while (!q.empty()) {
     const SimTime t = q.next_time();
     if (t >= window_end || t > end) break;
@@ -64,23 +77,37 @@ void ShardEngine::drive_shard(Shard& shard, SimTime window_end, SimTime end) {
 }
 
 void ShardEngine::drain_messages() {
-  for (Shard& shard : shards_) {
-    pending_.insert(pending_.end(), std::make_move_iterator(shard.outbox.begin()),
-                    std::make_move_iterator(shard.outbox.end()));
-    shard.outbox.clear();
+  // Sort compact (time, key) references, not the messages: a message carries
+  // a 64-byte callback, and this way each one moves exactly once, straight
+  // from its outbox into the receiver's queue.
+  order_.clear();
+  const auto box_count = static_cast<std::uint32_t>(shards_.size() + 1);
+  for (std::uint32_t b = 0; b < box_count; ++b) {
+    const std::vector<Message>& box = outbox(b);
+    for (std::uint32_t i = 0; i < box.size(); ++i) order_.push_back({box[i].t, box[i].key, b, i});
   }
-  if (pending_.empty()) return;
+  if (order_.empty()) return;
   // One global (time, key) sort: every receiver sees the same relative
   // delivery order no matter which shard (or thread) produced a message.
-  // stable_sort keeps the concatenation order as a last resort for duplicate
-  // keys, but the determinism contract requires keys to be unique.
-  std::stable_sort(pending_.begin(), pending_.end(), [](const Message& a, const Message& b) {
+  std::sort(order_.begin(), order_.end(), [](const Delivery& a, const Delivery& b) {
     return a.t != b.t ? a.t < b.t : a.key < b.key;
   });
-  for (Message& m : pending_) {
-    shards_[m.to].queue.schedule(m.t, std::move(m.fn));
+  // A duplicate (time, key) pair has no defined order: it would follow
+  // whichever shard produced it, so results would depend on the shard count.
+  const auto dup = std::adjacent_find(order_.begin(), order_.end(),
+                                      [](const Delivery& a, const Delivery& b) {
+                                        return a.t == b.t && a.key == b.key;
+                                      });
+  if (dup != order_.end()) {
+    throw std::logic_error("ShardEngine: duplicate message key " + std::to_string(dup->key) +
+                           " at t=" + std::to_string(dup->t) +
+                           " (keys must be globally unique)");
   }
-  pending_.clear();
+  for (const Delivery& d : order_) {
+    Message& m = outbox(d.box)[d.index];
+    shards_[m.to].queue.push(m.t, std::move(m.fn));
+  }
+  for (std::uint32_t b = 0; b < box_count; ++b) outbox(b).clear();
 }
 
 void ShardEngine::run_until(SimTime end) {
@@ -157,6 +184,7 @@ void ShardEngine::run_until(SimTime end) {
         if (!shard.queue.empty()) t_min = std::min(t_min, shard.queue.next_time());
         total_pending += shard.queue.size();
       }
+      pending_max_ = std::max(pending_max_, total_pending);
       if (t_min > end || total_pending == 0) break;
       window_end = t_min + window_;
 
@@ -188,7 +216,7 @@ void ShardEngine::run_until(SimTime end) {
 }
 
 bool ShardEngine::idle() const {
-  if (!pending_.empty()) return false;
+  if (!seeds_.empty()) return false;
   for (const Shard& shard : shards_) {
     if (!shard.queue.empty() || !shard.outbox.empty()) return false;
   }
@@ -202,7 +230,7 @@ std::uint64_t ShardEngine::processed() const {
 }
 
 std::size_t ShardEngine::pending() const {
-  std::size_t total = pending_.size();
+  std::size_t total = seeds_.size();
   for (const Shard& shard : shards_) total += shard.queue.size() + shard.outbox.size();
   return total;
 }

@@ -1,13 +1,21 @@
 // Sharded conservative time-window PDES engine (ROADMAP item 1).
 //
-// Partitions a simulation into S logical shards, each owning one
-// sim::EventQueue and a local clock. Execution proceeds in conservative time
-// windows: with every inter-shard interaction delayed by at least the window
-// length L (the lookahead), all events in [T, T + L) are causally independent
-// across shards and the per-window shard drives can run concurrently on a
-// pool of persistent worker threads (spawned once per run_until; windows are
-// far too numerous and too small to amortise per-window thread spawns). One
-// shard is the serial special case: the same window loop with no threading.
+// Partitions a simulation into S logical shards, each owning one pending-event
+// set and a local clock. Execution proceeds in conservative time windows: with
+// every inter-shard interaction delayed by at least the window length L (the
+// lookahead), all events in [T, T + L) are causally independent across shards
+// and the per-window shard drives can run concurrently on a pool of persistent
+// worker threads (spawned once per run_until; windows are far too numerous and
+// too small to amortise per-window thread spawns). One shard is the serial
+// special case: the same window loop with no threading.
+//
+// Each shard's pending set is a sim::TwoTierQueue: a small heap over the next
+// 64 windows fed from a ring of 4096 coarse buckets of 64 windows each (2 621 s
+// at the scale model's 0.01 s window, past its 900 s task period), with an
+// overflow heap beyond. It pops in exactly sim::EventQueue's (time, insertion)
+// order, but a pop touches a heap of a few hundred entries instead of one
+// holding every peer's timers. The engine never cancels, so the set keeps no
+// handles.
 //
 // Determinism contract (the PR 2 pattern, extended across threads):
 //   - Within a shard, events run in (time, insertion) order exactly like the
@@ -18,7 +26,7 @@
 //     depends only on event times (never on the shard count), the delivery
 //     batches, and therefore every receiver's event order, are byte-identical
 //     for ANY shard count and ANY worker-thread count, provided keys are
-//     globally unique (see post()).
+//     globally unique (see post(); the drain throws on a duplicate).
 //   - Worker threads touch disjoint per-shard state only (queue, clock,
 //     outbox, counters); the barrier drain runs on the calling thread.
 //
@@ -28,9 +36,12 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/inline_fn.hpp"
+#include "sim/two_tier_queue.hpp"
+#include "util/types.hpp"
 
 namespace dpjit::sim {
 
@@ -53,17 +64,20 @@ class ShardEngine {
   /// or the end of the last completed run_until.
   [[nodiscard]] SimTime now(int shard) const { return shards_[idx(shard)].now; }
 
-  /// Schedules an initial event before the first window (t >= 0, any shard).
-  /// Seeds flow through the same sorted delivery path as posted messages, so
-  /// initial-condition order is governed by (t, key), not call order.
+  /// Schedules an initial event before the first window (t >= 0, any shard;
+  /// throws std::logic_error on a negative or NaN time). Seeds flow through
+  /// the same sorted delivery path as posted messages, so initial-condition
+  /// order is governed by (t, key), not call order.
   void seed(int to_shard, SimTime t, std::uint64_t key, EventFn fn);
 
   /// Posts a message from within an executing event on `from_shard` to fire
   /// on `to_shard` at absolute time `t`. Requires t >= now(from_shard) +
   /// window (throws std::logic_error otherwise: a conservative-lookahead
-  /// violation). `key` orders messages that share an arrival time; it must be
-  /// globally unique per message (e.g. sender id << 24 | per-sender counter)
-  /// for the cross-shard-count determinism guarantee to hold.
+  /// violation; a NaN time fails the same check). `key` orders messages that
+  /// share an arrival time; it must be globally unique per message (e.g.
+  /// sender id << 24 | per-sender counter) for the cross-shard-count
+  /// determinism guarantee to hold. The barrier drain throws std::logic_error
+  /// when two messages it delivers share both time and key.
   void post(int from_shard, int to_shard, SimTime t, std::uint64_t key, EventFn fn);
 
   /// Runs windows until every queue is past `end` or drained. Events at
@@ -89,6 +103,10 @@ class ShardEngine {
   /// Pending (scheduled, not yet executed) events across all shards.
   [[nodiscard]] std::size_t pending() const;
 
+  /// Most events pending across all shards at any window barrier (after the
+  /// drain). Shard- and thread-invariant, like the window sequence.
+  [[nodiscard]] std::size_t pending_max() const { return pending_max_; }
+
   /// Windows executed so far, and how many of them ran on the thread pool.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
   [[nodiscard]] std::uint64_t parallel_windows() const { return parallel_windows_; }
@@ -101,8 +119,18 @@ class ShardEngine {
     EventFn fn;
   };
 
+  /// Sort handle of one undelivered message: outbox(box)[index].
+  struct Delivery {
+    SimTime t = 0.0;
+    std::uint64_t key = 0;
+    std::uint32_t box = 0;
+    std::uint32_t index = 0;
+  };
+
   struct Shard {
-    EventQueue queue;
+    explicit Shard(TwoTierQueue q) : queue(std::move(q)) {}
+
+    TwoTierQueue queue;
     SimTime now = 0.0;
     std::uint64_t processed = 0;
     /// Messages sent by this shard during the current window; only ever
@@ -112,20 +140,28 @@ class ShardEngine {
 
   [[nodiscard]] std::size_t idx(int shard) const;
 
+  /// Message box `b`: shard b's outbox, or the seeds for b == shards().
+  [[nodiscard]] std::vector<Message>& outbox(std::uint32_t b) {
+    return b < shards_.size() ? shards_[b].outbox : seeds_;
+  }
+
   /// Executes every event of one shard with time < window_end and <= end.
   void drive_shard(Shard& shard, SimTime window_end, SimTime end);
 
   /// Moves all outbox + seed messages into their destination queues in one
-  /// globally sorted (time, key) pass.
+  /// globally sorted (time, key) pass. Throws std::logic_error on a
+  /// duplicate (time, key) pair.
   void drain_messages();
 
   std::vector<Shard> shards_;
-  std::vector<Message> pending_;  ///< seeds + scratch for the sorted drain
+  std::vector<Message> seeds_;     ///< seeded before the first drain
+  std::vector<Delivery> order_;   ///< reused buffer for the sorted drain
   double window_ = 0.0;
   int threads_ = 0;
   std::size_t parallel_threshold_ = 2048;
   std::uint64_t windows_ = 0;
   std::uint64_t parallel_windows_ = 0;
+  std::size_t pending_max_ = 0;
   bool running_ = false;
 };
 

@@ -3,11 +3,13 @@
 
     python3 tests/build/perf_ab_test.py
 
-Builds nothing and runs no benchmark: each case feeds `perf_ab.compare` five
-hand-written result lines per side, with the bounds of the repository's
-BENCHMARK.json, or parses a command line.
+Builds nothing and runs no benchmark: each case feeds `perf_ab.compare` or
+`perf_ab.check_claim` hand-written result lines per side, with the bounds of
+the repository's BENCHMARK.json, or parses a command line.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -99,6 +101,57 @@ class PerfAbGate(unittest.TestCase):
         self.assertEqual(self.row(rows, "run_s")[7], "1/1")
 
 
+def spread_runs(values, metric="run_s"):
+    """One run per value of `metric`, the other metrics at their defaults."""
+    out = []
+    for v in values:
+        line = result()
+        line["metrics"][metric]["value"] = v
+        out.append(line)
+    return out
+
+
+class PerfAbClaim(unittest.TestCase):
+    BASE = [2.0, 2.1, 1.9, 2.05, 1.95, 2.02, 1.98, 2.08, 1.92, 2.0]
+
+    def holds(self, base, head, metric="run_s"):
+        return perf_ab.check_claim(SPEC, "w", metric, base, head)[1]
+
+    def test_better_in_every_pair_beyond_the_spread_holds(self):
+        head = spread_runs([v * 0.7 for v in self.BASE])
+        message, holds = perf_ab.check_claim(SPEC, "w", "run_s", spread_runs(self.BASE), head)
+        self.assertTrue(holds, message)
+        self.assertIn("better in 10/10", message)
+
+    def test_nine_of_ten_pairs_is_enough(self):
+        head = [v * 0.7 for v in self.BASE]
+        head[4] = 5.0
+        self.assertTrue(self.holds(spread_runs(self.BASE), spread_runs(head)))
+
+    def test_eight_of_ten_pairs_is_not(self):
+        head = [v * 0.7 for v in self.BASE]
+        head[4] = head[7] = 5.0
+        self.assertFalse(self.holds(spread_runs(self.BASE), spread_runs(head)))
+
+    def test_a_gap_inside_the_base_spread_does_not_hold(self):
+        # Better in every pair, but by less than the base's q1-q3 spread.
+        head = [v - 0.01 for v in self.BASE]
+        message, holds = perf_ab.check_claim(SPEC, "w", "run_s", spread_runs(self.BASE),
+                                             spread_runs(head))
+        self.assertFalse(holds, message)
+        self.assertIn("DOES NOT HOLD", message)
+
+    def test_a_higher_is_better_metric_claims_an_increase(self):
+        base = spread_runs([20000 + 10 * i for i in range(10)], "tasks_completed")
+        more = spread_runs([30000 + 10 * i for i in range(10)], "tasks_completed")
+        self.assertTrue(self.holds(base, more, "tasks_completed"))
+        self.assertFalse(self.holds(more, base, "tasks_completed"))
+
+    def test_a_regression_never_holds(self):
+        head = spread_runs([v * 1.5 for v in self.BASE])
+        self.assertFalse(self.holds(spread_runs(self.BASE), head))
+
+
 class PerfAbCommandLine(unittest.TestCase):
     def test_defaults_match_the_ci_job(self):
         args = perf_ab.parse_args(["base", "head"])
@@ -106,6 +159,7 @@ class PerfAbCommandLine(unittest.TestCase):
         self.assertEqual(args.workload, [])
         self.assertEqual(args.pairs, 5)
         self.assertEqual(args.seed, 1)
+        self.assertEqual(args.claim, [])
 
     def test_workloads_repeat_and_pairs_and_seed_override(self):
         args = perf_ab.parse_args(["--workload", "open-stream-1m", "--workload", "scale-100k",
@@ -113,6 +167,16 @@ class PerfAbCommandLine(unittest.TestCase):
         self.assertEqual(args.workload, ["open-stream-1m", "scale-100k"])
         self.assertEqual(args.pairs, 10)
         self.assertEqual(args.seed, 977)
+
+    def test_claims_repeat_and_split_at_the_last_colon(self):
+        args = perf_ab.parse_args(["--claim", "scale-100k:run_s", "--claim",
+                                   "open-stream-1m:peak_rss_mb", "b", "h"])
+        self.assertEqual(args.claim, [("scale-100k", "run_s"), ("open-stream-1m", "peak_rss_mb")])
+
+    def test_a_claim_without_a_metric_is_rejected(self):
+        for bad in ("scale-100k", "scale-100k:", ":run_s"):
+            with self.assertRaises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+                perf_ab.parse_args(["--claim", bad, "b", "h"])
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dpjit::sim {
@@ -128,8 +129,9 @@ TEST(ShardEngine, SelfMessagesTakeTheSameSortedPath) {
 
 /// Deterministic mini-model for invariance checks: P peers on a ring, each
 /// event folds into the OWNING peer's hash only (the scale-model state rule)
-/// and forwards to two neighbours after a delay >= the window. Returns the
-/// per-peer order hashes plus the engine's window count.
+/// and forwards to two neighbours after a delay >= the window, stretched by
+/// `delay_scale`. Returns the per-peer order hashes plus the engine's window
+/// count.
 struct MiniRun {
   std::vector<std::uint64_t> hashes;
   std::uint64_t windows = 0;
@@ -137,7 +139,7 @@ struct MiniRun {
   std::uint64_t processed = 0;
 };
 
-MiniRun run_mini_model(int shards, int threads, std::size_t threshold) {
+MiniRun run_mini_model(int shards, int threads, std::size_t threshold, double delay_scale = 1.0) {
   constexpr int kPeers = 24;
   constexpr double kWindow = 0.5;
   ShardEngine e(shards, kWindow);
@@ -163,7 +165,7 @@ MiniRun run_mini_model(int shards, int threads, std::size_t threshold) {
     if (hops <= 0) return;
     for (const int step : {1, 3}) {
       const int to = (i + step) % kPeers;
-      const double at = t + kWindow + 0.25 * step;
+      const double at = t + delay_scale * (kWindow + 0.25 * step);
       e.post(shard_of(i), shard_of(to), at, key(i),
              [&arrive, to, at, hops] { arrive(to, at, hops - 1); });
     }
@@ -173,7 +175,7 @@ MiniRun run_mini_model(int shards, int threads, std::size_t threshold) {
     const double t0 = 0.125 * i;
     e.seed(shard_of(i), t0, key(i), [&arrive, i, t0] { arrive(i, t0, 6); });
   }
-  e.run_until(60.0);
+  e.run_until(60.0 * delay_scale);
 
   MiniRun out;
   for (const Peer& p : peers) out.hashes.push_back(p.hash);
@@ -184,21 +186,28 @@ MiniRun run_mini_model(int shards, int threads, std::size_t threshold) {
 }
 
 TEST(ShardEngine, ResultsInvariantAcrossShardAndThreadCounts) {
-  const MiniRun base = run_mini_model(1, 1, 2048);
-  ASSERT_GT(base.processed, 24u * 50u);  // the cascade actually ran
-  for (const int shards : {2, 3, 4, 8, 24}) {
-    for (const int threads : {1, 2, 4}) {
-      // Threshold 0 forces EVERY window through the worker-pool path.
-      const MiniRun run = run_mini_model(shards, threads, 0);
-      EXPECT_EQ(run.hashes, base.hashes) << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(run.processed, base.processed) << "shards=" << shards << " threads=" << threads;
-      // The window sequence itself is shard-invariant (it depends only on
-      // event times), which is what makes the above possible.
-      EXPECT_EQ(run.windows, base.windows) << "shards=" << shards << " threads=" << threads;
-      if (threads > 1) {
-        EXPECT_GT(run.parallel_windows, 0u)
-            << "forced threshold should exercise the pool (shards=" << shards
-            << " threads=" << threads << ")";
+  // At delay scale 1 every event stays inside the pending set's ring (4096
+  // buckets of 64 windows, 131 072 s here). At 2e5 every forward lands
+  // beyond it, after an idle gap: refills jump across an empty ring into
+  // the overflow, and later forwards mix the ring with the overflow.
+  for (const double delay_scale : {1.0, 2e5}) {
+    const MiniRun base = run_mini_model(1, 1, 2048, delay_scale);
+    ASSERT_GT(base.processed, 24u * 50u) << "delay_scale=" << delay_scale;  // the cascade ran
+    for (const int shards : {2, 3, 4, 8, 24}) {
+      for (const int threads : {1, 2, 4}) {
+        const auto where = ::testing::Message() << "delay_scale=" << delay_scale
+                                                << " shards=" << shards << " threads=" << threads;
+        // Threshold 0 forces EVERY window through the worker-pool path.
+        const MiniRun run = run_mini_model(shards, threads, 0, delay_scale);
+        EXPECT_EQ(run.hashes, base.hashes) << where;
+        EXPECT_EQ(run.processed, base.processed) << where;
+        // The window sequence itself is shard-invariant (it depends only on
+        // event times), which is what makes the above possible.
+        EXPECT_EQ(run.windows, base.windows) << where;
+        if (threads > 1) {
+          EXPECT_GT(run.parallel_windows, 0u) << "forced threshold should exercise the pool; "
+                                              << where;
+        }
       }
     }
   }
@@ -211,6 +220,43 @@ TEST(ShardEngine, SingleNodeShardsAndAllInOneShardAgree) {
   const MiniRun finest = run_mini_model(24, 2, 0);
   EXPECT_EQ(one.hashes, finest.hashes);
   EXPECT_EQ(one.windows, finest.windows);
+}
+
+TEST(ShardEngine, DuplicateTimeAndKeyThrows) {
+  // Two deliveries sharing (time, key) have no defined order: it would follow
+  // the shard that produced each, so it would change with the shard count.
+  for (const int shards : {1, 2}) {
+    ShardEngine e(shards, 1.0);
+    e.seed(0, 1.0, 10, [&] { e.post(0, 0, 3.0, /*key=*/7, [] {}); });
+    e.seed(shards - 1, 1.5, 11, [&] { e.post(shards - 1, 0, 3.0, /*key=*/7, [] {}); });
+    try {
+      e.run_until(5.0);
+      ADD_FAILURE() << "duplicate key accepted at shards=" << shards;
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find("duplicate message key 7"), std::string::npos)
+          << err.what();
+    }
+  }
+  // Seeds take the same drain.
+  ShardEngine seeded(1, 1.0);
+  seeded.seed(0, 2.0, 5, [] {});
+  seeded.seed(0, 2.0, 5, [] {});
+  EXPECT_THROW(seeded.run_until(5.0), std::logic_error);
+  // A key may repeat at a different time.
+  ShardEngine ok(1, 1.0);
+  ok.seed(0, 2.0, 5, [] {});
+  ok.seed(0, 3.0, 5, [] {});
+  EXPECT_NO_THROW(ok.run_until(5.0));
+  EXPECT_EQ(ok.processed(), 2u);
+}
+
+TEST(ShardEngine, NanTimesAreRejected) {
+  ShardEngine e(1, 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(e.seed(0, nan, 1, [] {}), std::logic_error);
+  e.seed(0, 1.0, 2, [&] { EXPECT_THROW(e.post(0, 0, nan, 3, [] {}), std::logic_error); });
+  e.run_until(2.0);
+  EXPECT_EQ(e.processed(), 1u);
 }
 
 TEST(ShardEngine, ExceptionInParallelWindowPropagates) {
@@ -240,6 +286,7 @@ TEST(ShardEngine, AccountingCoversQueuesOutboxesAndSeeds) {
   EXPECT_EQ(e.processed(), 2u);
   EXPECT_EQ(e.pending(), 0u);
   EXPECT_TRUE(e.idle());
+  EXPECT_EQ(e.pending_max(), 2u);  // both seeds, at the first barrier
 }
 
 }  // namespace

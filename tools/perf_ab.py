@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Same-machine A/B of the repository benchmark between two checkouts.
 
-Usage: perf_ab.py [--workload NAME]... [--pairs N] [--seed S] BASE_DIR HEAD_DIR
+Usage: perf_ab.py [--workload NAME]... [--pairs N] [--seed S]
+                  [--claim WORKLOAD:METRIC]... BASE_DIR HEAD_DIR
 
 For every workload of HEAD_DIR's BENCHMARK.json that BASE_DIR's also names
 (or only the --workload ones), runs N interleaved pairs (default 5) of
@@ -17,6 +18,11 @@ better than BASE (the pair-wise reading a speed-up claim needs).
 Exits 1 when any run is not `correct`, when a workload's failed share
 (failed / attempted replications) is higher at HEAD, or when an end-to-end
 metric's HEAD median is worse than the BASE median by more than its bound.
+
+`--claim WORKLOAD:METRIC` (repeatable) also checks a claimed gain on one
+end-to-end metric by the speed-claim rule: HEAD must be better in at least
+9 of every 10 pairs, and its median must beat the BASE median by more than
+the BASE q1-q3 spread. A claim that does not hold exits 1 as well.
 """
 
 import argparse
@@ -102,6 +108,27 @@ def compare(spec, workload, base_runs, head_runs):
     return rows, failures
 
 
+def check_claim(spec, workload, metric, base_runs, head_runs):
+    """Applies the speed-claim rule to one end-to-end metric.
+
+    Returns (message, holds). The gap is signed so that a positive value is
+    an improvement, whichever way the metric is better.
+    """
+    better_dir = next(m["better"] for m in spec["end_to_end"] if m["name"] == metric)
+    sign = 1 if better_dir == "lower" else -1
+    base_values = [r["metrics"][metric]["value"] for r in base_runs]
+    head_values = [r["metrics"][metric]["value"] for r in head_runs]
+    better = sum(1 for b, h in zip(base_values, head_values) if sign * (h - b) < 0)
+    base, head = quartiles(base_values), quartiles(head_values)
+    gap = sign * (base[1] - head[1])
+    spread = base[2] - base[0]
+    holds = 10 * better >= 9 * len(base_values) and gap > spread
+    message = ("claim %s %s: better in %d/%d pairs (needs 9/10), median gap %.6g vs base "
+               "q1-q3 spread %.6g: %s" % (workload, metric, better, len(base_values), gap,
+                                          spread, "holds" if holds else "DOES NOT HOLD"))
+    return message, holds
+
+
 def print_table(rows):
     def cell(q):
         return "%.6g [%.6g, %.6g]" % (q[1], q[0], q[2])
@@ -125,9 +152,18 @@ def parse_args(argv):
                         help="interleaved pairs per workload (default %d)" % PAIRS)
     parser.add_argument("--seed", type=int, default=SEED, metavar="S",
                         help="perfbench world seed (default %d)" % SEED)
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                        help="check a claimed gain by the speed-claim rule (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    claims = []
+    for claim in args.claim:
+        workload, _, metric = claim.rpartition(":")
+        if not workload or not metric:
+            parser.error("--claim takes WORKLOAD:METRIC, got %r" % claim)
+        claims.append((workload, metric))
+    args.claim = claims
     return args
 
 
@@ -142,11 +178,20 @@ def main():
             sys.exit("perf_ab: unknown workload %s (known: %s)" % (name, ", ".join(workloads)))
     if args.workload:
         workloads = [w for w in workloads if w in args.workload]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    for workload, metric in args.claim:
+        if workload not in workloads:
+            sys.exit("perf_ab: claim on %s, which this run does not include" % workload)
+        if metric not in metrics:
+            sys.exit("perf_ab: claim on %s, which is not an end-to-end metric (known: %s)" %
+                     (metric, ", ".join(metrics)))
 
-    rows, failures = [], []
+    rows, failures, claim_lines = [], [], []
     for workload in workloads:
         if workload not in base_names:
             print("perf_ab: %s is new at HEAD; not gated" % workload, flush=True)
+            failures += ["claim %s %s: the base has no such workload" % (workload, metric)
+                         for claimed, metric in args.claim if claimed == workload]
             continue
         runs = {base_dir: [], head_dir: []}
         for pair in range(args.pairs):
@@ -158,9 +203,18 @@ def main():
                                                    runs[head_dir])
         rows += workload_rows
         failures += workload_failures
+        for claimed, metric in args.claim:
+            if claimed == workload:
+                message, holds = check_claim(spec, workload, metric, runs[base_dir],
+                                             runs[head_dir])
+                claim_lines.append(message)
+                if not holds:
+                    failures.append(message)
 
     print()
     print_table(rows)
+    for message in claim_lines:
+        print("perf_ab: " + message)
     for message in failures:
         print("perf_ab: FAIL " + message, file=sys.stderr)
     sys.exit(1 if failures else 0)

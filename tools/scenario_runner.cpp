@@ -239,6 +239,7 @@ int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
     std::cout << "  \"events_processed\": " << r.events_processed << ",\n";
     std::cout << "  \"windows\": " << r.windows << ",\n";
     std::cout << "  \"parallel_windows\": " << r.parallel_windows << ",\n";
+    std::cout << "  \"pending_max\": " << r.pending_max << ",\n";
     std::cout << "  \"tasks_completed\": " << r.tasks_completed << ",\n";
     std::cout << "  \"transfers_completed\": " << r.transfers_completed << ",\n";
     std::cout << "  \"mb_transferred\": " << r.mb_transferred << ",\n";
