@@ -53,6 +53,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const auto t1 = std::chrono::steady_clock::now();
   auto result = summarize(world, std::chrono::duration<double>(t1 - t0).count());
   result.events_processed = world.engine().processed();
+  result.pending_max = world.engine().pending_max();
   return result;
 }
 

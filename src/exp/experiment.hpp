@@ -68,6 +68,9 @@ struct ExperimentResult {
   /// The deepest any node's phase-2 ready set got. NOT part of result_digest.
   std::uint64_t ready_depth_max = 0;
   std::uint64_t events_processed = 0;
+  /// The most events the engine held pending at once (sim::Engine::
+  /// pending_max). NOT part of result_digest.
+  std::uint64_t pending_max = 0;
   double wall_seconds = 0.0;
 };
 

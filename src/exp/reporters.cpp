@@ -132,6 +132,7 @@ void write_results_json(std::ostream& os, const std::vector<ExperimentResult>& r
     json.kv("ct_p95_s", r.ct_p95);
     json.kv("ct_p99_s", r.ct_p99);
     json.kv("ready_depth_max", r.ready_depth_max);
+    json.kv("pending_max", r.pending_max);
     json.kv("wall_seconds", r.wall_seconds);
     const std::pair<const char*, const std::vector<CurvePoint>*> curves[] = {
         {"throughput", &r.throughput},

@@ -83,6 +83,7 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
       params_.aggregation_epoch_cycles > 0 &&
       cycle % static_cast<std::uint64_t>(params_.aggregation_epoch_cycles) == 0 && cycle > 0;
 
+  const std::uint32_t r = acquire_round();
   for (int i = 0; i < n_; ++i) {
     const NodeId me{i};
     if (!alive_(me)) continue;
@@ -94,9 +95,10 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
       reseed_aggregation(me);
     }
     g.rss.expire(engine_.now(), params_.staleness_bound_s, me);
-    epidemic_push(me);
+    epidemic_push(me, rounds_[r]);
     aggregation_exchange(me);
   }
+  post_round(r);
 }
 
 const std::vector<NodeId>& MixedGossipService::pick_targets(NodeId from, int count) {
@@ -120,53 +122,119 @@ const std::vector<NodeId>& MixedGossipService::pick_targets(NodeId from, int cou
   return targets_;
 }
 
-template <typename Deliver>
-void MixedGossipService::post_message(NodeId from, NodeId to, std::uint64_t bytes,
-                                      Deliver deliver) {
-  static_assert(sizeof(Deliver) <= sim::kInlineFnCapacity,
-                "delivery captures must fit the engine's inline event buffer");
+int MixedGossipService::send(NodeId from, NodeId to, std::uint64_t bytes, double& delay) {
   ++messages_sent_;
   bytes_sent_ += bytes;
   // Without a plan (or with all message knobs zero) the draw consumes no
   // randomness and yields the default fate: one copy, no extra delay.
   const sim::MessageFate fate = faults_ != nullptr ? faults_->draw_message_fate()
                                                    : sim::MessageFate{};
-  if (fate.lost) return;
-  const double delay = std::max(0.0, latency_(from, to)) + fate.extra_delay_s;
-  for (int c = 0; c < fate.copies; ++c) engine_.schedule_in(delay, deliver);
+  if (fate.lost) return 0;
+  delay = std::max(0.0, latency_(from, to)) + fate.extra_delay_s;
+  // Negated so that NaN fails too: it would break the order of a round's sort.
+  if (!(delay >= 0.0)) throw std::logic_error("MixedGossipService: negative or NaN delay");
+  return fate.copies;
 }
 
-void MixedGossipService::epidemic_push(NodeId from) {
+template <typename Deliver>
+void MixedGossipService::post_message(NodeId from, NodeId to, std::uint64_t bytes,
+                                      Deliver deliver) {
+  static_assert(sizeof(Deliver) <= sim::kInlineFnCapacity,
+                "delivery captures must fit the engine's inline event buffer");
+  double delay = 0.0;
+  for (int c = send(from, to, bytes, delay); c > 0; --c) engine_.schedule_in(delay, deliver);
+}
+
+void MixedGossipService::epidemic_push(NodeId from, Round& round) {
   auto& g = nodes_[static_cast<std::size_t>(from.get())];
+  const SimTime now = engine_.now();
 
   // Build the message once and share it across all targets: own fresh state
   // plus every cached entry that still has forwarding budget.
-  auto message = std::make_shared<std::vector<ResourceEntry>>();
+  const auto first = static_cast<std::uint32_t>(round.entries.size());
   double load = 0.0;
   double cap = 1.0;
   local_state_(from, load, cap);
-  message->push_back(ResourceEntry{from, load, cap, engine_.now(), params_.ttl});
+  round.entries.push_back(ResourceEntry{from, load, cap, now, params_.ttl});
   for (const auto& e : g.rss.entries()) {
     if (e.ttl > 0) {
       ResourceEntry fwd = e;
       fwd.ttl -= 1;
-      message->push_back(fwd);
+      round.entries.push_back(fwd);
     }
   }
+  const auto last = static_cast<std::uint32_t>(round.entries.size());
 
   // Wire-format accounting per Section IV.A: 20-byte header + 20 bytes per
   // carried entry (id, load, capacity, timestamp, ttl).
-  const std::uint64_t message_bytes = 20 + 20 * message->size();
+  const std::uint64_t message_bytes = 20 + 20 * std::uint64_t{last - first};
 
+  const std::size_t posted = round.deliveries.size();
   for (NodeId to : pick_targets(from, fanout_)) {
-    post_message(from, to, message_bytes, [this, to, message] {
-      if (!alive_(to)) return;  // died while the message was in flight
-      receive(to, *message);
-    });
+    double delay = 0.0;
+    for (int c = send(from, to, message_bytes, delay); c > 0; --c) {
+      round.deliveries.push_back(Delivery{now + delay, engine_.reserve_seq(), to, first, last});
+    }
+  }
+  if (round.deliveries.size() == posted) round.entries.resize(first);  // nobody to tell
+}
+
+void MixedGossipService::post_round(std::uint32_t r) {
+  auto& deliveries = rounds_[r].deliveries;
+  if (deliveries.empty()) {
+    release_round(r);
+    return;
+  }
+  std::sort(deliveries.begin(), deliveries.end(), [](const Delivery& a, const Delivery& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  });
+  const Delivery& head = deliveries.front();
+  engine_.schedule_reserved(head.at, head.seq, [this, r] { drain_round(r); });
+}
+
+void MixedGossipService::drain_round(std::uint32_t r) {
+  Round& round = rounds_[r];
+  for (;;) {
+    const Delivery& d = round.deliveries[round.next++];
+    if (alive_(d.to)) {  // a receiver that died while the message was in flight drops it
+      receive(d.to, std::span(round.entries).subspan(d.first, d.last - d.first));
+    }
+    if (round.next == round.deliveries.size()) {
+      release_round(r);
+      return;
+    }
+    const Delivery& next = round.deliveries[round.next];
+    if (!engine_.take_next(next.at, next.seq)) {
+      engine_.schedule_reserved(next.at, next.seq, [this, r] { drain_round(r); });
+      return;
+    }
   }
 }
 
-void MixedGossipService::receive(NodeId to, const std::vector<ResourceEntry>& entries) {
+std::uint32_t MixedGossipService::acquire_round() {
+  if (!free_rounds_.empty()) {
+    const std::uint32_t r = free_rounds_.back();
+    free_rounds_.pop_back();
+    return r;
+  }
+  // Sized for a full push of every node up front: grown by doubling, the
+  // arena's discarded halves fragment the heap.
+  const auto n = static_cast<std::size_t>(n_);
+  Round& round = rounds_.emplace_back();
+  round.entries.reserve(n * static_cast<std::size_t>(cache_size_ + 1));
+  round.deliveries.reserve(n * static_cast<std::size_t>(fanout_));
+  return static_cast<std::uint32_t>(rounds_.size() - 1);
+}
+
+void MixedGossipService::release_round(std::uint32_t r) {
+  Round& round = rounds_[r];
+  round.entries.clear();
+  round.deliveries.clear();
+  round.next = 0;
+  free_rounds_.push_back(r);
+}
+
+void MixedGossipService::receive(NodeId to, std::span<const ResourceEntry> entries) {
   auto& rss = nodes_[static_cast<std::size_t>(to.get())].rss;
   const auto accept_all = [](const ResourceEntry&) { return true; };
   if (detector_) {

@@ -7,11 +7,24 @@
 // exchanges are executed atomically at cycle ticks, exactly as cycle-driven
 // Peersim protocols do (the control traffic is tiny - ~100 bytes per message,
 // see Section IV.A - so its latency is irrelevant at 5-minute cycles).
+//
+// Every node pushes at the same cycle instant, so the idealized mode collects
+// a cycle's epidemic deliveries into one *round*: the pushed entries in a
+// flat arena and one (time, seq, target, entry range) record per delivery
+// copy. Fault fates, byte charges and engine sequence numbers are taken as
+// each push is posted, exactly where scheduling one event per copy took them.
+// The round then keeps a single engine event pending - its earliest record -
+// and delivers its records in (time, seq) order, running each successor in
+// place while sim::Engine::take_next() allows and re-posting it otherwise.
+// Delivery order and the engine's event count are those of one event per
+// copy. The message-level legs (SYNC/ACK1/ACK2) still schedule one event per
+// message: their replies are built at delivery time.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gossip/failure_detector.hpp"
@@ -141,7 +154,7 @@ class MixedGossipService {
   /// dropped there), in the idealized mode the oracular alive() filter runs
   /// only for entries above the stamp floor. Every gossip leg delivers
   /// through here; tests drive it directly.
-  void receive(NodeId to, const std::vector<ResourceEntry>& entries);
+  void receive(NodeId to, std::span<const ResourceEntry> entries);
 
  private:
   /// One wire-format resource summary: (node, snapshot time). 12 bytes.
@@ -150,7 +163,35 @@ class MixedGossipService {
     SimTime stamped_at = 0.0;
   };
 
-  void epidemic_push(NodeId from);
+  /// One delivery copy of a round: `to` receives arena entries [first, last)
+  /// at `at`, ordered by the engine sequence number reserved at post time.
+  struct Delivery {
+    SimTime at;
+    std::uint64_t seq;
+    NodeId to;
+    std::uint32_t first;
+    std::uint32_t last;
+  };
+  /// One cycle's epidemic push (idealized mode). Drained rounds keep their
+  /// storage and are reused.
+  struct Round {
+    std::vector<ResourceEntry> entries;
+    std::vector<Delivery> deliveries;
+    std::size_t next = 0;  ///< first undelivered record
+  };
+
+  /// Appends `from`'s push to `round`: its message to the arena, one record
+  /// per delivery copy.
+  void epidemic_push(NodeId from, Round& round);
+  /// Sorts a filled round and schedules its earliest record (or recycles an
+  /// empty round).
+  void post_round(std::uint32_t r);
+  /// The round's pending event: delivers the next record, then as many more
+  /// as the engine lets it take in place, then re-posts the rest.
+  void drain_round(std::uint32_t r);
+  /// A free round (recycled, or new and sized for a full push), and back.
+  [[nodiscard]] std::uint32_t acquire_round();
+  void release_round(std::uint32_t r);
   void aggregation_exchange(NodeId from);
   void reseed_aggregation(NodeId n);
   /// Up to `count` gossip partners from `from`'s view. The result lives in a
@@ -168,8 +209,12 @@ class MixedGossipService {
   /// exhausted - the message is simply never sent, as a real rate limiter
   /// would do, and the peer's ack timeout handles the fallout.
   [[nodiscard]] bool try_consume_budget(NodeId n);
-  /// Applies fault fates and schedules delivery copies of `deliver` straight
-  /// into the engine's inline event callbacks.
+  /// Charges one message of `bytes` from `from` to `to` and draws its fault
+  /// fate. Returns the number of copies to deliver (0 when lost), each after
+  /// `delay` seconds.
+  [[nodiscard]] int send(NodeId from, NodeId to, std::uint64_t bytes, double& delay);
+  /// send(), then schedules the delivery copies of `deliver` straight into
+  /// the engine's inline event callbacks.
   template <typename Deliver>
   void post_message(NodeId from, NodeId to, std::uint64_t bytes, Deliver deliver);
   /// The entry `from` forwards about `node` right now (own fresh state when
@@ -196,6 +241,9 @@ class MixedGossipService {
   /// pick_targets() scratch: the shuffled view and the chosen partners.
   std::vector<NodeId> candidates_;
   std::vector<NodeId> targets_;
+  /// Epidemic rounds, in flight or free for reuse (indices in free_rounds_).
+  std::vector<Round> rounds_;
+  std::vector<std::uint32_t> free_rounds_;
 
   // --- message-level mode state ---
   std::unique_ptr<FailureDetector> detector_;

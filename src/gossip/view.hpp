@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -58,7 +59,7 @@ class ResourceView {
   /// pure read; `screen` runs for every entry and may have side effects.
   /// Returns the number of entries the floor skipped.
   template <typename Screen, typename Accept>
-  std::size_t merge_message(const std::vector<ResourceEntry>& entries, Screen&& screen,
+  std::size_t merge_message(std::span<const ResourceEntry> entries, Screen&& screen,
                             Accept&& accept) {
     std::size_t skipped = 0;
     SimTime floor = stamp_floor();

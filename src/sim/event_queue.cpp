@@ -7,7 +7,8 @@
 
 namespace dpjit::sim {
 
-EventQueue::Handle EventQueue::schedule(SimTime t, EventFn fn) {
+EventQueue::Handle EventQueue::schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn) {
+  assert(seq < next_seq_);
   std::uint32_t slot;
   if (free_head_ != kNpos) {
     slot = free_head_;
@@ -24,7 +25,7 @@ EventQueue::Handle EventQueue::schedule(SimTime t, EventFn fn) {
   s.fn = std::move(fn);
   s.next_free = kNpos;
   heap_.emplace_back();  // grow; sift_up fills the hole bottom-up
-  sift_up(heap_.size() - 1, HeapEntry{encode_time(t), next_seq_++, slot});
+  sift_up(heap_.size() - 1, HeapEntry{encode_time(t), seq, slot});
   return ((s.generation & kGenMask) << kSlotBits) | slot;
 }
 

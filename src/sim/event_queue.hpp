@@ -7,6 +7,11 @@
 // a cancelled event leaves no tombstone behind and its callback is destroyed
 // immediately. A handle from a freed slot is rejected by the generation
 // check, so double-cancel and cancel-after-fire are safe no-ops.
+//
+// A producer that batches events outside the queue (the gossip layer's
+// delivery rounds) reserves each event's sequence number at the moment it
+// would have scheduled it, and schedules it later under that number: the
+// (time, seq) order is then exactly what scheduling at reservation time gives.
 #pragma once
 
 #include <cassert>
@@ -36,7 +41,24 @@ class EventQueue {
   static constexpr Handle kInvalidHandle = 0;
 
   /// Schedules `fn` at absolute time `t`. Returns a cancellation handle.
-  Handle schedule(SimTime t, EventFn fn);
+  Handle schedule(SimTime t, EventFn fn) {
+    return schedule_reserved(t, reserve_seq(), std::move(fn));
+  }
+
+  /// Takes the next insertion sequence number without scheduling anything.
+  /// Every schedule() takes one too, so a reserved number orders the later
+  /// event exactly where an event scheduled now would have gone.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `fn` at time `t` under a sequence number from reserve_seq().
+  /// Each reserved number may be used once.
+  Handle schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
+
+  /// True when an event keyed (t, seq) would pop before every pending one
+  /// (always, when the queue is empty).
+  [[nodiscard]] bool precedes_next(SimTime t, std::uint64_t seq) const {
+    return heap_.empty() || before(HeapEntry{encode_time(t), seq, 0}, heap_.front());
+  }
 
   /// Cancels a pending event, destroying its callback and freeing its slot.
   /// Returns false if it already fired/was cancelled (stale generation).

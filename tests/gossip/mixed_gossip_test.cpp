@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "gossip/mixed_gossip.hpp"
 
@@ -215,11 +218,113 @@ TEST(MixedGossip, MessageModeDetectorSeesEntriesBelowTheStampFloor) {
   ASSERT_LT(stamp, view.stamp_floor());
   const auto refutations = detector->refutations();
   const auto rejections = h.service_->floor_rejections();
-  h.service_->receive(*receiver, {ResourceEntry{dead, 0.0, 1.0, stamp, 4}});
+  h.service_->receive(*receiver,
+                      std::vector<ResourceEntry>{ResourceEntry{dead, 0.0, 1.0, stamp, 4}});
   EXPECT_EQ(detector->refutations(), refutations + 1);
   EXPECT_FALSE(detector->believes_dead(*receiver, dead));
   EXPECT_FALSE(view.contains(dead));
   EXPECT_EQ(h.service_->floor_rejections(), rejections + 1);
+}
+
+TEST(MixedGossip, RoundDeliversInPerMessageOrder) {
+  // A faulty round (lost, duplicated and delayed copies) on latencies with
+  // many equal delivery times, plus foreign events created mid-round and
+  // before it at tied times. The reference is the order one engine event per
+  // delivery copy produced: copies sorted by time, ties in creation order.
+  // Without loss, duplication or extra delay a copy lands at
+  // now + 0.25 * ((from + to) % 3).
+  const int n = 12;
+  sim::FaultParams faults;
+  faults.msg_loss_p = 0.1;
+  faults.msg_dup_p = 0.3;
+  faults.msg_delay_p = 0.3;
+  faults.msg_delay_max_s = 1.0;
+  sim::Engine engine;
+  sim::FaultPlan plan(engine, faults, n, 0, util::Rng(5));
+  sim::Engine twin_engine;
+  sim::FaultPlan twin(twin_engine, faults, n, 0, util::Rng(5));  // replays the fates
+
+  // Reference items in creation order: a foreign event (node -1) or one
+  // posted message (its receiver), created at `now` to land `delay` later.
+  struct Item {
+    int node;
+    double now;
+    double delay;
+  };
+  std::vector<Item> created;
+  // Recorded order: each engine event's first alive() call is a delivery's
+  // receiver check; foreign events log themselves.
+  std::vector<std::pair<int, double>> received;
+  std::uint64_t last_event = 0;
+  int latency_calls = 0;
+  const auto foreign = [&](double delay) {
+    created.push_back(Item{-1, engine.now(), delay});
+    engine.schedule_in(delay, [&] {
+      last_event = engine.processed();
+      received.emplace_back(-1, engine.now());
+    });
+  };
+  MixedGossipService service(
+      engine, GossipParams{}, n,
+      [](NodeId id, double& load, double& cap) {
+        load = 10.0 * id.get();
+        cap = 1.0 + id.get();
+      },
+      [&](NodeId id) {
+        if (engine.processed() != last_event) {
+          last_event = engine.processed();
+          received.emplace_back(id.get(), engine.now());
+        }
+        return true;
+      },
+      [&](NodeId from, NodeId to) {
+        const double latency = 0.25 * ((from.get() + to.get()) % 3);
+        if (++latency_calls % 7 == 0) foreign(0.25);  // mid-round, tied
+        created.push_back(Item{to.get(), engine.now(), latency});
+        return latency;
+      },
+      [](NodeId) { return 1.0; }, util::Rng(42), &plan);
+  for (int i = 0; i < n; ++i) {
+    service.node_joined(NodeId{i}, {NodeId{(i + 1) % n}, NodeId{(i + 5) % n}});
+  }
+
+  for (std::uint64_t cycle = 0; cycle < 4; ++cycle) {
+    created.clear();
+    received.clear();
+    latency_calls = 0;
+    foreign(0.5);  // before the round, tied with its copies
+    last_event = engine.processed();
+    service.run_cycle(cycle);
+    // The round is one pending event, next to the foreign ones.
+    const auto foreign_count =
+        std::count_if(created.begin(), created.end(), [](const Item& i) { return i.node < 0; });
+    ASSERT_EQ(engine.pending(), static_cast<std::size_t>(foreign_count) + 1) << "cycle " << cycle;
+
+    std::vector<std::pair<int, double>> expected;
+    for (const Item& item : created) {
+      if (item.node < 0) {
+        expected.emplace_back(-1, item.now + item.delay);
+        continue;
+      }
+      sim::MessageFate fate = twin.draw_message_fate();
+      while (fate.lost) fate = twin.draw_message_fate();  // lost sends never ask latency
+      const double at = item.now + (item.delay + fate.extra_delay_s);
+      for (int c = 0; c < fate.copies; ++c) expected.emplace_back(item.node, at);
+    }
+    // Sends lost after the last latency call.
+    while (twin.messages_lost() < plan.messages_lost()) {
+      ASSERT_TRUE(twin.draw_message_fate().lost);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) { return a.second < b.second; });
+
+    const std::uint64_t before = engine.processed();
+    engine.run_until(engine.now() + 2.0);
+    EXPECT_EQ(received, expected) << "cycle " << cycle;
+    EXPECT_EQ(engine.processed() - before, expected.size()) << "cycle " << cycle;
+  }
+  EXPECT_GT(plan.messages_duplicated(), 0u);
+  EXPECT_GT(plan.messages_delayed(), 0u);
 }
 
 }  // namespace
