@@ -76,13 +76,4 @@ std::uint64_t result_digest(const ExperimentResult& r) {
   return h;
 }
 
-std::uint64_t results_digest(const std::vector<ExperimentResult>& results) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& r : results) {
-    h ^= result_digest(r);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace dpjit::exp

@@ -86,7 +86,4 @@ struct ExperimentResult {
 /// benchmark's pins, the scenario conformance tier and CI golden-digest checks.
 [[nodiscard]] std::uint64_t result_digest(const ExperimentResult& r);
 
-/// Order-sensitive combination of per-result digests for whole sweeps.
-[[nodiscard]] std::uint64_t results_digest(const std::vector<ExperimentResult>& results);
-
 }  // namespace dpjit::exp

@@ -183,12 +183,6 @@ class ScaleModel {
         engine_(l_.shards, l_.window),
         peers_(static_cast<std::size_t>(params.peers)) {
     engine_.set_threads(p_.threads);
-    // The default gate (128 events/window) sits about twice above the
-    // break-even of the barrier handoff (~10-20 us) against the ~0.35 us a
-    // parallel window spends per event (pop plus handler, measured on the
-    // 10^5-peer run) at 4 workers: the 10^6-peer nightly runs a few hundred
-    // events per 10 ms window and parallelises, the 10^5-peer run (~20 per
-    // window) stays inline, where threading could only lose.
     engine_.set_parallel_threshold(p_.parallel_threshold);
   }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "sim/shard_engine.hpp"
 #include "util/types.hpp"
 
 namespace dpjit::net {
@@ -87,7 +88,7 @@ struct ScaleParams {
   /// Events-executed-per-window gate before windows are driven on the worker
   /// pool (sim::ShardEngine::set_parallel_threshold). Never affects results;
   /// tests set 0 to force every window onto the pool even at tiny scale.
-  std::size_t parallel_threshold = 128;
+  std::size_t parallel_threshold = sim::kDefaultParallelThreshold;
   double horizon_s = 3600.0;
   /// Mean of the per-peer exponential gossip interval.
   double gossip_period_s = 300.0;

@@ -182,16 +182,6 @@ TraceWorkload load_trace(const std::string& path, TraceFormat format) {
   return parse_trace(in, format);
 }
 
-void write_swf(std::ostream& os, const TraceWorkload& workload) {
-  os << "; Generated by dpjit trace exporter (normalized workload)\n";
-  os << "; Jobs: " << workload.jobs.size() << "\n";
-  for (const auto& j : workload.jobs) {
-    // 18 SWF columns; the ones a TraceJob does not model are -1 (missing).
-    os << j.id << ' ' << j.submit_s << " -1 " << j.runtime_s << ' ' << j.procs
-       << " -1 -1 -1 -1 -1 1 " << j.owner << " -1 -1 -1 -1 -1 -1\n";
-  }
-}
-
 namespace {
 
 /// CV^2 of Weibull(k, .): Gamma(1+2/k)/Gamma(1+1/k)^2 - 1, strictly

@@ -99,11 +99,6 @@ struct TraceWorkload {
 [[nodiscard]] TraceWorkload load_trace(const std::string& path,
                                        TraceFormat format = TraceFormat::kAuto);
 
-/// Writes a normalized workload back out as canonical SWF (18 columns, -1 for
-/// the fields TraceJob does not carry). parse(write(parse(x))) == parse(x) —
-/// the round-trip property the parser tests pin.
-void write_swf(std::ostream& os, const TraceWorkload& workload);
-
 /// Distribution estimates fitted from a trace (Guazzone-style workload model).
 struct TraceFit {
   /// Interarrival Weibull(shape k, scale lambda), matched to the empirical

@@ -13,6 +13,20 @@ int derive_log2(int n) {
   return std::max(1, k);
 }
 
+/// True on the cycles that close an aggregation epoch (never cycle 0).
+bool epoch_boundary(const GossipParams& params, std::uint64_t cycle) {
+  return params.aggregation_epoch_cycles > 0 &&
+         cycle % static_cast<std::uint64_t>(params.aggregation_epoch_cycles) == 0 && cycle > 0;
+}
+
+/// One push-pull averaging step: both ends leave with the pair's mean.
+void average_pair(NodeGossip& a, NodeGossip& b) {
+  const double cap_mid = 0.5 * (a.agg_capacity.current + b.agg_capacity.current);
+  const double bw_mid = 0.5 * (a.agg_bandwidth.current + b.agg_bandwidth.current);
+  a.agg_capacity.current = b.agg_capacity.current = cap_mid;
+  a.agg_bandwidth.current = b.agg_bandwidth.current = bw_mid;
+}
+
 }  // namespace
 
 MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params, int node_count,
@@ -74,26 +88,27 @@ void MixedGossipService::reseed_aggregation(NodeId n) {
   if (g.agg_bandwidth.published == 0.0) g.agg_bandwidth.published = g.agg_bandwidth.current;
 }
 
+void MixedGossipService::publish_and_reseed(NodeId n) {
+  // Publish the converged value, then restart from the local observation.
+  auto& g = nodes_[static_cast<std::size_t>(n.get())];
+  g.agg_capacity.published = g.agg_capacity.current;
+  g.agg_bandwidth.published = g.agg_bandwidth.current;
+  reseed_aggregation(n);
+}
+
 void MixedGossipService::run_cycle(std::uint64_t cycle) {
   if (params_.message_level) {
     run_cycle_message(cycle);
     return;
   }
-  const bool epoch_boundary =
-      params_.aggregation_epoch_cycles > 0 &&
-      cycle % static_cast<std::uint64_t>(params_.aggregation_epoch_cycles) == 0 && cycle > 0;
+  const bool new_epoch = epoch_boundary(params_, cycle);
 
   const std::uint32_t r = acquire_round();
   for (int i = 0; i < n_; ++i) {
     const NodeId me{i};
     if (!alive_(me)) continue;
+    if (new_epoch) publish_and_reseed(me);
     auto& g = nodes_[static_cast<std::size_t>(i)];
-    if (epoch_boundary) {
-      // Publish the converged value, then restart from the local observation.
-      g.agg_capacity.published = g.agg_capacity.current;
-      g.agg_bandwidth.published = g.agg_bandwidth.current;
-      reseed_aggregation(me);
-    }
     g.rss.expire(engine_.now(), params_.staleness_bound_s, me);
     epidemic_push(me, rounds_[r]);
     aggregation_exchange(me);
@@ -273,39 +288,25 @@ void MixedGossipService::aggregation_exchange(NodeId from) {
     const sim::MessageFate fate =
         faults_ != nullptr ? faults_->draw_message_fate() : sim::MessageFate{};
     if (fate.lost || !alive_(partner)) return;
-    auto& a = nodes_[static_cast<std::size_t>(from.get())];
-    auto& b = nodes_[static_cast<std::size_t>(partner.get())];
-    const double cap_mid = 0.5 * (a.agg_capacity.current + b.agg_capacity.current);
-    const double bw_mid = 0.5 * (a.agg_bandwidth.current + b.agg_bandwidth.current);
-    a.agg_capacity.current = b.agg_capacity.current = cap_mid;
-    a.agg_bandwidth.current = b.agg_bandwidth.current = bw_mid;
+    average_pair(nodes_[static_cast<std::size_t>(from.get())],
+                 nodes_[static_cast<std::size_t>(partner.get())]);
     return;
   }
-  auto& a = nodes_[static_cast<std::size_t>(from.get())];
-  auto& b = nodes_[static_cast<std::size_t>(partner.get())];
-  const double cap_mid = 0.5 * (a.agg_capacity.current + b.agg_capacity.current);
-  const double bw_mid = 0.5 * (a.agg_bandwidth.current + b.agg_bandwidth.current);
-  a.agg_capacity.current = b.agg_capacity.current = cap_mid;
-  a.agg_bandwidth.current = b.agg_bandwidth.current = bw_mid;
+  average_pair(nodes_[static_cast<std::size_t>(from.get())],
+               nodes_[static_cast<std::size_t>(partner.get())]);
   ++messages_sent_;
   bytes_sent_ += 20 + 16;  // header + two doubles
 }
 
 void MixedGossipService::run_cycle_message(std::uint64_t cycle) {
-  const bool epoch_boundary =
-      params_.aggregation_epoch_cycles > 0 &&
-      cycle % static_cast<std::uint64_t>(params_.aggregation_epoch_cycles) == 0 && cycle > 0;
+  const bool new_epoch = epoch_boundary(params_, cycle);
   const SimTime now = engine_.now();
 
   for (int i = 0; i < n_; ++i) {
     const NodeId me{i};
     if (!alive_(me)) continue;  // physically down nodes run nothing
+    if (new_epoch) publish_and_reseed(me);
     auto& g = nodes_[static_cast<std::size_t>(i)];
-    if (epoch_boundary) {
-      g.agg_capacity.published = g.agg_capacity.current;
-      g.agg_bandwidth.published = g.agg_bandwidth.current;
-      reseed_aggregation(me);
-    }
     // SWIM sweep first: expired suspects become dead and leave the view, so
     // this cycle's digest no longer advertises them.
     detector_->sweep(me, now, [&g](NodeId dead) { g.rss.forget(dead); });

@@ -194,6 +194,8 @@ class MixedGossipService {
   void release_round(std::uint32_t r);
   void aggregation_exchange(NodeId from);
   void reseed_aggregation(NodeId n);
+  /// Closes an aggregation epoch at `n`: publishes its averages, then reseeds.
+  void publish_and_reseed(NodeId n);
   /// Up to `count` gossip partners from `from`'s view. The result lives in a
   /// member buffer that the next call overwrites.
   [[nodiscard]] const std::vector<NodeId>& pick_targets(NodeId from, int count);

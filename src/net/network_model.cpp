@@ -41,12 +41,4 @@ const NetworkModeInfo& network_mode_info(NetworkMode mode) {
 
 std::string_view to_string(NetworkMode mode) { return network_mode_info(mode).name; }
 
-NetworkMode parse_network_mode(std::string_view name) {
-  if (name == "bottleneck") return NetworkMode::kBottleneck;
-  if (name == "fluid-fair" || name == "fair-sharing") return NetworkMode::kFluidFair;
-  if (name == "quantised-fair") return NetworkMode::kQuantisedFair;
-  throw std::invalid_argument("parse_network_mode: unknown mode '" + std::string(name) +
-                              "' (expected bottleneck | fluid-fair | quantised-fair)");
-}
-
 }  // namespace dpjit::net

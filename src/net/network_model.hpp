@@ -57,9 +57,4 @@ struct NetworkModeInfo {
 
 [[nodiscard]] std::string_view to_string(NetworkMode mode);
 
-/// Parses a canonical mode name ("bottleneck", "fluid-fair",
-/// "quantised-fair"; "fair-sharing" is accepted as the legacy alias of
-/// fluid-fair). Throws std::invalid_argument on anything else.
-[[nodiscard]] NetworkMode parse_network_mode(std::string_view name);
-
 }  // namespace dpjit::net

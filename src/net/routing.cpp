@@ -121,13 +121,6 @@ double Routing::bandwidth_mbps(NodeId u, NodeId v) const {
   return bandwidth_[idx(u, v)];
 }
 
-double Routing::transfer_time_s(NodeId u, NodeId v, double mb) const {
-  if (u == v) return 0.0;
-  const double bw = bandwidth_mbps(u, v);
-  if (bw <= 0.0) return kInf;
-  return latency_s(u, v) + mb / bw;
-}
-
 int Routing::hops(NodeId u, NodeId v) const {
   return static_cast<int>(path_links(u, v).size());
 }

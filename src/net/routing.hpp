@@ -43,10 +43,6 @@ class Routing {
   /// 0 when unreachable.
   [[nodiscard]] double bandwidth_mbps(NodeId u, NodeId v) const;
 
-  /// Time in seconds to transfer `mb` megabits from u to v:
-  /// latency + mb / bottleneck-bandwidth. 0 when u == v. +inf when unreachable.
-  [[nodiscard]] double transfer_time_s(NodeId u, NodeId v, double mb) const;
-
   /// Hop count of the routed path (0 for u == v).
   [[nodiscard]] int hops(NodeId u, NodeId v) const;
 
@@ -75,7 +71,7 @@ class Routing {
     return link_up_[static_cast<std::size_t>(l.get())] != 0;
   }
 
-  /// Source rows rebuilt by set_link_state repairs so far (tests/bench).
+  /// Source rows rebuilt by set_link_state repairs so far (tests).
   [[nodiscard]] std::uint64_t repaired_rows() const { return repaired_rows_; }
 
  private:

@@ -35,6 +35,7 @@
 // shard ever receives a message into its past.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -44,6 +45,15 @@
 #include "util/types.hpp"
 
 namespace dpjit::sim {
+
+/// Default gate for driving a window on the worker pool (see
+/// ShardEngine::set_parallel_threshold). 128 events per window sits about
+/// twice above the break-even of the barrier handoff (~10-20 us) against the
+/// ~0.35 us a parallel window spends per event (pop plus handler, measured on
+/// the 10^5-peer scale model) at 4 workers: the 10^6-peer nightly runs a few
+/// hundred events per 10 ms window and parallelises, the 10^5-peer run (~20
+/// per window) stays inline, where threading could only lose.
+inline constexpr std::size_t kDefaultParallelThreshold = 128;
 
 class ShardEngine {
  public:
@@ -158,7 +168,7 @@ class ShardEngine {
   std::vector<Delivery> order_;   ///< reused buffer for the sorted drain
   double window_ = 0.0;
   int threads_ = 0;
-  std::size_t parallel_threshold_ = 2048;
+  std::size_t parallel_threshold_ = kDefaultParallelThreshold;
   std::uint64_t windows_ = 0;
   std::uint64_t parallel_windows_ = 0;
   std::size_t pending_max_ = 0;

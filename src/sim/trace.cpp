@@ -41,7 +41,6 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::kTaskFailed: return "TASK_FAIL";
     case TraceKind::kReschedule: return "RESCHED";
     case TraceKind::kReoffer: return "REOFFER";
-    case TraceKind::kGossip: return "GOSSIP";
     case TraceKind::kLinkDown: return "LINK_DOWN";
     case TraceKind::kLinkUp: return "LINK_UP";
   }

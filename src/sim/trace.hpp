@@ -26,7 +26,6 @@ enum class TraceKind {
   kTaskFailed,     ///< task lost to churn
   kReschedule,     ///< extension: failed task re-entered the schedule-point set
   kReoffer,        ///< dispatched task pulled back (executor suspected dead)
-  kGossip,         ///< gossip message delivered
   kLinkDown,       ///< fault injection: link failed
   kLinkUp,         ///< fault injection: link recovered
 };

@@ -61,7 +61,7 @@ void Config::set(std::string key, std::string value) {
   values_[std::move(key)] = std::move(value);
 }
 
-bool Config::has(std::string_view key) const { return values_.find(key) != values_.end(); }
+bool Config::has(std::string_view key) const { return raw(key).has_value(); }
 
 std::optional<std::string> Config::raw(std::string_view key) const {
   auto it = values_.find(key);

@@ -2,7 +2,7 @@
 //
 // Experiment binaries accept `--key=value` arguments; this class parses them,
 // exposes typed getters with defaults, and records which keys were read so the
-// binaries can print their effective configuration.
+// binaries can reject the ones nothing reads.
 #pragma once
 
 #include <map>
@@ -31,7 +31,7 @@ class Config {
   /// Sets (or overwrites) a key.
   void set(std::string key, std::string value);
 
-  /// True if the key is present.
+  /// True if the key is present. Asking counts as reading it (unused_keys).
   [[nodiscard]] bool has(std::string_view key) const;
 
   /// Typed getters; return `fallback` when the key is absent.
@@ -47,7 +47,7 @@ class Config {
   /// All keys, sorted (for printing the effective configuration).
   [[nodiscard]] std::vector<std::string> keys() const;
 
-  /// Keys that were set but never read by any getter: typo detection.
+  /// Keys that were set but never read by any getter or has(): typo detection.
   [[nodiscard]] std::vector<std::string> unused_keys() const;
 
  private:

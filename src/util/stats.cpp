@@ -1,31 +1,9 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <limits>
 
 namespace dpjit::util {
-
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
-
-double RunningStats::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
-double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
@@ -36,67 +14,6 @@ double percentile(std::vector<double> values, double q) {
   const auto hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] + frac * (values[hi] - values[lo]);
-}
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
-TimeSeries::TimeSeries(SimTime interval, SimTime horizon) : interval_(interval) {
-  assert(interval > 0.0);
-  assert(horizon >= 0.0);
-  const auto n = static_cast<std::size_t>(std::ceil(horizon / interval));
-  buckets_.resize(std::max<std::size_t>(n, 1));
-}
-
-void TimeSeries::record(SimTime t, double value) {
-  auto i = static_cast<std::size_t>(std::max(t, 0.0) / interval_);
-  i = std::min(i, buckets_.size() - 1);
-  buckets_[i].n += 1;
-  buckets_[i].sum += value;
-}
-
-SimTime TimeSeries::bucket_time(std::size_t i) const {
-  assert(i < buckets_.size());
-  return static_cast<SimTime>(i) * interval_;
-}
-
-std::size_t TimeSeries::bucket_n(std::size_t i) const {
-  assert(i < buckets_.size());
-  return buckets_[i].n;
-}
-
-double TimeSeries::bucket_sum(std::size_t i) const {
-  assert(i < buckets_.size());
-  return buckets_[i].sum;
-}
-
-double TimeSeries::bucket_mean(std::size_t i) const {
-  assert(i < buckets_.size());
-  if (buckets_[i].n == 0) return std::numeric_limits<double>::quiet_NaN();
-  return buckets_[i].sum / static_cast<double>(buckets_[i].n);
-}
-
-std::size_t TimeSeries::cumulative_n(std::size_t i) const {
-  assert(i < buckets_.size());
-  std::size_t n = 0;
-  for (std::size_t k = 0; k <= i; ++k) n += buckets_[k].n;
-  return n;
-}
-
-double TimeSeries::cumulative_mean(std::size_t i) const {
-  assert(i < buckets_.size());
-  std::size_t n = 0;
-  double sum = 0.0;
-  for (std::size_t k = 0; k <= i; ++k) {
-    n += buckets_[k].n;
-    sum += buckets_[k].sum;
-  }
-  if (n == 0) return std::numeric_limits<double>::quiet_NaN();
-  return sum / static_cast<double>(n);
 }
 
 }  // namespace dpjit::util

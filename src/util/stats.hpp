@@ -1,78 +1,12 @@
-// Small statistics helpers used by the metrics layer and the benches:
-// running summaries, percentiles, and fixed-interval time series.
+// Percentiles for the metrics layer.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
-#include "util/types.hpp"
-
 namespace dpjit::util {
-
-/// Numerically stable (Welford) running mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const;
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double sum() const { return mean() * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = kInf;
-  double max_ = -kInf;
-};
 
 /// Percentile with linear interpolation over a *copy* of the data.
 /// q in [0,1]; returns NaN for empty input.
 [[nodiscard]] double percentile(std::vector<double> values, double q);
-
-/// Arithmetic mean; NaN for empty input.
-[[nodiscard]] double mean_of(const std::vector<double>& values);
-
-/// A time series sampled at a fixed interval, used for the paper's
-/// "metric vs. time (hours)" figures. Values accumulate into the bucket
-/// covering their timestamp; buckets expose both last-write and counts.
-class TimeSeries {
- public:
-  /// `interval` is the bucket width in simulated seconds (> 0),
-  /// `horizon` the total covered time; times beyond it clamp to the last bucket.
-  TimeSeries(SimTime interval, SimTime horizon);
-
-  /// Records an observation at simulated time t.
-  void record(SimTime t, double value);
-
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] SimTime interval() const { return interval_; }
-  /// Left edge time of bucket i.
-  [[nodiscard]] SimTime bucket_time(std::size_t i) const;
-  /// Number of observations in bucket i.
-  [[nodiscard]] std::size_t bucket_n(std::size_t i) const;
-  /// Sum of observations in bucket i.
-  [[nodiscard]] double bucket_sum(std::size_t i) const;
-  /// Mean of observations in bucket i (NaN when empty).
-  [[nodiscard]] double bucket_mean(std::size_t i) const;
-
-  /// Cumulative count of observations in buckets [0, i].
-  [[nodiscard]] std::size_t cumulative_n(std::size_t i) const;
-  /// Mean of all observations in buckets [0, i] (NaN when none).
-  [[nodiscard]] double cumulative_mean(std::size_t i) const;
-
- private:
-  struct Bucket {
-    std::size_t n = 0;
-    double sum = 0.0;
-  };
-  SimTime interval_;
-  std::vector<Bucket> buckets_;
-};
 
 }  // namespace dpjit::util

@@ -61,17 +61,4 @@ void TablePrinter::print(std::ostream& os) const {
   }
 }
 
-void TablePrinter::print_markdown(std::ostream& os) const {
-  os << '|';
-  for (const auto& h : headers_) os << ' ' << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const auto& row : rows_) {
-    os << '|';
-    for (const auto& cell : row) os << ' ' << cell << " |";
-    os << '\n';
-  }
-}
-
 }  // namespace dpjit::util

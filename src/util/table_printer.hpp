@@ -24,9 +24,6 @@ class TablePrinter {
   /// Prints the table (headers, separator, rows) to `os`.
   void print(std::ostream& os) const;
 
-  /// Prints as a GitHub-markdown table.
-  void print_markdown(std::ostream& os) const;
-
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
  private:

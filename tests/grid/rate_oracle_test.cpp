@@ -57,8 +57,8 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   EXPECT_NEAR(engine.now(), routing.latency_s(NodeId{0}, NodeId{2}) + 100.0, 1e-6);
 }
 
-// expected_transfer_time_s is the only copy of the transfer-time ladder the
-// contended schedulers read; pin its edge cases in both contended modes.
+// expected_transfer_time_s is the only copy of the transfer-time ladder; pin
+// its edge cases in both contended modes.
 class ExpectedTransferTime : public ::testing::TestWithParam<TransferManager::Mode> {};
 
 TEST_P(ExpectedTransferTime, EdgeCasesOfTheLadder) {

@@ -78,9 +78,10 @@ TEST_P(TransferStress, FairNeverBeatsDedicatedBottleneckTime) {
     });
   }
   engine.run_all();
+  const TransferManager dedicated(engine, topo, routing, TransferManager::Mode::kBottleneck);
   for (const auto& p : probes) {
     ASSERT_GE(p.finished_at, 0.0);
-    const double solo = routing.transfer_time_s(p.src, p.dst, p.mb);
+    const double solo = dedicated.expected_transfer_time_s(p.src, p.dst, p.mb);
     // Routing stores bandwidths as float while the fluid model computes in
     // double, so allow the float-rounding slack (~1e-7 relative).
     EXPECT_GE(p.finished_at, solo - std::max(1e-6, solo * 1e-5))

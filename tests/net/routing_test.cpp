@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "net/rate_oracle.hpp"
+
 namespace dpjit::net {
 namespace {
 
@@ -21,7 +23,9 @@ TEST(Routing, SelfIsFree) {
   Routing r(topo);
   EXPECT_DOUBLE_EQ(r.latency_s(NodeId{1}, NodeId{1}), 0.0);
   EXPECT_TRUE(std::isinf(r.bandwidth_mbps(NodeId{1}, NodeId{1})));
-  EXPECT_DOUBLE_EQ(r.transfer_time_s(NodeId{1}, NodeId{1}, 1000.0), 0.0);
+  EXPECT_DOUBLE_EQ(transfer_time_from_rate(r.latency_s(NodeId{1}, NodeId{1}),
+                                           r.bandwidth_mbps(NodeId{1}, NodeId{1}), 1000.0),
+                   0.0);
   EXPECT_EQ(r.hops(NodeId{1}, NodeId{1}), 0);
 }
 
@@ -38,7 +42,9 @@ TEST(Routing, TransferTimeCombinesLatencyAndBandwidth) {
   const auto topo = triangle();
   Routing r(topo);
   // 100 Mb over bw 2 = 50 s + 2 s latency.
-  EXPECT_DOUBLE_EQ(r.transfer_time_s(NodeId{0}, NodeId{2}, 100.0), 52.0);
+  EXPECT_DOUBLE_EQ(transfer_time_from_rate(r.latency_s(NodeId{0}, NodeId{2}),
+                                           r.bandwidth_mbps(NodeId{0}, NodeId{2}), 100.0),
+                   52.0);
 }
 
 TEST(Routing, SymmetricOnUndirectedGraph) {
@@ -68,7 +74,8 @@ TEST(Routing, UnreachableIsInfinite) {
   Routing r(topo);
   EXPECT_TRUE(std::isinf(r.latency_s(NodeId{0}, NodeId{2})));
   EXPECT_DOUBLE_EQ(r.bandwidth_mbps(NodeId{0}, NodeId{2}), 0.0);
-  EXPECT_TRUE(std::isinf(r.transfer_time_s(NodeId{0}, NodeId{2}, 1.0)));
+  EXPECT_TRUE(std::isinf(transfer_time_from_rate(r.latency_s(NodeId{0}, NodeId{2}),
+                                                 r.bandwidth_mbps(NodeId{0}, NodeId{2}), 1.0)));
   EXPECT_TRUE(r.path_links(NodeId{0}, NodeId{2}).empty());
 }
 

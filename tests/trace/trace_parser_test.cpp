@@ -1,7 +1,7 @@
 // exp trace importer: fixture-driven SWF/GWA parsing, deterministic
-// normalization of malformed rows, SWF round-trip, and a fuzz-style mutation
-// loop asserting the parser either parses or throws — never crashes, never
-// loops — on arbitrarily damaged input.
+// normalization of malformed rows, the canonical-SWF round trip, and a
+// fuzz-style mutation loop asserting the parser either parses or throws —
+// never crashes, never loops — on arbitrarily damaged input.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -134,25 +134,43 @@ TEST(TraceParser, EmptyInputYieldsEmptyWorkload) {
 }
 
 TEST(TraceParser, SwfRoundTrip) {
-  const auto first = parse_trace_text(sample_swf_trace());
-  std::ostringstream out;
-  write_swf(out, first);
-  const auto second = parse_trace_text(out.str());
-  ASSERT_EQ(second.jobs.size(), first.jobs.size());
-  for (std::size_t i = 0; i < first.jobs.size(); ++i) {
-    EXPECT_EQ(second.jobs[i].id, first.jobs[i].id) << i;
-    EXPECT_DOUBLE_EQ(second.jobs[i].submit_s, first.jobs[i].submit_s) << i;
-    EXPECT_DOUBLE_EQ(second.jobs[i].runtime_s, first.jobs[i].runtime_s) << i;
-    EXPECT_EQ(second.jobs[i].procs, first.jobs[i].procs) << i;
-    EXPECT_EQ(second.jobs[i].owner, first.jobs[i].owner) << i;
+  // A raw log that needs every normalization: a late first arrival, rows out
+  // of order, a zero runtime, zero procs and a missing owner.
+  const auto raw = parse_trace_text(
+      "; raw log\n"
+      "1 500 0 300 2 -1 -1 2 -1 -1 1 7 1 -1 1 -1 -1 -1\n"
+      "2 200 0 0 1 -1 -1 1 -1 -1 1 8 1 -1 1 -1 -1 -1\n"
+      "3 900 0 60 0 -1 -1 1 -1 -1 1 -1 1 -1 1 -1 -1 -1\n");
+  // The same workload written back as canonical SWF: shifted, sorted,
+  // clamped, with -1 in every column a TraceJob does not carry.
+  constexpr std::string_view kCanonical =
+      "; normalized\n"
+      "2 0 -1 1 1 -1 -1 -1 -1 -1 1 8 -1 -1 -1 -1 -1 -1\n"
+      "1 300 -1 300 2 -1 -1 -1 -1 -1 1 7 -1 -1 -1 -1 -1 -1\n"
+      "3 700 -1 60 1 -1 -1 -1 -1 -1 1 0 -1 -1 -1 -1 -1 -1\n";
+  const auto canonical = parse_trace_text(kCanonical);
+  // The canonical form is a fixed point: parsing it normalizes nothing.
+  EXPECT_EQ(canonical.stats.out_of_order, 0u);
+  EXPECT_EQ(canonical.stats.normalized_zero_runtime, 0u);
+  EXPECT_EQ(canonical.stats.normalized_procs, 0u);
+  EXPECT_EQ(canonical.stats.normalized_owner, 0u);
+  // GWA rows with the same leading 12 columns parse to the same model.
+  const auto gwa = parse_trace_text(
+      "# normalized\n"
+      "2 0 -1 1 1 -1 -1 -1 -1 -1 1 8 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1\n"
+      "1 300 -1 300 2 -1 -1 -1 -1 -1 1 7 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1\n"
+      "3 700 -1 60 1 -1 -1 -1 -1 -1 1 0 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1\n");
+  EXPECT_EQ(gwa.format, TraceFormat::kGwa);
+  for (const auto* again : {&canonical, &gwa}) {
+    ASSERT_EQ(again->jobs.size(), raw.jobs.size());
+    for (std::size_t i = 0; i < raw.jobs.size(); ++i) {
+      EXPECT_EQ(again->jobs[i].id, raw.jobs[i].id) << i;
+      EXPECT_DOUBLE_EQ(again->jobs[i].submit_s, raw.jobs[i].submit_s) << i;
+      EXPECT_DOUBLE_EQ(again->jobs[i].runtime_s, raw.jobs[i].runtime_s) << i;
+      EXPECT_EQ(again->jobs[i].procs, raw.jobs[i].procs) << i;
+      EXPECT_EQ(again->jobs[i].owner, raw.jobs[i].owner) << i;
+    }
   }
-  // GWA parses to the same normalized model, so GWA -> SWF round-trips too.
-  const auto gwa = parse_trace_text(sample_gwa_trace());
-  std::ostringstream out2;
-  write_swf(out2, gwa);
-  const auto again = parse_trace_text(out2.str());
-  ASSERT_EQ(again.jobs.size(), gwa.jobs.size());
-  EXPECT_EQ(again.jobs[5].procs, gwa.jobs[5].procs);
 }
 
 TEST(TraceParser, DeterministicAcrossCalls) {

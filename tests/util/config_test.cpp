@@ -72,8 +72,10 @@ TEST(Config, FromStringThrowsWithoutEquals) {
 }
 
 TEST(Config, UnusedKeysTracked) {
-  auto cfg = parse({"--used=1", "--unused=2"});
+  auto cfg = parse({"--used=1", "--unused=2", "--checked=3"});
   (void)cfg.get_int("used", 0);
+  EXPECT_TRUE(cfg.has("checked"));  // asking for a key counts as reading it
+  EXPECT_FALSE(cfg.has("absent"));
   const auto unused = cfg.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "unused");

@@ -52,14 +52,6 @@ TEST(TablePrinter, ShortRowsPadded) {
   EXPECT_EQ(t.row_count(), 1u);
 }
 
-TEST(TablePrinter, MarkdownFormat) {
-  TablePrinter t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_markdown(os);
-  EXPECT_EQ(os.str(), "| x | y |\n|---|---|\n| 1 | 2 |\n");
-}
-
 TEST(TablePrinter, FmtSignificantDigits) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 3), "3.14");
   EXPECT_EQ(TablePrinter::fmt(120000.0, 4), "1.2e+05");

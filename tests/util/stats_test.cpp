@@ -7,31 +7,6 @@
 namespace dpjit::util {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
 TEST(Percentile, EmptyIsNaN) { EXPECT_TRUE(std::isnan(percentile({}, 0.5))); }
 
 TEST(Percentile, MedianAndExtremes) {
@@ -50,58 +25,6 @@ TEST(Percentile, ClampsQ) {
   std::vector<double> v{1.0, 2.0};
   EXPECT_DOUBLE_EQ(percentile(v, -1.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 2.0), 2.0);
-}
-
-TEST(MeanOf, Basic) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_TRUE(std::isnan(mean_of({})));
-}
-
-TEST(TimeSeries, BucketsObservations) {
-  TimeSeries ts(10.0, 100.0);
-  EXPECT_EQ(ts.bucket_count(), 10u);
-  ts.record(5.0, 2.0);
-  ts.record(7.0, 4.0);
-  ts.record(15.0, 6.0);
-  EXPECT_EQ(ts.bucket_n(0), 2u);
-  EXPECT_DOUBLE_EQ(ts.bucket_sum(0), 6.0);
-  EXPECT_DOUBLE_EQ(ts.bucket_mean(0), 3.0);
-  EXPECT_EQ(ts.bucket_n(1), 1u);
-  EXPECT_DOUBLE_EQ(ts.bucket_mean(1), 6.0);
-}
-
-TEST(TimeSeries, EmptyBucketMeanIsNaN) {
-  TimeSeries ts(10.0, 100.0);
-  EXPECT_TRUE(std::isnan(ts.bucket_mean(3)));
-}
-
-TEST(TimeSeries, LateObservationsClampToLastBucket) {
-  TimeSeries ts(10.0, 100.0);
-  ts.record(1e9, 1.0);
-  EXPECT_EQ(ts.bucket_n(ts.bucket_count() - 1), 1u);
-}
-
-TEST(TimeSeries, NegativeTimesClampToFirstBucket) {
-  TimeSeries ts(10.0, 100.0);
-  ts.record(-5.0, 1.0);
-  EXPECT_EQ(ts.bucket_n(0), 1u);
-}
-
-TEST(TimeSeries, CumulativeAggregation) {
-  TimeSeries ts(10.0, 50.0);
-  ts.record(5.0, 1.0);
-  ts.record(15.0, 3.0);
-  ts.record(25.0, 5.0);
-  EXPECT_EQ(ts.cumulative_n(2), 3u);
-  EXPECT_DOUBLE_EQ(ts.cumulative_mean(2), 3.0);
-  EXPECT_EQ(ts.cumulative_n(0), 1u);
-  EXPECT_DOUBLE_EQ(ts.cumulative_mean(0), 1.0);
-}
-
-TEST(TimeSeries, BucketTimes) {
-  TimeSeries ts(10.0, 30.0);
-  EXPECT_DOUBLE_EQ(ts.bucket_time(0), 0.0);
-  EXPECT_DOUBLE_EQ(ts.bucket_time(2), 20.0);
 }
 
 }  // namespace

@@ -33,10 +33,16 @@
 // Section IV (exp/figures.hpp) on stdout, e.g. `--figure=fig05 --paper`.
 // Figures take the shared overrides above plus their own flags: --seeds and
 // --max-load-factor (fig07-10), --algorithm (fig11-14), --reschedule and
-// --no-result-collection (fig12-14).
+// --no-result-collection (fig12-14); every figure accepts all of them.
+//
+// A flag that the chosen command never reads (a typo such as --nodez, or
+// --small on --digest) is an error: the runner names it and exits 1 before
+// running anything, instead of silently running the defaults.
+#include <array>
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,6 +59,20 @@
 namespace {
 
 using namespace dpjit;
+
+/// The flags the figure drivers read (exp/figures.cpp).
+constexpr std::array<std::string_view, 10> kFigureFlags = {
+    "paper", "nodes", "workflows", "seed", "hours",
+    "seeds", "max-load-factor", "algorithm", "reschedule", "no-result-collection"};
+
+/// Names every command-line key that nothing read so far; true when any.
+bool reject_unread_flags(const util::Config& cli) {
+  const auto unread = cli.unused_keys();
+  for (const auto& key : unread) {
+    std::cerr << "scenario_runner: unknown option --" << key << " (not read by this command)\n";
+  }
+  return !unread.empty();
+}
 
 int list_scenarios(bool as_json) {
   const auto& reg = exp::scenario_registry();
@@ -317,12 +337,17 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
     cfg.trace.format = exp::TraceFormat::kAuto;
   }
 
+  // Both are asked (no short circuit), so both count as read.
+  const bool shards_set = cli.has("shards");
+  const bool threads_set = cli.has("threads");
+  if (reject_unread_flags(cli)) return 1;
+
   if (scenario->sharded) return run_scale_scenario(cli, *scenario, cfg, as_json);
 
   // Classic scenarios run the serial engine, so a requested count is called
   // out instead of silently dropped (results are identical either way - this
   // is purely a you-asked-for-parallelism-and-did-not-get-it warning).
-  if (cli.has("shards") || cli.has("threads")) {
+  if (shards_set || threads_set) {
     std::cerr << "scenario_runner: warning: --shards/--threads ignored: scenario '"
               << scenario->name << "' runs on the serial engine (only scale/* scenarios shard)\n";
   }
@@ -391,11 +416,15 @@ int main(int argc, char** argv) {
   if (cli.has("figure")) {
     std::string figure = cli.get_string("figure", "");
     if (figure == "true") figure = cli.positional().empty() ? "" : cli.positional().front();
+    for (const auto flag : kFigureFlags) (void)cli.has(flag);
+    if (reject_unread_flags(cli)) return 1;
     return run_figure(cli, figure);
   }
   if (cli.get_bool("digest", false)) {
-    return emit_digests(name, static_cast<int>(cli.get_int("shards", 1)),
-                        static_cast<int>(cli.get_int("threads", 1)));
+    const int shards = static_cast<int>(cli.get_int("shards", 1));
+    const int threads = static_cast<int>(cli.get_int("threads", 1));
+    if (reject_unread_flags(cli)) return 1;
+    return emit_digests(name, shards, threads);
   }
   // Accept --describe=NAME, `--describe NAME` (positional) and
   // `--describe --run=NAME`.
@@ -405,13 +434,19 @@ int main(int argc, char** argv) {
     std::cerr << "scenario_runner: --describe needs a scenario name (try --list)\n";
     return 1;
   }
-  if (!describe.empty()) return describe_scenario(describe, as_json);
+  if (!describe.empty()) {
+    if (reject_unread_flags(cli)) return 1;
+    return describe_scenario(describe, as_json);
+  }
   // An explicit --run with no usable name must not silently fall through to
   // the list (scripts would read exit 0 as "scenario ran").
   if (run_requested && name.empty()) {
     std::cerr << "scenario_runner: --run needs a scenario name (try --list)\n";
     return 1;
   }
-  if (cli.get_bool("list", false) || name.empty()) return list_scenarios(as_json);
+  if (cli.get_bool("list", false) || name.empty()) {
+    if (reject_unread_flags(cli)) return 1;
+    return list_scenarios(as_json);
+  }
   return run_scenario(cli, name, as_json);
 }
