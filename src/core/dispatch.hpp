@@ -1,17 +1,17 @@
-// First-phase scheduling interfaces (paper Algorithm 1).
+// The first scheduling phase (paper Algorithm 1).
 //
 // Every scheduling cycle, each home node builds a DispatchContext exposing
 // its pending workflows (with schedule points, RPMs and remaining makespans),
 // a mutable working copy of its resource-state set RSS, and the finish-time
-// estimator of Eqs. (4)-(6). A FirstPhasePolicy orders the candidates and
-// dispatches each to a chosen resource node; dispatching updates the working
-// RSS copy so later selections in the same cycle see the added load
-// (Algorithm 1 line 15).
+// estimator of Eqs. (4)-(6). run_first_phase orders the candidates by the
+// algorithm's first-phase rule and dispatches each to a chosen resource node;
+// dispatching updates the working RSS copy so later selections in the same
+// cycle see the added load (Algorithm 1 line 15).
 #pragma once
 
-#include <string_view>
 #include <vector>
 
+#include "core/algorithm.hpp"
 #include "core/estimates.hpp"
 
 namespace dpjit::core {
@@ -20,19 +20,20 @@ namespace dpjit::core {
 struct CandidateTask {
   TaskRef ref;
   double load_mi = 0.0;
-  /// Rest-path makespan RPM(t) under the node's believed averages.
+  /// Rest-path makespan RPM(t) (Eq. 7) under the node's believed averages:
+  /// the upward rank, dag::upward_ranks.
   double rpm = 0.0;
   /// The owning workflow's remaining makespan ms(f).
   double wf_makespan = 0.0;
   /// DSDF "deadline": ms(f) - RPM(t) (paper Section IV.A); smaller = tighter.
   double slack = 0.0;
-  /// Filled by the sufferage policy before dispatch; carried to phase 2 (LSF).
+  /// Filled by the sufferage rule before dispatch; carried to phase 2 (LSF).
   double sufferage = 0.0;
   /// Inputs (precedent data + task image) for finish-time estimation.
   TaskEstimateInputs inputs;
 };
 
-/// A workflow with at least one schedule point, as seen by the policy.
+/// A workflow with at least one schedule point, as seen by the first phase.
 struct PendingWorkflow {
   WorkflowId wf;
   /// ms(f), Eq. (8).
@@ -40,63 +41,52 @@ struct PendingWorkflow {
   std::vector<CandidateTask> tasks;
 };
 
+/// ms(f) (Eq. 8): the workflow's remaining makespan = max RPM over its
+/// current schedule points. Returns 0 for an empty schedule-point set.
+[[nodiscard]] double remaining_makespan(const std::vector<double>& rpm,
+                                        const std::vector<TaskIndex>& schedule_points);
+
 /// The home node's view and actions during one first-phase cycle.
 class DispatchContext {
  public:
   virtual ~DispatchContext() = default;
 
-  [[nodiscard]] virtual SimTime now() const = 0;
-  [[nodiscard]] virtual NodeId home() const = 0;
-
   /// Mutable working copy of RSS(p_s) (the home node itself included, with its
-  /// true local state). Policies may reorder entries but not erase them.
+  /// true local state). The first phase reads entries and dispatch() charges
+  /// them; entries are never reordered or erased.
   [[nodiscard]] virtual std::vector<gossip::ResourceEntry>& resources() = 0;
 
   /// Workflows with schedule points this cycle. Stable order (by workflow id).
   [[nodiscard]] virtual const std::vector<PendingWorkflow>& pending() const = 0;
 
-  /// FT(tau, r) per Eqs. (4)-(6), offset from now().
+  /// FT(tau, r) per Eqs. (4)-(6), offset from now.
   [[nodiscard]] virtual double finish_time(const CandidateTask& task,
                                            const gossip::ResourceEntry& resource) const = 0;
 
   /// FT(tau, r) with the transmission-delay term (Eq. 4) answered by the live
   /// network oracle - what the input transfers would actually cost *right
   /// now*, contention included - instead of static bandwidth estimates.
-  /// Contexts without a live network (tests, planners) inherit this default,
-  /// which falls back to the static estimate, so contention-aware policies
-  /// degrade gracefully to their baseline behaviour.
+  /// Contexts without a live network (tests) inherit this default, which
+  /// falls back to the static estimate, so the contended rows degrade
+  /// gracefully to their baseline behaviour.
   [[nodiscard]] virtual double finish_time_contended(const CandidateTask& task,
                                                      const gossip::ResourceEntry& resource) const {
     return finish_time(task, resource);
   }
 
-  /// et(tau, r): execution-time estimate on the resource.
-  [[nodiscard]] virtual double exec_time(const CandidateTask& task,
-                                         const gossip::ResourceEntry& resource) const = 0;
-
   /// Dispatches the task to `target` and charges the task load to the target's
   /// entry in the RSS working copy. The task is identified by `task.ref`; the
   /// priority attributes (rpm, makespan, slack, sufferage) are stamped from
-  /// the struct passed here, so policies may dispatch an annotated copy.
-  /// Each candidate may be dispatched at most once per cycle.
+  /// the struct passed here, so the first phase may dispatch an annotated
+  /// copy. Each candidate may be dispatched at most once per cycle.
   virtual void dispatch(const CandidateTask& task, NodeId target) = 0;
 };
 
-/// Formula (9): index into ctx.resources() minimizing FT(tau, r), or -1 when
-/// the resource set is empty. Ties break toward the earlier entry.
-[[nodiscard]] int select_min_ft(DispatchContext& ctx, const CandidateTask& task);
-
-/// Formula (9) evaluated through finish_time_contended(): the index into
-/// ctx.resources() minimizing the oracle-predicted completion time.
-[[nodiscard]] int select_min_ft_contended(DispatchContext& ctx, const CandidateTask& task);
-
-/// Base class for the first scheduling phase.
-class FirstPhasePolicy {
- public:
-  virtual ~FirstPhasePolicy() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Dispatches (some or all) pending schedule points.
-  virtual void run(DispatchContext& ctx) = 0;
-};
+/// Runs `algorithm`'s first-phase rule over the context: dispatches every
+/// pending schedule point, or none when the resource set is empty. Formula
+/// (9) placement picks the resource entry minimizing FT (finish_time, or
+/// finish_time_contended for the contended rows); ties go to the earlier
+/// entry. Must not be called for a full-ahead algorithm.
+void run_first_phase(const Algorithm& algorithm, DispatchContext& ctx);
 
 }  // namespace dpjit::core

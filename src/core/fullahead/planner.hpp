@@ -1,6 +1,7 @@
-// Full-ahead (static) planners: HEFT [7] and the paper's self-implemented SMF.
+// Full-ahead (static) planning: HEFT [7], the paper's self-implemented SMF and
+// lookahead HEFT [24].
 //
-// Both plan *before execution starts*, with global resource information (the
+// All plan *before execution starts*, with global resource information (the
 // paper grants the full-ahead baselines an oracle view: all nodes, their
 // capacities and true pairwise bandwidths). The plan fixes each task's
 // execution node; at run time tasks are dispatched to their planned node as
@@ -14,11 +15,11 @@
 // unfolds, and HEFT's global rank order lets long workflows delay short ones.
 #pragma once
 
-#include <memory>
-#include <string_view>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "core/algorithm.hpp"
 #include "core/estimates.hpp"
 #include "core/fullahead/timeline.hpp"
 #include "dag/critical_path.hpp"
@@ -39,9 +40,9 @@ struct PlannerOracle {
   /// TransferManager::expected_transfer_time_s). When set, the planners
   /// charge edge and image movement through it instead of the static
   /// `size / bandwidth` division; when empty, planning is byte-for-byte
-  /// the classic static-bandwidth HEFT/SMF (the goldens of heft/smf/heft-la
-  /// depend on that). The contention-aware registry entry lookahead-ca is
-  /// what sets it.
+  /// the classic static-bandwidth HEFT/SMF (the pins of heft/smf/heft-la
+  /// depend on that). GridSystem sets it for the contended rows
+  /// (lookahead-ca).
   TransferTimeFn transfer_time;
 };
 
@@ -58,71 +59,32 @@ struct PlanRequest {
 /// Task -> node assignment produced by a planner.
 using Assignment = std::unordered_map<TaskRef, NodeId>;
 
+/// The one full-ahead planner: maps every task of the requested workflows in
+/// the algorithm's plan order (HEFT's global rank, or SMF's per-workflow
+/// batches) with its placement rule (EFT, or one-level lookahead), booking
+/// each task on per-node insertion timelines. Successive plan() calls keep
+/// the earlier bookings.
 class FullAheadPlanner {
  public:
-  virtual ~FullAheadPlanner() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Plans all tasks of the given workflows; merges into `out`.
-  virtual void plan(const std::vector<PlanRequest>& workflows, const PlannerOracle& oracle,
-                    Assignment& out) = 0;
-};
+  explicit FullAheadPlanner(const Algorithm& algorithm)
+      : order_(algorithm.plan_order), placement_(algorithm.placement) {}
 
-/// HEFT: all tasks of all submitted workflows are ordered by descending upward
-/// rank (computed per workflow under average estimates) and mapped with the
-/// insertion-based earliest-finish-time rule.
-class HeftPlanner final : public FullAheadPlanner {
- public:
-  [[nodiscard]] std::string_view name() const override { return "heft"; }
+  /// Plans all tasks of the given workflows; merges into `out`.
   void plan(const std::vector<PlanRequest>& workflows, const PlannerOracle& oracle,
-            Assignment& out) override;
+            Assignment& out);
 
  private:
-  friend class SmfPlanner;
-  /// Plans one batch of (workflow, task) pairs given per-task ranks. Shared by
-  /// HEFT (one global batch) and SMF (one batch per workflow).
-  void plan_batch(const std::vector<PlanRequest>& workflows,
-                  const std::vector<std::vector<double>>& ranks, const PlannerOracle& oracle,
-                  bool per_workflow_batches, Assignment& out);
+  /// Maps every task of `batch` onto the timelines in descending rank order.
+  void plan_batch(std::span<const PlanRequest> batch, const PlannerOracle& oracle,
+                  Assignment& out);
 
+  PlanOrder order_;
+  Placement placement_;
   std::unordered_map<NodeId, Timeline> timelines_;
   /// Planned finish time of every already-planned task.
   std::unordered_map<TaskRef, double> planned_ft_;
-  /// Queuing backlog (load/capacity) charged before the first booking.
-  std::unordered_map<NodeId, double> initial_backlog_;
-  bool backlog_seeded_ = false;
-
-  void seed_backlog(const PlannerOracle& oracle);
-};
-
-/// SMF (shortest makespan first): workflows sorted by expected makespan
-/// ascending; each is planned completely (rank-descending within the
-/// workflow) before the next - the paper's best-performing baseline.
-class SmfPlanner final : public FullAheadPlanner {
- public:
-  [[nodiscard]] std::string_view name() const override { return "smf"; }
-  void plan(const std::vector<PlanRequest>& workflows, const PlannerOracle& oracle,
-            Assignment& out) override;
-
- private:
-  HeftPlanner inner_;
-};
-
-/// Lookahead HEFT (Bittencourt, Sakellariou & Madeira, PDP'10 - the paper's
-/// reference [24]): like HEFT, but a node is scored not by the task's own
-/// earliest finish time but by the worst earliest finish time its *children*
-/// could then achieve, evaluated one level deep against the current
-/// timelines. The paper's related-work section quotes up to 20% improvement
-/// over plain HEFT; this is the repository's optional-extension
-/// implementation (O(V * N^2 * fanout) planning cost - use at bench scale).
-class LookaheadHeftPlanner final : public FullAheadPlanner {
- public:
-  [[nodiscard]] std::string_view name() const override { return "heft-la"; }
-  void plan(const std::vector<PlanRequest>& workflows, const PlannerOracle& oracle,
-            Assignment& out) override;
-
- private:
-  std::unordered_map<NodeId, Timeline> timelines_;
-  std::unordered_map<TaskRef, double> planned_ft_;
+  /// The oracle's queued load (load / capacity) is booked at the start of
+  /// each node's timeline by the first plan() call.
   bool backlog_seeded_ = false;
 };
 

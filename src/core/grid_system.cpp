@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/rpm.hpp"
+#include "core/dispatch.hpp"
 #include "dag/critical_path.hpp"
 #include "net/routing.hpp"
 
@@ -20,7 +20,7 @@ namespace {
 const std::vector<double>& ranks_under(WorkflowInstance& wf, const dag::AverageEstimates& avg) {
   if (wf.ranks.empty() || wf.rank_averages.capacity_mips != avg.capacity_mips ||
       wf.rank_averages.bandwidth_mbps != avg.bandwidth_mbps) {
-    wf.ranks = rest_path_makespans(wf.dag, avg);
+    wf.ranks = dag::upward_ranks(wf.dag, avg);
     wf.rank_averages = avg;
   }
   return wf.ranks;
@@ -43,7 +43,7 @@ class SystemDispatchContext final : public DispatchContext {
  public:
   SystemDispatchContext(GridSystem& sys, NodeId home, dag::AverageEstimates averages,
                         const std::vector<WorkflowId>& active)
-      : sys_(sys), home_(home), averages_(averages) {
+      : sys_(sys), averages_(averages) {
     // Working copy of RSS(p_s): the gossiped entries plus the home node itself
     // with its true local state (a node always knows itself).
     const auto& view = sys_.gossip_->rss(home);
@@ -86,19 +86,12 @@ class SystemDispatchContext final : public DispatchContext {
     }
   }
 
-  [[nodiscard]] SimTime now() const override { return sys_.engine_.now(); }
-  [[nodiscard]] NodeId home() const override { return home_; }
   [[nodiscard]] std::vector<gossip::ResourceEntry>& resources() override { return resources_; }
   [[nodiscard]] const std::vector<PendingWorkflow>& pending() const override { return pending_; }
 
   [[nodiscard]] double finish_time(const CandidateTask& task,
                                    const gossip::ResourceEntry& resource) const override {
     return estimate_finish_time(task.inputs, resource, bandwidth_fn()).finish_s;
-  }
-
-  [[nodiscard]] double exec_time(const CandidateTask& task,
-                                 const gossip::ResourceEntry& resource) const override {
-    return execution_time_s(task.load_mi, resource);
   }
 
   [[nodiscard]] double finish_time_contended(const CandidateTask& task,
@@ -141,7 +134,6 @@ class SystemDispatchContext final : public DispatchContext {
   }
 
   GridSystem& sys_;
-  NodeId home_;
   dag::AverageEstimates averages_;
   std::vector<gossip::ResourceEntry> resources_;
   std::vector<PendingWorkflow> pending_;
@@ -159,11 +151,13 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
       topo_(topo),
       routing_(routing),
       landmarks_(landmarks),
-      algorithm_(std::move(algorithm)),
+      algorithm_(algorithm),
       config_(config),
       sink_(sink),
       faults_(faults),
-      rng_(config.seed) {
+      rng_(config.seed),
+      ready_better_(ready_comparator(algorithm.ready)),
+      planner_(algorithm) {
   const int n = topo.node_count();
   if (static_cast<int>(capacities.size()) != n) {
     throw std::invalid_argument("GridSystem: capacities size != node count");
@@ -207,9 +201,6 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
       engine_, config_.churn, n, rng_.fork("churn"),
       [this](NodeId id) { return nodes_[static_cast<std::size_t>(id.get())].alive(); },
       [this](NodeId id) { handle_leave(id); }, [this](NodeId id) { handle_join(id); });
-
-  if (algorithm_.make_first) first_phase_ = algorithm_.make_first();
-  second_phase_ = algorithm_.make_second();
 }
 
 GridSystem::~GridSystem() = default;
@@ -450,12 +441,11 @@ void GridSystem::schedule_home(NodeId home) {
   if (ctx.resources().empty()) return;  // Algorithm 1 line 9
   cycle_active_workflows_ += ctx.pending().size();
   for (const auto& pending : ctx.pending()) cycle_schedule_points_ += pending.tasks.size();
-  first_phase_->run(ctx);
+  run_first_phase(algorithm_, ctx);
 }
 
 void GridSystem::ensure_full_ahead_plan() {
   if (planned_count_ >= workflows_.size()) return;
-  if (!planner_) planner_ = algorithm_.make_planner();
   // The oracle view the paper grants full-ahead baselines: every alive node
   // with its true state, true averages, true pairwise bandwidth.
   PlannerOracle oracle;
@@ -467,7 +457,7 @@ void GridSystem::ensure_full_ahead_plan() {
   }
   oracle.averages = true_averages_;
   oracle.bandwidth = [this](NodeId a, NodeId b) { return routing_.bandwidth_mbps(a, b); };
-  if (algorithm_.contended_planner) {
+  if (algorithm_.contended) {
     // Contention-aware planning: charge transfers at the rate the live
     // network would allocate right now. Repeated pairs dedupe through the
     // TransferManager's epoch-keyed probe cache, so a whole planning batch
@@ -481,7 +471,7 @@ void GridSystem::ensure_full_ahead_plan() {
     auto& wf = workflows_[k];
     requests.push_back(PlanRequest{wf.id, &wf.dag, wf.home, wf.eft});
   }
-  planner_->plan(requests, oracle, plan_);
+  planner_.plan(requests, oracle, plan_);
   planned_count_ = workflows_.size();
 }
 
@@ -621,8 +611,9 @@ void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source,
           if (retry.max_attempts > 0 && attempt < retry.max_attempts &&
               nodes_[static_cast<std::size_t>(source.get())].alive() &&
               nodes_[static_cast<std::size_t>(target.get())].alive()) {
-            const double delay = std::min(retry.backoff_cap_s,
-                                          retry.backoff_base_s * std::pow(2.0, attempt));
+            const double delay =
+                std::min(TransferRetryPolicy::kBackoffCapS,
+                         TransferRetryPolicy::kBackoffBaseS * std::pow(2.0, attempt));
             const SimTime stamp = rt2.dispatched_at;
             engine_.schedule_in(delay, [this, ref, target, source, mb, home, attempt, stamp] {
               const auto& rt3 = workflows_[static_cast<std::size_t>(ref.workflow.get())]
@@ -676,7 +667,7 @@ void GridSystem::try_start_task(NodeId id) {
   const auto candidates = node.data_complete();
   if (candidates.empty()) return;
 
-  const std::size_t pick = second_phase_->select(candidates);  // Algorithm 2
+  const std::size_t pick = select_ready(ready_better_, candidates);  // Algorithm 2
   const TaskRef ref = candidates[pick]->ref;
   const double duration = node.start_running(ref, engine_.now());
 

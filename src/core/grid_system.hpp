@@ -7,7 +7,7 @@
 //   - net::LandmarkEstimator bandwidth estimation,
 //   - gossip::MixedGossipService   RSS maintenance + global averages,
 //   - grid::GridNode/TransferManager/ChurnModel  node runtime,
-//   - core policies (registry)     the scheduling algorithms.
+//   - core::Algorithm (one table row)  the scheduling algorithm.
 //
 // Task lifecycle: Waiting -> Schedulable (all precedents finished)
 //   -> Dispatched (phase 1 chose a resource node; image+data transfers run)
@@ -23,8 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/algorithm.hpp"
+#include "core/fullahead/planner.hpp"
 #include "core/metrics_sink.hpp"
-#include "core/policy_registry.hpp"
 #include "dag/critical_path.hpp"
 #include "dag/workflow.hpp"
 #include "grid/churn.hpp"
@@ -129,9 +130,10 @@ struct WorkflowInstance {
 struct TransferRetryPolicy {
   /// Max retry attempts per input transfer; 0 = fail immediately (seed).
   int max_attempts = 0;
-  /// Exponential backoff: attempt k waits min(cap, base * 2^k) seconds.
-  double backoff_base_s = 30.0;
-  double backoff_cap_s = 1800.0;
+  /// Exponential backoff: attempt k waits min(kBackoffCapS, kBackoffBaseS *
+  /// 2^k) seconds.
+  static constexpr double kBackoffBaseS = 30.0;
+  static constexpr double kBackoffCapS = 1800.0;
 };
 
 /// System-level knobs (workload knobs live in exp::WorkloadFactory).
@@ -343,9 +345,9 @@ class GridSystem {
   std::unique_ptr<grid::ChurnModel> churn_;
   std::unique_ptr<sim::PeriodicProcess> scheduler_;
 
-  std::unique_ptr<FirstPhasePolicy> first_phase_;
-  std::unique_ptr<ReadyQueuePolicy> second_phase_;
-  std::unique_ptr<FullAheadPlanner> planner_;
+  ReadyComparator ready_better_;
+  /// Full-ahead algorithms only.
+  FullAheadPlanner planner_;
   Assignment plan_;
   std::size_t planned_count_ = 0;  ///< workflows_[0..planned_count_) are planned
 

@@ -7,8 +7,9 @@
 #include <ostream>
 #include <utility>
 
-#include "core/policy_registry.hpp"
-#include "core/rpm.hpp"
+#include "core/algorithm.hpp"
+#include "core/dispatch.hpp"
+#include "dag/critical_path.hpp"
 #include "dag/templates.hpp"
 #include "exp/reporters.hpp"
 #include "exp/scenario.hpp"
@@ -223,8 +224,8 @@ void dynamic_time_series(const char* series, const std::string& title, const uti
 /// published RPM values, workflow makespans and scheduling orders.
 void use_case(const std::string& title, const util::Config& /*cli*/, std::ostream& os) {
   const dag::AverageEstimates unit{1.0, 1.0};
-  const auto rpm_a = core::rest_path_makespans(dag::make_fig3_workflow_a(), unit);
-  const auto rpm_b = core::rest_path_makespans(dag::make_fig3_workflow_b(), unit);
+  const auto rpm_a = dag::upward_ranks(dag::make_fig3_workflow_a(), unit);
+  const auto rpm_b = dag::upward_ranks(dag::make_fig3_workflow_b(), unit);
 
   os << "=== " << title << " ===\n\n";
   TablePrinter t({"task", "RPM (paper)", "RPM (measured)"});

@@ -290,7 +290,6 @@ ScenarioRegistry build_registry() {
              c.faults.link_downtime_s = 900.0;
              c.faults.link_permanent_p = 0.10;
              c.system.transfer_retry.max_attempts = 5;
-             c.system.transfer_retry.backoff_base_s = 30.0;
            })});
   reg.add({"realism/suspicion-churn",
            "SWIM suspicion under churn (dynamic factor 0.2) on a 10%-lossy network: false "

@@ -1,6 +1,6 @@
 #include "exp/sweep.hpp"
 
-#include "core/policy_registry.hpp"
+#include "core/algorithm.hpp"
 #include "util/parallel.hpp"
 
 namespace dpjit::exp {

@@ -56,9 +56,11 @@ MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params,
     digest_mark_.assign(static_cast<std::size_t>(n_), 0U);
     message_budget_ =
         params_.round_message_budget > 0 ? params_.round_message_budget : 3 * fanout_ + 4;
-    ack_timeout_ = params_.ack_timeout_s > 0.0 ? params_.ack_timeout_s : 0.5 * params_.cycle_s;
-    suspect_timeout_ =
-        params_.suspect_timeout_s > 0.0 ? params_.suspect_timeout_s : 2.0 * params_.cycle_s;
+    // A SYNC unanswered for half a cycle makes the initiator suspect the
+    // target; a suspect not refuted within two cycles is declared dead (and
+    // dropped from the view) at the next cycle sweep.
+    ack_timeout_ = 0.5 * params_.cycle_s;
+    suspect_timeout_ = 2.0 * params_.cycle_s;
   }
 }
 

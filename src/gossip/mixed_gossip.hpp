@@ -62,12 +62,6 @@ struct GossipParams {
   /// Max protocol messages a node may SEND per cycle in message mode
   /// (initiations and replies both count); 0 derives 3 * fanout + 4.
   int round_message_budget = 0;
-  /// A SYNC unanswered for this long makes the initiator suspect the target;
-  /// 0 derives cycle_s / 2.
-  double ack_timeout_s = 0.0;
-  /// A suspect not refuted within this window is declared dead (and dropped
-  /// from the view) at the next cycle sweep; 0 derives 2 * cycle_s.
-  double suspect_timeout_s = 0.0;
 };
 
 /// System-wide averages produced by the aggregation gossip, as seen by one node.

@@ -105,13 +105,6 @@ bool Config::get_bool(std::string_view key, bool fallback) const {
   throw std::invalid_argument("config key '" + std::string(key) + "' is not a bool: " + *v);
 }
 
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, _] : values_) out.push_back(k);
-  return out;
-}
-
 std::vector<std::string> Config::unused_keys() const {
   std::vector<std::string> out;
   for (const auto& [k, _] : values_) {

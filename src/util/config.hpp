@@ -44,9 +44,6 @@ class Config {
   /// Positional (non --key=value) command-line arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
-  /// All keys, sorted (for printing the effective configuration).
-  [[nodiscard]] std::vector<std::string> keys() const;
-
   /// Keys that were set but never read by any getter or has(): typo detection.
   [[nodiscard]] std::vector<std::string> unused_keys() const;
 

@@ -24,8 +24,6 @@ class TablePrinter {
   /// Prints the table (headers, separator, rows) to `os`.
   void print(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -52,8 +52,6 @@ class Fig3Context final : public DispatchContext {
     pending_ = {a, b};
   }
 
-  [[nodiscard]] SimTime now() const override { return 0.0; }
-  [[nodiscard]] NodeId home() const override { return NodeId{9}; }
   [[nodiscard]] std::vector<gossip::ResourceEntry>& resources() override { return resources_; }
   [[nodiscard]] const std::vector<PendingWorkflow>& pending() const override { return pending_; }
 
@@ -61,11 +59,6 @@ class Fig3Context final : public DispatchContext {
                                    const gossip::ResourceEntry& resource) const override {
     const auto row = ft_.at({task.ref.workflow.get(), task.ref.task.get()});
     return row[static_cast<std::size_t>(resource.node.get())];
-  }
-
-  [[nodiscard]] double exec_time(const CandidateTask& task,
-                                 const gossip::ResourceEntry&) const override {
-    return task.load_mi;
   }
 
   void dispatch(const CandidateTask& task, NodeId target) override {

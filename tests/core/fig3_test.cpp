@@ -3,14 +3,10 @@
 // max-min vs HEFT-style ranking.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
-#include "core/policies/batch_heuristics.hpp"
-#include "core/policies/dheft.hpp"
-#include "core/policies/dsdf.hpp"
-#include "core/policies/dsmf.hpp"
-#include "core/rpm.hpp"
+#include "core/dispatch.hpp"
+#include "dag/critical_path.hpp"
 #include "fig3_helpers.hpp"
 
 namespace dpjit::core {
@@ -24,12 +20,12 @@ const dag::AverageEstimates kUnitAverages{1.0, 1.0};
 
 TEST(Fig3, RpmValuesMatchThePaper) {
   const auto a = fig3_workflow_a();
-  const auto rpm_a = rest_path_makespans(a, kUnitAverages);
+  const auto rpm_a = dag::upward_ranks(a, kUnitAverages);
   EXPECT_DOUBLE_EQ(rpm_a[1], 80.0) << "RPM(A2)";
   EXPECT_DOUBLE_EQ(rpm_a[2], 115.0) << "RPM(A3)";
 
   const auto b = fig3_workflow_b();
-  const auto rpm_b = rest_path_makespans(b, kUnitAverages);
+  const auto rpm_b = dag::upward_ranks(b, kUnitAverages);
   EXPECT_DOUBLE_EQ(rpm_b[1], 65.0) << "RPM(B2)";
   EXPECT_DOUBLE_EQ(rpm_b[2], 60.0) << "RPM(B3)";
 }
@@ -38,9 +34,9 @@ TEST(Fig3, WorkflowMakespansMatchThePaper) {
   const auto a = fig3_workflow_a();
   const auto b = fig3_workflow_b();
   // Schedule points: A2, A3 and B2, B3 (entry tasks already finished).
-  const auto ms_a = remaining_makespan(rest_path_makespans(a, kUnitAverages),
+  const auto ms_a = remaining_makespan(dag::upward_ranks(a, kUnitAverages),
                                        {TaskIndex{1}, TaskIndex{2}});
-  const auto ms_b = remaining_makespan(rest_path_makespans(b, kUnitAverages),
+  const auto ms_b = remaining_makespan(dag::upward_ranks(b, kUnitAverages),
                                        {TaskIndex{1}, TaskIndex{2}});
   EXPECT_DOUBLE_EQ(ms_a, 115.0);
   EXPECT_DOUBLE_EQ(ms_b, 65.0);
@@ -48,8 +44,7 @@ TEST(Fig3, WorkflowMakespansMatchThePaper) {
 
 TEST(Fig3, DsmfSchedulesB2B3A3A2) {
   Fig3Context ctx;
-  DsmfPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("dsmf"), ctx);
   ASSERT_EQ(ctx.dispatched().size(), 4u);
   EXPECT_EQ(Fig3Context::name(ctx.dispatched()[0].first), "B2");
   EXPECT_EQ(Fig3Context::name(ctx.dispatched()[1].first), "B3");
@@ -59,8 +54,7 @@ TEST(Fig3, DsmfSchedulesB2B3A3A2) {
 
 TEST(Fig3, DsmfTargetsMinimizeFinishTime) {
   Fig3Context ctx;
-  DsmfPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("dsmf"), ctx);
   // Per the matrix: B2 -> Z(40), B3 -> Y(20), A3 -> X(30), A2 -> Y(10).
   EXPECT_EQ(ctx.dispatched()[0].second, NodeId{2});
   EXPECT_EQ(ctx.dispatched()[1].second, NodeId{1});
@@ -72,8 +66,7 @@ TEST(Fig3, HeftStyleRankingSchedulesA3A2B2B3) {
   // "The HEFT algorithm will choose A3, A2, B2, and B3 one by one, due to
   // their decreasing order of RPM" - DHEFT applies exactly that order.
   Fig3Context ctx;
-  DheftPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("dheft"), ctx);
   ASSERT_EQ(ctx.dispatched().size(), 4u);
   EXPECT_EQ(Fig3Context::name(ctx.dispatched()[0].first), "A3");
   EXPECT_EQ(Fig3Context::name(ctx.dispatched()[1].first), "A2");
@@ -83,8 +76,7 @@ TEST(Fig3, HeftStyleRankingSchedulesA3A2B2B3) {
 
 TEST(Fig3, MinMinPicksA2First) {
   Fig3Context ctx;
-  MinMinPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("minmin"), ctx);
   ASSERT_FALSE(ctx.dispatched().empty());
   EXPECT_EQ(Fig3Context::name(ctx.dispatched()[0].first), "A2");
   EXPECT_EQ(ctx.dispatched()[0].second, NodeId{1}) << "A2's best node is Y";
@@ -92,8 +84,7 @@ TEST(Fig3, MinMinPicksA2First) {
 
 TEST(Fig3, MaxMinPicksB2First) {
   Fig3Context ctx;
-  MaxMinPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("maxmin"), ctx);
   ASSERT_FALSE(ctx.dispatched().empty());
   EXPECT_EQ(Fig3Context::name(ctx.dispatched()[0].first), "B2");
   EXPECT_EQ(ctx.dispatched()[0].second, NodeId{2}) << "B2's best node is Z";
@@ -101,8 +92,7 @@ TEST(Fig3, MaxMinPicksB2First) {
 
 TEST(Fig3, SufferageStampsPositiveSufferages) {
   Fig3Context ctx;
-  SufferagePolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("sufferage"), ctx);
   ASSERT_EQ(ctx.dispatched().size(), 4u);
   // Sufferage values per matrix: A2: 15-10=5, A3: 40-30=10, B2: 50-40=10,
   // B3: 30-20=10. The first pick has the maximal sufferage (10).
@@ -112,8 +102,7 @@ TEST(Fig3, SufferageStampsPositiveSufferages) {
 
 TEST(Fig3, DsdfSchedulesCriticalTasksFirst) {
   Fig3Context ctx;
-  DsdfPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("dsdf"), ctx);
   ASSERT_EQ(ctx.dispatched().size(), 4u);
   // Slacks: A2: 115-80=35, A3: 0, B2: 0, B3: 5. Ties keep workflow order:
   // A3 (0) before B2 (0), then B3, then A2.
@@ -124,21 +113,15 @@ TEST(Fig3, DsdfSchedulesCriticalTasksFirst) {
 }
 
 TEST(Fig3, AllTasksDispatchedExactlyOnceByEveryPolicy) {
-  for (int which = 0; which < 5; ++which) {
+  for (const auto& algorithm : all_algorithms()) {
+    const Algorithm row = make_algorithm(algorithm);
+    if (row.full_ahead()) continue;
     Fig3Context ctx;
-    std::unique_ptr<FirstPhasePolicy> policy;
-    switch (which) {
-      case 0: policy = std::make_unique<DsmfPolicy>(); break;
-      case 1: policy = std::make_unique<DheftPolicy>(); break;
-      case 2: policy = std::make_unique<DsdfPolicy>(); break;
-      case 3: policy = std::make_unique<MinMinPolicy>(); break;
-      default: policy = std::make_unique<MaxMinPolicy>(); break;
-    }
-    policy->run(ctx);
-    EXPECT_EQ(ctx.dispatched().size(), 4u) << policy->name();
+    run_first_phase(row, ctx);
+    EXPECT_EQ(ctx.dispatched().size(), 4u) << algorithm;
     std::set<std::string> names;
     for (const auto& [ref, node] : ctx.dispatched()) names.insert(Fig3Context::name(ref));
-    EXPECT_EQ(names.size(), 4u) << policy->name();
+    EXPECT_EQ(names.size(), 4u) << algorithm;
   }
 }
 

@@ -1,10 +1,12 @@
-// First-phase policy behaviours beyond the Fig. 3 oracle: RSS-copy load
+// First-phase rule behaviours beyond the Fig. 3 oracle: RSS-copy load
 // updates (Algorithm 1 line 15), hotspot avoidance, batch heuristic iteration.
 #include <gtest/gtest.h>
 
-#include "core/policies/batch_heuristics.hpp"
-#include "core/policies/dsmf.hpp"
-#include "fig3_helpers.hpp"
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "core/dispatch.hpp"
 
 namespace dpjit::core {
 namespace {
@@ -17,18 +19,12 @@ class ComputeContext final : public DispatchContext {
                  std::vector<PendingWorkflow> pending)
       : resources_(std::move(resources)), pending_(std::move(pending)) {}
 
-  [[nodiscard]] SimTime now() const override { return 0.0; }
-  [[nodiscard]] NodeId home() const override { return NodeId{0}; }
   [[nodiscard]] std::vector<gossip::ResourceEntry>& resources() override { return resources_; }
   [[nodiscard]] const std::vector<PendingWorkflow>& pending() const override { return pending_; }
 
   [[nodiscard]] double finish_time(const CandidateTask& task,
                                    const gossip::ResourceEntry& r) const override {
     return estimate_finish_time(task.inputs, r, [](NodeId, NodeId) { return 1.0; }).finish_s;
-  }
-  [[nodiscard]] double exec_time(const CandidateTask& task,
-                                 const gossip::ResourceEntry& r) const override {
-    return execution_time_s(task.load_mi, r);
   }
 
   void dispatch(const CandidateTask& task, NodeId target) override {
@@ -39,6 +35,32 @@ class ComputeContext final : public DispatchContext {
   }
 
   std::vector<std::pair<TaskRef, NodeId>> dispatched_;
+
+ private:
+  std::vector<gossip::ResourceEntry> resources_;
+  std::vector<PendingWorkflow> pending_;
+};
+
+/// Equal static estimates everywhere; the live estimate says node 0's
+/// inputs crawl.
+class LiveContext final : public DispatchContext {
+ public:
+  LiveContext(std::vector<gossip::ResourceEntry> resources, std::vector<PendingWorkflow> pending)
+      : resources_(std::move(resources)), pending_(std::move(pending)) {}
+
+  [[nodiscard]] std::vector<gossip::ResourceEntry>& resources() override { return resources_; }
+  [[nodiscard]] const std::vector<PendingWorkflow>& pending() const override { return pending_; }
+  [[nodiscard]] double finish_time(const CandidateTask&,
+                                   const gossip::ResourceEntry&) const override {
+    return 10.0;
+  }
+  [[nodiscard]] double finish_time_contended(const CandidateTask&,
+                                             const gossip::ResourceEntry& r) const override {
+    return r.node == NodeId{0} ? 100.0 : 10.0;
+  }
+  void dispatch(const CandidateTask&, NodeId target) override { targets.push_back(target); }
+
+  std::vector<NodeId> targets;
 
  private:
   std::vector<gossip::ResourceEntry> resources_;
@@ -68,8 +90,7 @@ TEST(FirstPhase, LoadUpdateSpreadsTasksAcrossEqualNodes) {
   wf.makespan = 100;
   for (int i = 0; i < 4; ++i) wf.tasks.push_back(compute_task(0, i, 50, 100 - i, 100));
   ComputeContext ctx(resources, {wf});
-  DsmfPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("dsmf"), ctx);
   ASSERT_EQ(ctx.dispatched_.size(), 4u);
   int on0 = 0, on1 = 0;
   for (const auto& [ref, node] : ctx.dispatched_) (node == NodeId{0} ? on0 : on1)++;
@@ -87,8 +108,7 @@ TEST(FirstPhase, FasterNodePreferredUntilSaturated) {
   wf.makespan = 10;
   for (int i = 0; i < 5; ++i) wf.tasks.push_back(compute_task(0, i, 40, 10 - i, 10));
   ComputeContext ctx(resources, {wf});
-  DsmfPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("dsmf"), ctx);
   // Fast node (cap 4) takes tasks until its queue makes the slow node
   // competitive: FT(fast) after k tasks = (k+1)*10; FT(slow) = 40.
   int on_fast = 0;
@@ -109,8 +129,7 @@ TEST(FirstPhase, MinMinReevaluatesAfterEachDispatch) {
   wf.tasks.push_back(compute_task(0, 0, 100, 50, 100));  // long
   wf.tasks.push_back(compute_task(0, 1, 10, 100, 100));  // short
   ComputeContext ctx(resources, {wf});
-  MinMinPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("minmin"), ctx);
   ASSERT_EQ(ctx.dispatched_.size(), 2u);
   // Short first (FT 5 on node 0), long second (node0 FT = 5+50=55 vs node1 100).
   EXPECT_EQ(ctx.dispatched_[0].first.task.get(), 1);
@@ -129,8 +148,7 @@ TEST(FirstPhase, MaxMinPutsLongTaskFirst) {
   wf.tasks.push_back(compute_task(0, 0, 100, 50, 100));
   wf.tasks.push_back(compute_task(0, 1, 10, 100, 100));
   ComputeContext ctx(resources, {wf});
-  MaxMinPolicy policy;
-  policy.run(ctx);
+  run_first_phase(make_algorithm("maxmin"), ctx);
   EXPECT_EQ(ctx.dispatched_[0].first.task.get(), 0);
 }
 
@@ -139,23 +157,52 @@ TEST(FirstPhase, NoResourcesDispatchesNothing) {
   wf.wf = WorkflowId{0};
   wf.tasks.push_back(compute_task(0, 0, 10, 1, 1));
   ComputeContext ctx({}, {wf});
-  DsmfPolicy dsmf;
-  dsmf.run(ctx);
+  run_first_phase(make_algorithm("dsmf"), ctx);
   EXPECT_TRUE(ctx.dispatched_.empty());
-  MinMinPolicy minmin;
   ComputeContext ctx2({}, {wf});
-  minmin.run(ctx2);
+  run_first_phase(make_algorithm("minmin"), ctx2);
   EXPECT_TRUE(ctx2.dispatched_.empty());
 }
 
 TEST(FirstPhase, SelectMinFtTieBreaksTowardFirstEntry) {
+  // Formula (9) placement: of two equally good entries, the earlier wins.
   std::vector<gossip::ResourceEntry> resources{
       {NodeId{3}, 0.0, 1.0, 0.0, 0},
       {NodeId{4}, 0.0, 1.0, 0.0, 0},
   };
-  ComputeContext ctx(resources, {});
-  const auto task = compute_task(0, 0, 10, 1, 1);
-  EXPECT_EQ(select_min_ft(ctx, task), 0);
+  PendingWorkflow wf;
+  wf.wf = WorkflowId{0};
+  wf.tasks.push_back(compute_task(0, 0, 10, 1, 1));
+  ComputeContext ctx(resources, {wf});
+  run_first_phase(make_algorithm("dsmf"), ctx);
+  ASSERT_EQ(ctx.dispatched_.size(), 1u);
+  EXPECT_EQ(ctx.dispatched_[0].second, NodeId{3});
+}
+
+TEST(FirstPhase, ContendedRowsRankByTheLiveEstimate) {
+  // Only the contended rows see the live estimate's difference.
+  const std::vector<gossip::ResourceEntry> resources{
+      {NodeId{0}, 0.0, 1.0, 0.0, 0},
+      {NodeId{1}, 0.0, 1.0, 0.0, 0},
+  };
+  PendingWorkflow wf;
+  wf.wf = WorkflowId{0};
+  wf.tasks.push_back(compute_task(0, 0, 10, 1, 1));
+  for (const char* name : {"dsmf", "dheft"}) {
+    LiveContext ctx(resources, {wf});
+    run_first_phase(make_algorithm(name), ctx);
+    EXPECT_EQ(ctx.targets, std::vector<NodeId>{NodeId{0}}) << name;
+  }
+  for (const char* name : {"dsmf-ca", "dheft-ca"}) {
+    LiveContext ctx(resources, {wf});
+    run_first_phase(make_algorithm(name), ctx);
+    EXPECT_EQ(ctx.targets, std::vector<NodeId>{NodeId{1}}) << name;
+  }
+}
+
+TEST(FirstPhase, FullAheadRowsHaveNoFirstPhase) {
+  ComputeContext ctx({}, {});
+  EXPECT_THROW(run_first_phase(make_algorithm("heft"), ctx), std::logic_error);
 }
 
 }  // namespace

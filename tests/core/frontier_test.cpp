@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/grid_system.hpp"
-#include "core/rpm.hpp"
 #include "dag/templates.hpp"
 
 namespace dpjit::core {
@@ -165,7 +164,7 @@ TEST(Frontier, RanksSurviveReactivationUnderUnchangedAverages) {
   const auto believed = w.system->gossip_service().averages(NodeId{0});
   EXPECT_EQ(inst.rank_averages.capacity_mips, believed.capacity_mips);
   EXPECT_EQ(inst.rank_averages.bandwidth_mbps, believed.bandwidth_mbps);
-  EXPECT_EQ(inst.ranks, rest_path_makespans(inst.dag, inst.rank_averages));
+  EXPECT_EQ(inst.ranks, dag::upward_ranks(inst.dag, inst.rank_averages));
   const double* ranked = inst.ranks.data();
   // The entry finishes long before the next cycle, which offers stage 1
   // under the same believed averages: the ranks are reused, not recomputed.
@@ -186,7 +185,7 @@ TEST(Frontier, DispatchStampsRanksUnderTheSchedulersAverages) {
   jit.engine.run_until(100.5);
   const auto believed = jit.system->gossip_service().averages(NodeId{0});
   const auto& jit_wf = jit.system->workflow(jit_id);
-  const auto want_jit = rest_path_makespans(
+  const auto want_jit = dag::upward_ranks(
       jit_wf.dag, dag::AverageEstimates{believed.capacity_mips, believed.bandwidth_mbps});
   const auto* entry = staged(*jit.system, TaskRef{jit_id, jit_wf.dag.entry()});
   ASSERT_NE(entry, nullptr);
@@ -198,7 +197,7 @@ TEST(Frontier, DispatchStampsRanksUnderTheSchedulersAverages) {
   const auto planned_id = planned.system->submit(NodeId{0}, diamond());
   planned.system->start();
   const auto& planned_wf = planned.system->workflow(planned_id);
-  const auto want_planned = rest_path_makespans(planned_wf.dag, planned.system->true_averages());
+  const auto want_planned = dag::upward_ranks(planned_wf.dag, planned.system->true_averages());
   planned.engine.run_until(0.5);
   const auto* planned_entry = staged(*planned.system, TaskRef{planned_id, planned_wf.dag.entry()});
   ASSERT_NE(planned_entry, nullptr);

@@ -31,7 +31,7 @@ void check_dependencies_precede(const dag::Workflow& wf, WorkflowId id, const As
 TEST(FullAhead, HeftPlansEveryTask) {
   const auto wfa = testing::fig3_workflow_a();
   const auto wfb = testing::fig3_workflow_b();
-  HeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
   const auto o = oracle3();
   planner.plan({{WorkflowId{0}, &wfa, NodeId{0}, 115.0}, {WorkflowId{1}, &wfb, NodeId{0}, 65.0}}, o, plan);
@@ -54,7 +54,7 @@ TEST(FullAhead, SingleNodePlanSerializes) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId, NodeId) { return kInf; };
 
-  HeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
   planner.plan({{WorkflowId{0}, &wf, NodeId{0}, 120.0}}, o, plan);
   EXPECT_EQ(plan.size(), 3u);
@@ -78,7 +78,7 @@ TEST(FullAhead, ParallelBranchesSpreadAcrossNodes) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId, NodeId) { return kInf; };
 
-  HeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
   planner.plan({{WorkflowId{0}, &wf, NodeId{0}, 202.0}}, o, plan);
   EXPECT_NE(plan.at(TaskRef{WorkflowId{0}, b}), plan.at(TaskRef{WorkflowId{0}, c}));
@@ -95,7 +95,7 @@ TEST(FullAhead, ExpensiveTransferKeepsTaskLocal) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId a2, NodeId b2) { return a2 == b2 ? kInf : 0.1; };
 
-  HeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
   planner.plan({{WorkflowId{0}, &wf, NodeId{0}, 300.0}}, o, plan);
   EXPECT_EQ(plan.at(TaskRef{WorkflowId{0}, a}), plan.at(TaskRef{WorkflowId{0}, b}));
@@ -110,7 +110,7 @@ TEST(FullAhead, InitialBacklogSteersAway) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId, NodeId) { return kInf; };
 
-  HeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
   planner.plan({{WorkflowId{0}, &wf, NodeId{1}, 10.0}}, o, plan);
   EXPECT_EQ(plan.at(TaskRef{WorkflowId{0}, TaskIndex{0}}), NodeId{1});
@@ -130,7 +130,7 @@ TEST(FullAhead, SmfPlansShorterWorkflowFirst) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId, NodeId) { return kInf; };
 
-  SmfPlanner planner;
+  FullAheadPlanner planner(make_algorithm("smf"));
   Assignment plan;
   planner.plan({{WorkflowId{0}, &longwf, NodeId{0}, 1000.0}, {WorkflowId{1}, &shortwf, NodeId{0}, 10.0}}, o, plan);
   EXPECT_EQ(plan.size(), 2u);
@@ -149,7 +149,7 @@ TEST(FullAhead, IncrementalPlanningKeepsEarlierBookings) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId, NodeId) { return kInf; };
 
-  HeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
   planner.plan({{WorkflowId{0}, &wf1, NodeId{0}, 100.0}}, o, plan);
   planner.plan({{WorkflowId{1}, &wf2, NodeId{0}, 100.0}}, o, plan);
@@ -161,7 +161,7 @@ TEST(FullAhead, IncrementalPlanningKeepsEarlierBookings) {
 TEST(Lookahead, PlansEveryTaskLikeHeft) {
   const auto wfa = testing::fig3_workflow_a();
   const auto wfb = testing::fig3_workflow_b();
-  LookaheadHeftPlanner planner;
+  FullAheadPlanner planner(make_algorithm("heft-la"));
   Assignment plan;
   const auto o = oracle3();
   planner.plan({{WorkflowId{0}, &wfa, NodeId{0}, 115.0}, {WorkflowId{1}, &wfb, NodeId{0}, 65.0}},
@@ -185,12 +185,12 @@ TEST(Lookahead, AvoidsNodeThatStrandsTheChild) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId x, NodeId y) { return x == y ? kInf : 0.1; };
 
-  HeftPlanner heft;
+  FullAheadPlanner heft(make_algorithm("heft"));
   Assignment heft_plan;
   heft.plan({{WorkflowId{0}, &wf, NodeId{0}, 500.0}}, o, heft_plan);
   EXPECT_EQ(heft_plan.at(TaskRef{WorkflowId{0}, a}), NodeId{0}) << "HEFT greedily picks node 0";
 
-  LookaheadHeftPlanner la;
+  FullAheadPlanner la(make_algorithm("heft-la"));
   Assignment la_plan;
   la.plan({{WorkflowId{0}, &wf, NodeId{0}, 500.0}}, o, la_plan);
   EXPECT_EQ(la_plan.at(TaskRef{WorkflowId{0}, a}), la_plan.at(TaskRef{WorkflowId{0}, b}))
@@ -206,7 +206,7 @@ TEST(FullAhead, EmptyTransferTimeFnIsByteIdenticalToStaticPath) {
   const std::vector<PlanRequest> reqs = {{WorkflowId{0}, &wfa, NodeId{0}, 115.0},
                                          {WorkflowId{1}, &wfb, NodeId{0}, 65.0}};
   auto o = oracle3();
-  HeftPlanner static_planner;
+  FullAheadPlanner static_planner(make_algorithm("heft"));
   Assignment static_plan;
   static_planner.plan(reqs, o, static_plan);
 
@@ -215,7 +215,7 @@ TEST(FullAhead, EmptyTransferTimeFnIsByteIdenticalToStaticPath) {
     const double bw = o.bandwidth(from, to);
     return bw > 0.0 ? mb / bw : kInf;
   };
-  HeftPlanner live_planner;
+  FullAheadPlanner live_planner(make_algorithm("heft"));
   Assignment live_plan;
   live_planner.plan(reqs, o_live, live_plan);
   EXPECT_EQ(static_plan, live_plan);
@@ -233,7 +233,7 @@ TEST(FullAhead, TransferTimeOracleSteersAwayFromCongestedPath) {
   o.averages = {1.0, 1.0};
   o.bandwidth = [](NodeId u, NodeId v) { return u == v ? kInf : 100.0; };
 
-  HeftPlanner static_planner;
+  FullAheadPlanner static_planner(make_algorithm("heft"));
   Assignment static_plan;
   static_planner.plan({{WorkflowId{0}, &wf, NodeId{0}, 10.0}}, o, static_plan);
   EXPECT_EQ(static_plan.at(TaskRef{WorkflowId{0}, t}), NodeId{1});  // image 1 s, exec 1 s
@@ -243,12 +243,12 @@ TEST(FullAhead, TransferTimeOracleSteersAwayFromCongestedPath) {
     // Anything flowing INTO node 1 crawls at 0.01 Mb/s right now.
     return to == NodeId{1} ? mb / 0.01 : mb / 100.0;
   };
-  HeftPlanner live_planner;
+  FullAheadPlanner live_planner(make_algorithm("heft"));
   Assignment live_plan;
   live_planner.plan({{WorkflowId{0}, &wf, NodeId{0}, 10.0}}, o, live_plan);
   EXPECT_EQ(live_plan.at(TaskRef{WorkflowId{0}, t}), NodeId{0});
 
-  LookaheadHeftPlanner la;
+  FullAheadPlanner la(make_algorithm("heft-la"));
   Assignment la_plan;
   la.plan({{WorkflowId{0}, &wf, NodeId{0}, 10.0}}, o, la_plan);
   EXPECT_EQ(la_plan.at(TaskRef{WorkflowId{0}, t}), NodeId{0});

@@ -1,4 +1,4 @@
-#include "core/policies/ready_policies.hpp"
+#include "core/algorithm.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,8 +30,7 @@ TEST(ReadyPolicies, DsmfPicksSmallestWorkflowMakespan) {
       make(1, 65, 65, 10, 0, 0, 1),
       make(2, 300, 10, 10, 290, 0, 2),
   };
-  const auto policy = make_ready_policy("dsmf");
-  EXPECT_EQ(policy->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("dsmf"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, DsmfBreaksTiesByLongestRpm) {
@@ -40,8 +39,7 @@ TEST(ReadyPolicies, DsmfBreaksTiesByLongestRpm) {
       make(0, 65, 20, 10, 45, 0, 0),
       make(1, 65, 60, 10, 5, 0, 1),
   };
-  const auto policy = make_ready_policy("dsmf");
-  EXPECT_EQ(policy->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("dsmf"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, DsmfDoubleTieFallsBackToArrival) {
@@ -49,8 +47,7 @@ TEST(ReadyPolicies, DsmfDoubleTieFallsBackToArrival) {
       make(0, 65, 60, 10, 5, 0, 7),
       make(1, 65, 60, 10, 5, 0, 3),
   };
-  const auto policy = make_ready_policy("dsmf");
-  EXPECT_EQ(policy->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("dsmf"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, LrpmPicksLongestRpm) {
@@ -59,7 +56,7 @@ TEST(ReadyPolicies, LrpmPicksLongestRpm) {
       make(1, 1, 115, 10, 0, 0, 1),
       make(2, 1, 60, 10, 0, 0, 2),
   };
-  EXPECT_EQ(make_ready_policy("lrpm")->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("lrpm"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, SlackPicksTightestDeadline) {
@@ -68,7 +65,7 @@ TEST(ReadyPolicies, SlackPicksTightestDeadline) {
       make(1, 1, 1, 10, 0, 0, 1),
       make(2, 1, 1, 10, 5, 0, 2),
   };
-  EXPECT_EQ(make_ready_policy("slack")->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("slack"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, StfAndLtfUseLoad) {
@@ -77,8 +74,8 @@ TEST(ReadyPolicies, StfAndLtfUseLoad) {
       make(1, 1, 1, 100, 0, 0, 1),
       make(2, 1, 1, 900, 0, 0, 2),
   };
-  EXPECT_EQ(make_ready_policy("stf")->select(ptrs(tasks)), 1u);
-  EXPECT_EQ(make_ready_policy("ltf")->select(ptrs(tasks)), 2u);
+  EXPECT_EQ(select_ready(ready_comparator("stf"), ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("ltf"), ptrs(tasks)), 2u);
 }
 
 TEST(ReadyPolicies, LsfPicksLargestSufferage) {
@@ -87,7 +84,7 @@ TEST(ReadyPolicies, LsfPicksLargestSufferage) {
       make(1, 1, 1, 10, 0, 25, 1),
       make(2, 1, 1, 10, 0, 10, 2),
   };
-  EXPECT_EQ(make_ready_policy("lsf")->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("lsf"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, FcfsPicksEarliestArrival) {
@@ -96,28 +93,27 @@ TEST(ReadyPolicies, FcfsPicksEarliestArrival) {
       make(1, 1, 1, 99, 0, 0, 2),
       make(2, 1, 50, 50, 0, 5, 9),
   };
-  EXPECT_EQ(make_ready_policy("fcfs")->select(ptrs(tasks)), 1u);
+  EXPECT_EQ(select_ready(ready_comparator("fcfs"), ptrs(tasks)), 1u);
 }
 
 TEST(ReadyPolicies, SingleCandidateAlwaysChosen) {
   const std::vector<grid::ReadyTask> tasks{make(0, 1, 1, 1, 0, 0, 0)};
-  for (auto name : ready_policy_names()) {
-    EXPECT_EQ(make_ready_policy(name)->select(ptrs(tasks)), 0u) << name;
+  for (auto name : ready_comparator_names()) {
+    EXPECT_EQ(select_ready(ready_comparator(name), ptrs(tasks)), 0u) << name;
   }
 }
 
 TEST(ReadyPolicies, EmptyCandidatesThrow) {
-  EXPECT_THROW((void)make_ready_policy("dsmf")->select({}), std::logic_error);
+  EXPECT_THROW((void)select_ready(ready_comparator("dsmf"), {}), std::logic_error);
 }
 
 TEST(ReadyPolicies, UnknownNameThrows) {
-  EXPECT_THROW(make_ready_policy("nope"), std::invalid_argument);
+  EXPECT_THROW((void)ready_comparator("nope"), std::invalid_argument);
 }
 
 TEST(ReadyPolicies, AllNamesConstructible) {
-  for (auto name : ready_policy_names()) {
-    const auto policy = make_ready_policy(name);
-    EXPECT_EQ(policy->name(), name);
+  for (auto name : ready_comparator_names()) {
+    EXPECT_NE(ready_comparator(name), nullptr) << name;
   }
 }
 

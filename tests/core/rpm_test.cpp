@@ -1,7 +1,7 @@
-#include "core/rpm.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/dispatch.hpp"
+#include "dag/critical_path.hpp"
 #include "dag/generator.hpp"
 
 namespace dpjit::core {
@@ -12,7 +12,7 @@ TEST(Rpm, ExitTaskRpmIsItsExecutionTime) {
   auto a = wf.add_task(10, 0);
   auto b = wf.add_task(30, 0);
   wf.add_dependency(a, b, 20);
-  const auto rpm = rest_path_makespans(wf, {1.0, 1.0});
+  const auto rpm = dag::upward_ranks(wf, {1.0, 1.0});
   EXPECT_DOUBLE_EQ(rpm[static_cast<std::size_t>(b.get())], 30.0);
   EXPECT_DOUBLE_EQ(rpm[static_cast<std::size_t>(a.get())], 60.0);
 }
@@ -22,7 +22,7 @@ TEST(Rpm, AveragesScaleRpm) {
   auto a = wf.add_task(100, 0);
   auto b = wf.add_task(200, 0);
   wf.add_dependency(a, b, 60);
-  const auto rpm = rest_path_makespans(wf, {10.0, 6.0});
+  const auto rpm = dag::upward_ranks(wf, {10.0, 6.0});
   // 100/10 + 60/6 + 200/10 = 10 + 10 + 20.
   EXPECT_DOUBLE_EQ(rpm[0], 40.0);
 }
@@ -39,7 +39,7 @@ TEST(Rpm, EntryRpmEqualsExpectedFinishTime) {
   for (int i = 0; i < 10; ++i) {
     const auto wf = dag::generate_workflow(WorkflowId{1}, dag::GeneratorParams{}, rng);
     const dag::AverageEstimates avg{6.2, 5.0};
-    const auto rpm = rest_path_makespans(wf, avg);
+    const auto rpm = dag::upward_ranks(wf, avg);
     EXPECT_NEAR(rpm[static_cast<std::size_t>(wf.entry().get())],
                 dag::expected_finish_time(wf, avg), 1e-9);
   }
@@ -50,7 +50,7 @@ TEST(Rpm, MakespanShrinksAsExecutionProgresses) {
   // along any chain, because RPM decreases monotonically along edges.
   util::Rng rng(8);
   const auto wf = dag::generate_workflow(WorkflowId{1}, dag::GeneratorParams{}, rng);
-  const auto rpm = rest_path_makespans(wf, {6.2, 5.0});
+  const auto rpm = dag::upward_ranks(wf, {6.2, 5.0});
   const double ms_entry = remaining_makespan(rpm, {wf.entry()});
   const auto entry_succ = wf.successors(wf.entry());
   const std::vector<TaskIndex> second_wave(entry_succ.begin(), entry_succ.end());

@@ -94,7 +94,6 @@ ExperimentConfig link_wave_world() {
   cfg.faults.link_fail_fraction = 0.30;
   cfg.faults.link_downtime_s = 1200.0;
   cfg.system.transfer_retry.max_attempts = 5;
-  cfg.system.transfer_retry.backoff_base_s = 30.0;
   return cfg;
 }
 

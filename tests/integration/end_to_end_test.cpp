@@ -2,7 +2,7 @@
 // scheduling + transfers) at small scale, across all eight algorithms.
 #include <gtest/gtest.h>
 
-#include "core/policy_registry.hpp"
+#include "core/algorithm.hpp"
 #include "exp/experiment.hpp"
 
 namespace dpjit::exp {

@@ -5,7 +5,7 @@
 
 #include <map>
 
-#include "core/policy_registry.hpp"
+#include "core/algorithm.hpp"
 #include "exp/workload_factory.hpp"
 
 namespace dpjit::exp {

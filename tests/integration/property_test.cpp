@@ -3,7 +3,7 @@
 // the phase-2 comparators must define deterministic total preorders.
 #include <gtest/gtest.h>
 
-#include "core/policies/ready_policies.hpp"
+#include "core/algorithm.hpp"
 #include "exp/experiment.hpp"
 #include "util/rng.hpp"
 
@@ -98,16 +98,16 @@ TEST_P(ReadyPolicyProperty, SelectionIsStableUnderPermutation) {
   // The winner must be the same task no matter how the candidate vector is
   // ordered - guaranteed by the arrival_seq tie-breaks.
   util::Rng rng(1234);
-  const auto policy = core::make_ready_policy(GetParam());
+  const auto better = core::ready_comparator(GetParam());
   for (int round = 0; round < 50; ++round) {
     std::vector<grid::ReadyTask> tasks;
     for (std::uint64_t i = 0; i < 12; ++i) tasks.push_back(random_task(rng, i));
     std::vector<const grid::ReadyTask*> view;
     for (const auto& t : tasks) view.push_back(&t);
-    const grid::ReadyTask* first_winner = view[policy->select(view)];
+    const grid::ReadyTask* first_winner = view[core::select_ready(better, view)];
     for (int perm = 0; perm < 5; ++perm) {
       rng.shuffle(view);
-      const grid::ReadyTask* winner = view[policy->select(view)];
+      const grid::ReadyTask* winner = view[core::select_ready(better, view)];
       EXPECT_EQ(winner->arrival_seq, first_winner->arrival_seq)
           << GetParam() << " round " << round;
     }
@@ -117,13 +117,13 @@ TEST_P(ReadyPolicyProperty, SelectionIsStableUnderPermutation) {
 TEST_P(ReadyPolicyProperty, WinnerIsNoWorseThanEveryCandidate) {
   // Spot-check the defining property of each comparator on the winner.
   util::Rng rng(99);
-  const auto policy = core::make_ready_policy(GetParam());
+  const auto better = core::ready_comparator(GetParam());
   for (int round = 0; round < 30; ++round) {
     std::vector<grid::ReadyTask> tasks;
     for (std::uint64_t i = 0; i < 8; ++i) tasks.push_back(random_task(rng, i));
     std::vector<const grid::ReadyTask*> view;
     for (const auto& t : tasks) view.push_back(&t);
-    const grid::ReadyTask& w = *view[policy->select(view)];
+    const grid::ReadyTask& w = *view[core::select_ready(better, view)];
     for (const auto* t : view) {
       if (GetParam() == "dsmf") {
         EXPECT_LE(w.wf_makespan, t->wf_makespan);
@@ -145,7 +145,7 @@ TEST_P(ReadyPolicyProperty, WinnerIsNoWorseThanEveryCandidate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReadyPolicyProperty,
-                         ::testing::ValuesIn(core::ready_policy_names()),
+                         ::testing::ValuesIn(core::ready_comparator_names()),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

@@ -14,9 +14,14 @@
 //              transfer is in flight, so there heft-la equals lookahead-ca
 //              and dsmf equals dsmf-tc; open arrivals tell them apart.
 //
-// Cost: the whole suite takes ~14 s serially in the release preset, ~11 s
-// of it in heft-la and lookahead-ca, whose one-level lookahead planning is
-// O(tasks * nodes^2 * fanout); every other algorithm takes ~0.2 s.
+// Cost: every row but the two lookahead ones takes ~0.2 s for all three
+// configs in the release preset, ~2 s in debug and ~5-8 s under ASan.
+// heft-la and lookahead-ca plan in O(tasks * nodes^2 * fanout): on all three
+// configs they take 4-6 s each in release, 69-84 s in debug and over 200 s
+// under ASan, past the scenario tier's per-test timeout (150 s in the
+// debug and asan presets). They run the open config only, the one that
+// tells them apart; the rows heft and smf pin the full-ahead remap on the
+// dynamic config.
 //
 // A pin change is legitimate only alongside an intentional semantic change
 // to the algorithm it names.
@@ -26,12 +31,15 @@
 #include <ostream>
 #include <string>
 
-#include "core/policy_registry.hpp"
+#include "core/algorithm.hpp"
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
 
 namespace dpjit::exp {
 namespace {
+
+/// A config this row does not run.
+constexpr std::uint64_t kNotRun = 0;
 
 struct Pin {
   const char* algorithm;
@@ -54,11 +62,11 @@ constexpr Pin kPins[] = {
     {"minmin-fcfs", 13463385502244131827ULL, 9303284550453056741ULL, 2282173196248539630ULL},
     {"maxmin-fcfs", 4967234715490852947ULL, 11675817623634230650ULL, 16555972210336432580ULL},
     {"sufferage-fcfs", 10030340735273581046ULL, 6776428566230249733ULL, 11411155089421346896ULL},
-    {"heft-la", 12671989514489053010ULL, 3054736449305766303ULL, 13203386582392109575ULL},
+    {"heft-la", kNotRun, kNotRun, 13203386582392109575ULL},
     {"dsmf-ca", 9344499559596570996ULL, 17707866401532341607ULL, 11096471239426629092ULL},
     {"dsmf-tc", 13287032647684359921ULL, 3251636636620959963ULL, 7207151536443149580ULL},
     {"dheft-ca", 14755089570204243617ULL, 11361228541248526741ULL, 7021927623667210907ULL},
-    {"lookahead-ca", 9902873804821720440ULL, 7597358611692530463ULL, 13766857274467162876ULL},
+    {"lookahead-ca", kNotRun, kNotRun, 13766857274467162876ULL},
 };
 
 void PrintTo(const Pin& pin, std::ostream* os) { *os << pin.algorithm; }
@@ -81,13 +89,17 @@ class AlgorithmPin : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(AlgorithmPin, MatchesPinnedDigests) {
   const Pin& pin = GetParam();
-  EXPECT_EQ(digest_of("paper/static-n200", pin.algorithm, [](ExperimentConfig&) {}),
-            pin.static_n200)
-      << pin.algorithm << " on paper/static-n200";
-  EXPECT_EQ(digest_of("paper/dynamic-df20", pin.algorithm,
-                      [](ExperimentConfig& c) { c.reschedule = true; }),
-            pin.dynamic_df20)
-      << pin.algorithm << " on paper/dynamic-df20 with rescheduling";
+  if (pin.static_n200 != kNotRun) {
+    EXPECT_EQ(digest_of("paper/static-n200", pin.algorithm, [](ExperimentConfig&) {}),
+              pin.static_n200)
+        << pin.algorithm << " on paper/static-n200";
+  }
+  if (pin.dynamic_df20 != kNotRun) {
+    EXPECT_EQ(digest_of("paper/dynamic-df20", pin.algorithm,
+                        [](ExperimentConfig& c) { c.reschedule = true; }),
+              pin.dynamic_df20)
+        << pin.algorithm << " on paper/dynamic-df20 with rescheduling";
+  }
   EXPECT_EQ(digest_of("contention/fair-static", pin.algorithm,
                       [](ExperimentConfig& c) { c.mean_interarrival_s = 3600.0; }),
             pin.open_fair)

@@ -86,13 +86,5 @@ TEST(Config, LaterValueOverwrites) {
   EXPECT_EQ(cfg.get_int("k", 0), 2);
 }
 
-TEST(Config, KeysSorted) {
-  auto cfg = parse({"--b=1", "--a=2"});
-  const auto keys = cfg.keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "a");
-  EXPECT_EQ(keys[1], "b");
-}
-
 }  // namespace
 }  // namespace dpjit::util

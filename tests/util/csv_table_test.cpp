@@ -40,8 +40,12 @@ TEST(TablePrinter, AlignsColumns) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("------"), std::string::npos);
   EXPECT_NE(out.find("longer"), std::string::npos);
-  // Numeric cells right-aligned: " 1" under a 5-wide column.
-  EXPECT_EQ(t.row_count(), 2u);
+  // Numeric cells right-aligned: "1" ends the 5-wide "value" column.
+  // (Built with += : "lit" + std::string trips GCC 12's -Wrestrict PR 105329.)
+  std::string row = "a";
+  row += std::string(11, ' ');
+  row += "1\n";
+  EXPECT_NE(out.find(row), std::string::npos);
 }
 
 TEST(TablePrinter, ShortRowsPadded) {
@@ -49,7 +53,11 @@ TEST(TablePrinter, ShortRowsPadded) {
   t.add_row({"only"});
   std::ostringstream os;
   t.print(os);
-  EXPECT_EQ(t.row_count(), 1u);
+  // The missing cells print as blanks of their columns' widths (1 and 1).
+  std::string row = "only";
+  row += std::string(6, ' ');
+  row += '\n';
+  EXPECT_NE(os.str().find(row), std::string::npos);
 }
 
 TEST(TablePrinter, FmtSignificantDigits) {

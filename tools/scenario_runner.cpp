@@ -46,7 +46,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/policy_registry.hpp"
+#include "core/algorithm.hpp"
 #include "exp/figures.hpp"
 #include "exp/reporters.hpp"
 #include "exp/scale_model.hpp"
@@ -137,14 +137,13 @@ int describe_scenario(const std::string& name, bool as_json) {
   const std::string_view network_model =
       net::network_mode_info(cfg.system.network_mode).name;
   const auto algo = core::make_algorithm(cfg.algorithm);
-  const bool ca_suffix = cfg.algorithm.size() > 3 &&
-                         cfg.algorithm.compare(cfg.algorithm.size() - 3, 3, "-ca") == 0;
   const char* oracle_path = "static estimates (gossip averages / bandwidth matrix)";
-  if (algo.contended_planner) {
-    oracle_path = "live expected_transfer_time_s probes at plan time, one per (src, dst) pair";
-  } else if (ca_suffix) {
+  if (algo.contended) {
     oracle_path =
-        "live expected_transfer_time_s probes per scheduling cycle (what-if fair-share solves)";
+        algo.full_ahead()
+            ? "live expected_transfer_time_s probes at plan time, one per (src, dst) pair"
+            : "live expected_transfer_time_s probes per scheduling cycle (what-if fair-share "
+              "solves)";
   }
   if (as_json) {
     std::cout << "{\n";
