@@ -10,18 +10,20 @@
 //              full-ahead remap of departed planned nodes and
 //              recover_failed_tasks;
 //   open     - contention/fair-static with a 3600 s mean inter-arrival
-//              time. The closed model plans every workflow before any
-//              transfer is in flight, so there heft-la equals lookahead-ca
-//              and dsmf equals dsmf-tc; open arrivals tell them apart.
+//              time. On the closed contention/fair-static config heft-la
+//              and lookahead-ca give one digest (the whole plan is made
+//              before any transfer is in flight), and so do dsmf and
+//              dsmf-tc; open arrivals tell both pairs apart.
 //
-// Cost: every row but the two lookahead ones takes ~0.2 s for all three
-// configs in the release preset, ~2 s in debug and ~5-8 s under ASan.
-// heft-la and lookahead-ca plan in O(tasks * nodes^2 * fanout): on all three
-// configs they take 4-6 s each in release, 69-84 s in debug and over 200 s
-// under ASan, past the scenario tier's per-test timeout (150 s in the
-// debug and asan presets). They run the open config only, the one that
-// tells them apart; the rows heft and smf pin the full-ahead remap on the
-// dynamic config.
+// Cost, serially on a 4-vCPU x86 VM: ~6 s in the release preset, ~100 s in
+// debug, ~315 s under ASan + UBSan. Every row but the two lookahead ones
+// takes ~0.2 s (release), ~2 s (debug) or 5-8 s (ASan). heft-la and
+// lookahead-ca plan in O(tasks * nodes^2 * fanout): on all three configs
+// they took 4-6 s each in release, 69-84 s in debug and 214-281 s under
+// ASan, past the scenario tier's per-test timeout (150 s in the debug and
+// asan presets). They run the open config only, the one that tells them
+// apart: 1.0-1.5 s, 23-37 s and 75-102 s. The rows heft and smf pin the
+// full-ahead remap on the dynamic config.
 //
 // A pin change is legitimate only alongside an intentional semantic change
 // to the algorithm it names.

@@ -41,7 +41,7 @@ TEST(TablePrinter, AlignsColumns) {
   EXPECT_NE(out.find("------"), std::string::npos);
   EXPECT_NE(out.find("longer"), std::string::npos);
   // Numeric cells right-aligned: "1" ends the 5-wide "value" column.
-  // (Built with += : "lit" + std::string trips GCC 12's -Wrestrict PR 105329.)
+  // (Built with += : "lit" + std::string trips GCC 12's -Wrestrict, GCC bug 105329.)
   std::string row = "a";
   row += std::string(11, ' ');
   row += "1\n";
