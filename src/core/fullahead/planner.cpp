@@ -94,77 +94,108 @@ void FullAheadPlanner::plan_batch(std::span<const PlanRequest> batch,
     return bw > 0.0 ? size / bw : kInf;
   };
 
+  // A planned precedent of the task being placed: where it runs, when it
+  // finishes and how much data it sends.
+  struct Input {
+    NodeId loc;
+    double ft;
+    double data_mb;
+  };
+  // The planned precedents of task `t`. A precedent not planned yet (a probed
+  // child's other parents, or the task being placed itself) is left out.
+  auto planned_inputs = [&](const PlanRequest& req, TaskIndex t, std::vector<Input>& inputs) {
+    inputs.clear();
+    for (TaskIndex p : req.wf->predecessors(t)) {
+      const TaskRef pref{req.id, p};
+      const auto ft_it = planned_ft_.find(pref);
+      if (ft_it == planned_ft_.end()) continue;
+      inputs.push_back({out.at(pref), ft_it->second, req.wf->edge_data(p, t)});
+    }
+  };
+
   // Data-arrival time of task `t` at `node`: its planned precedents' finish
   // plus transfer, and the task image from the home node (available at 0).
-  // `hypo_pred` stands for one precedent placed hypothetically on
-  // `hypo_node`, finishing at `hypo_ft` (the lookahead probe); a precedent
-  // not planned yet (a probed child's other parents) is ignored.
-  auto arrival_at = [&](const PlanRequest& req, TaskIndex t, NodeId node,
-                        TaskIndex hypo_pred = TaskIndex{}, NodeId hypo_node = NodeId{},
-                        double hypo_ft = 0.0) {
-    const dag::Workflow& wf = *req.wf;
+  // The max fold is exact, so the order of the inputs does not matter.
+  auto arrival_at = [&](const PlanRequest& req, TaskIndex t, std::span<const Input> inputs,
+                        NodeId node) {
     double arrival = 0.0;
-    for (TaskIndex p : wf.predecessors(t)) {
-      const TaskRef pref{req.id, p};
-      double ft = 0.0;
-      NodeId loc{};
-      if (p == hypo_pred) {
-        ft = hypo_ft;
-        loc = hypo_node;
-      } else {
-        const auto ft_it = planned_ft_.find(pref);
-        if (ft_it == planned_ft_.end()) continue;
-        ft = ft_it->second;
-        loc = out.at(pref);
-      }
-      double xfer = 0.0;
-      if (loc != node) {
-        xfer = move_cost(loc, node, wf.edge_data(p, t));
-      }
-      arrival = std::max(arrival, ft + xfer);
+    for (const Input& in : inputs) {
+      const double xfer = in.loc != node ? move_cost(in.loc, node, in.data_mb) : 0.0;
+      arrival = std::max(arrival, in.ft + xfer);
     }
-    const dag::Task& task = wf.task(t);
+    const dag::Task& task = req.wf->task(t);
     if (task.image_mb > 0.0 && req.home != node) {
       arrival = std::max(arrival, move_cost(req.home, node, task.image_mb));
     }
     return arrival;
   };
 
-  // Earliest slot for `task` on `node` once its data is there at `arrival`,
-  // against the current timelines (no booking).
-  auto slot_on = [&](const dag::Task& task, const gossip::ResourceEntry& node, double arrival) {
-    const double duration = task.load_mi / node.capacity_mips;
-    const double start = timelines_[node.node].earliest_start(arrival, duration);
+  // Every oracle node's timeline, looked up once (unordered_map references
+  // stay valid as it grows).
+  const std::size_t n = oracle.nodes.size();
+  std::vector<Timeline*> lines;
+  lines.reserve(n);
+  for (const auto& node : oracle.nodes) lines.push_back(&timelines_[node.node]);
+
+  // Earliest slot for `task` on oracle node `k` once its data is there at
+  // `arrival`, against the current timelines (no booking).
+  auto slot_on = [&](const dag::Task& task, std::size_t k, double arrival) {
+    const double duration = task.load_mi / oracle.nodes[k].capacity_mips;
+    const double start = lines[k]->earliest_start(arrival, duration);
     return Slot{start, start + duration};
   };
 
+  std::vector<Input> inputs;
+  // Lookahead: per child of the task being placed, the data it needs from
+  // the task, and per (child, oracle node) its data-arrival time from its
+  // other planned inputs and its image, which no probed place of the task
+  // changes.
+  std::vector<double> child_data;
+  std::vector<double> child_ready;
   for (const RankedTask& rt : rank_order(batch, oracle.averages)) {
     const PlanRequest& req = batch[rt.wf_pos];
     const dag::Workflow& wf = *req.wf;
     const dag::Task& task = wf.task(rt.task);
+    const auto children = wf.successors(rt.task);
+
+    if (placement_ == Placement::kLookahead) {
+      child_data.clear();
+      child_ready.clear();
+      for (TaskIndex child : children) {
+        child_data.push_back(wf.edge_data(rt.task, child));
+        planned_inputs(req, child, inputs);
+        for (const auto& cnode : oracle.nodes) {
+          child_ready.push_back(arrival_at(req, child, inputs, cnode.node));
+        }
+      }
+    }
+    planned_inputs(req, rt.task, inputs);
 
     NodeId best_node{};
     double best_score = kInf;
     Slot best;
-    for (const auto& node : oracle.nodes) {
-      const Slot slot = slot_on(task, node, arrival_at(req, rt.task, node.node));
+    for (std::size_t j = 0; j < n; ++j) {
+      const NodeId node = oracle.nodes[j].node;
+      const Slot slot = slot_on(task, j, arrival_at(req, rt.task, inputs, node));
       double score = slot.finish;
       if (placement_ == Placement::kLookahead) {
         // The worst of the children's best achievable finish times, given
         // this task finishes at slot.finish on `node`.
-        for (TaskIndex child : wf.successors(rt.task)) {
+        for (std::size_t c = 0; c < children.size(); ++c) {
+          const dag::Task& child = wf.task(children[c]);
           double child_best = kInf;
-          for (const auto& cnode : oracle.nodes) {
-            const double carrival =
-                arrival_at(req, child, cnode.node, rt.task, node.node, slot.finish);
-            child_best = std::min(child_best, slot_on(wf.task(child), cnode, carrival).finish);
+          for (std::size_t k = 0; k < n; ++k) {
+            const NodeId cnode = oracle.nodes[k].node;
+            const double xfer = cnode != node ? move_cost(node, cnode, child_data[c]) : 0.0;
+            const double carrival = std::max(child_ready[c * n + k], slot.finish + xfer);
+            child_best = std::min(child_best, slot_on(child, k, carrival).finish);
           }
           score = std::max(score, child_best);
         }
       }
       if (score < best_score) {
         best_score = score;
-        best_node = node.node;
+        best_node = node;
         best = slot;
       }
     }

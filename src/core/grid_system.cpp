@@ -177,8 +177,6 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
   // ARCHITECTURE.md for why this is the right average to rank against).
   true_averages_.bandwidth_mbps = std::max(routing.initial_mean_pair_bandwidth_mbps(), 1e-9);
 
-  if (config_.churn.interval_s <= 0.0) config_.churn.interval_s = config_.scheduling_interval_s;
-
   auto rng_gossip = rng_.fork("gossip");
   gossip_ = std::make_unique<gossip::MixedGossipService>(
       engine_, config_.gossip, n,
@@ -314,13 +312,13 @@ void GridSystem::start() {
   for (int i = 0; i < topo_.node_count(); ++i) {
     const NodeId id{i};
     if (nodes_[static_cast<std::size_t>(i)].alive()) {
-      gossip_->node_joined(id, random_alive_contacts(config_.bootstrap_contacts, id));
+      gossip_->node_joined(id, bootstrap_contacts(id));
     }
   }
   gossip_->start();
   churn_->start();
   scheduler_ = std::make_unique<sim::PeriodicProcess>(
-      engine_, config_.first_schedule_at_s, config_.scheduling_interval_s,
+      engine_, config_.scheduling_interval_s, config_.scheduling_interval_s,
       [this](std::uint64_t) { run_scheduling_cycle(); });
   scheduler_->start();
 
@@ -841,17 +839,18 @@ void GridSystem::handle_join(NodeId id) {
   if (node.alive()) return;
   node.set_alive(true);
   trace_.record(engine_.now(), sim::TraceKind::kNodeJoin, id);
-  gossip_->node_joined(id, random_alive_contacts(config_.bootstrap_contacts, id));
+  gossip_->node_joined(id, bootstrap_contacts(id));
 }
 
-std::vector<NodeId> GridSystem::random_alive_contacts(int count, NodeId exclude) {
+std::vector<NodeId> GridSystem::bootstrap_contacts(NodeId exclude) {
   std::vector<NodeId> alive;
   alive.reserve(nodes_.size());
   for (const auto& node : nodes_) {
     if (node.alive() && node.id() != exclude) alive.push_back(node.id());
   }
   rng_.shuffle(alive);
-  if (static_cast<int>(alive.size()) > count) alive.resize(static_cast<std::size_t>(count));
+  const auto count = static_cast<std::size_t>(kBootstrapContacts);
+  if (alive.size() > count) alive.resize(count);
   return alive;
 }
 

@@ -136,12 +136,14 @@ struct TransferRetryPolicy {
   static constexpr double kBackoffCapS = 1800.0;
 };
 
+/// Contacts handed to a (re)joining node, emulating a bootstrap server.
+inline constexpr int kBootstrapContacts = 4;
+
 /// System-level knobs (workload knobs live in exp::WorkloadFactory).
 struct SystemConfig {
-  /// Scheduler activation period (paper: 15 minutes).
+  /// Scheduler activation period (paper: 15 minutes). The first activation
+  /// comes one period in, which gives gossip a warm-up (3 paper cycles).
   double scheduling_interval_s = 900.0;
-  /// First scheduler activation; gives gossip a short warm-up (3 cycles).
-  double first_schedule_at_s = 900.0;
   /// Simulation horizon (paper: 36 hours).
   double horizon_s = 129600.0;
   gossip::GossipParams gossip;
@@ -168,8 +170,6 @@ struct SystemConfig {
   /// the full transfer cost from there). Off = strict data-dies-with-the-node
   /// semantics (ablation).
   bool home_keeps_outputs = true;
-  /// Contacts handed to a (re)joining node, emulating a bootstrap server.
-  int bootstrap_contacts = 4;
   /// Retry/backoff hardening for link-failure transfer aborts.
   TransferRetryPolicy transfer_retry;
   std::uint64_t seed = 1;
@@ -301,7 +301,8 @@ class GridSystem {
   // --- churn handling ---
   void handle_leave(NodeId n);
   void handle_join(NodeId n);
-  std::vector<NodeId> random_alive_contacts(int count, NodeId exclude);
+  /// Up to kBootstrapContacts random alive nodes other than `exclude`.
+  std::vector<NodeId> bootstrap_contacts(NodeId exclude);
 
   // --- rescheduling extension (reschedule.cpp) ---
   void recover_failed_tasks();

@@ -31,9 +31,7 @@ void GeneratorParams::validate() const {
     if (!ok) throw std::invalid_argument(std::string("GeneratorParams: ") + what);
   };
   check(min_tasks >= 1 && min_tasks <= max_tasks, "task count bounds");
-  check(min_fanout >= 1 && min_fanout <= max_fanout, "fanout bounds");
   check(min_load_mi >= 0 && min_load_mi <= max_load_mi, "load bounds");
-  check(min_image_mb >= 0 && min_image_mb <= max_image_mb, "image bounds");
   check(min_data_mb >= 0 && min_data_mb <= max_data_mb, "data bounds");
   if (load_distribution != SizeDistribution::kUniform) {
     check(min_load_mi > 0, "heavy-tailed load needs min_load_mi > 0");
@@ -52,14 +50,14 @@ Workflow generate_workflow(WorkflowId id, const GeneratorParams& params, util::R
   const int n = static_cast<int>(rng.uniform_int(params.min_tasks, params.max_tasks));
   const auto size = static_cast<std::size_t>(n);
   // Room for a virtual entry and exit; every task's out-degree stays within
-  // max_fanout, and the virtual exit takes at most one in-edge per task.
-  wf.reserve(size + 2, size * static_cast<std::size_t>(params.max_fanout + 1));
+  // kMaxFanout, and the virtual exit takes at most one in-edge per task.
+  wf.reserve(size + 2, size * static_cast<std::size_t>(kMaxFanout + 1));
   for (int i = 0; i < n; ++i) {
     char name[16] = {'t'};
     const auto end = std::to_chars(name + 1, name + sizeof(name), i).ptr;
     wf.add_task(draw_size(rng, params.load_distribution, params.min_load_mi,
                           params.max_load_mi, params.load_tail_shape),
-                rng.uniform(params.min_image_mb, params.max_image_mb),
+                rng.uniform(kMinImageMb, kMaxImageMb),
                 std::string_view(name, static_cast<std::size_t>(end - name)));
   }
 
@@ -80,7 +78,7 @@ Workflow generate_workflow(WorkflowId id, const GeneratorParams& params, util::R
   for (int i = 1; i < n; ++i) {
     candidates.clear();
     for (int j = 0; j < i; ++j) {
-      if (outdeg[static_cast<std::size_t>(j)] < params.max_fanout) candidates.push_back(j);
+      if (outdeg[static_cast<std::size_t>(j)] < kMaxFanout) candidates.push_back(j);
     }
     const int j = candidates[rng.index(candidates.size())];
     wf.add_dependency(task(j), task(i), data());
@@ -91,7 +89,7 @@ Workflow generate_workflow(WorkflowId id, const GeneratorParams& params, util::R
   // Phase 2 - densification: raise each task's out-degree toward a uniform
   // target, wiring to distinct later tasks (keeps the topological layout).
   for (int i = 0; i < n - 1; ++i) {
-    const int target = static_cast<int>(rng.uniform_int(params.min_fanout, params.max_fanout));
+    const int target = static_cast<int>(rng.uniform_int(kMinFanout, kMaxFanout));
     const int later = n - 1 - i;
     const int want = std::min(target, later);
     if (outdeg[static_cast<std::size_t>(i)] >= want) continue;

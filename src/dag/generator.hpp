@@ -23,17 +23,19 @@ enum class SizeDistribution {
   kPareto,
 };
 
+/// Out-degree bounds for non-exit tasks (Table I).
+inline constexpr int kMinFanout = 1;
+inline constexpr int kMaxFanout = 5;
+/// Task image size range in Mb (Table I).
+inline constexpr double kMinImageMb = 10.0;
+inline constexpr double kMaxImageMb = 100.0;
+
 /// Parameters of the random DAG family (defaults = Table I, CCR ~ 0.16 case).
 struct GeneratorParams {
   int min_tasks = 2;
   int max_tasks = 30;
-  /// Out-degree bounds for non-exit tasks.
-  int min_fanout = 1;
-  int max_fanout = 5;
   double min_load_mi = 100.0;
   double max_load_mi = 10000.0;
-  double min_image_mb = 10.0;
-  double max_image_mb = 100.0;
   double min_data_mb = 10.0;
   double max_data_mb = 1000.0;
   /// Distribution of task loads / dependent-data volumes over their ranges.
@@ -53,7 +55,7 @@ struct GeneratorParams {
 /// Construction: tasks are laid out in a random topological position order;
 /// every non-first task receives at least one precedent (guaranteeing a unique
 /// entry), then extra forward edges are added until each task's out-degree
-/// reaches a uniform target in [min_fanout, max_fanout] (capped by the number
+/// reaches a uniform target in [kMinFanout, kMaxFanout] (capped by the number
 /// of available later tasks). Multiple exits are merged by a zero-cost
 /// virtual exit task, as the paper prescribes.
 [[nodiscard]] Workflow generate_workflow(WorkflowId id, const GeneratorParams& params,

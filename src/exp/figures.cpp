@@ -309,14 +309,14 @@ void experimental_setting(const std::string& title, const util::Config& cli, std
              std::to_string(wf.min_tasks) + " ~ " + std::to_string(wf.max_tasks)});
   t.add_row({"computing amount per task (MI)", "100 ~ 10000",
              range(wf.min_load_mi, wf.max_load_mi)});
-  t.add_row({"image size per task (Mb)", "10 ~ 100", range(wf.min_image_mb, wf.max_image_mb)});
+  t.add_row({"image size per task (Mb)", "10 ~ 100", range(dag::kMinImageMb, dag::kMaxImageMb)});
   t.add_row({"dependent data size (Mb)", "100 ~ 10000 (default figs: 10 ~ 1000)",
              range(wf.min_data_mb, wf.max_data_mb)});
   t.add_row({"network bandwidth (Mb/s)", "0.1 ~ 10",
-             range(cfg.topology.min_bandwidth_mbps, cfg.topology.max_bandwidth_mbps)});
+             range(net::kMinBandwidthMbps, net::kMaxBandwidthMbps)});
   t.add_row({"node capacity (MIPS)", "1,2,4,8,16", "capacity_choices = {1,2,4,8,16}"});
   t.add_row({"fan-out degree per task", "1 ~ 5",
-             std::to_string(wf.min_fanout) + " ~ " + std::to_string(wf.max_fanout)});
+             std::to_string(dag::kMinFanout) + " ~ " + std::to_string(dag::kMaxFanout)});
   t.add_row({"total experimental time", "36 hours",
              TablePrinter::fmt(cfg.system.horizon_s / 3600.0, 4) + " hours"});
   t.add_row({"scheduling interval", "15 minutes",
@@ -438,7 +438,6 @@ void ablation_interval(const std::string& title, const util::Config& cli, std::o
       ExperimentConfig cfg = base;
       cfg.algorithm = algo;
       cfg.system.scheduling_interval_s = m * 60.0;
-      cfg.system.first_schedule_at_s = m * 60.0;
       configs.push_back(cfg);
       labels.push_back(std::string(algo) + " @ " + TablePrinter::fmt(m, 3) + " min");
     }

@@ -11,6 +11,7 @@
 #include "exp/workload_factory.hpp"
 #include "grid/scale_peer.hpp"
 #include "net/routing.hpp"
+#include "net/topology.hpp"
 #include "sim/shard_engine.hpp"
 #include "util/rng.hpp"
 
@@ -23,7 +24,6 @@ namespace dpjit::exp {
 ShardMap compute_shard_map(const net::Routing& routing, int shards) {
   const int n = routing.node_count();
   ShardMap map;
-  map.nodes = n;
   map.shards = std::clamp(shards, 1, std::max(1, n));
   map.shard_of.assign(static_cast<std::size_t>(std::max(0, n)), 0);
 
@@ -35,25 +35,20 @@ ShardMap compute_shard_map(const net::Routing& routing, int shards) {
   int begin = 0;
   for (int s = 0; s < map.shards; ++s) {
     const int size = base + (s < extra ? 1 : 0);
-    map.ranges.emplace_back(begin, begin + size);
     for (int u = begin; u < begin + size; ++u) {
       map.shard_of[static_cast<std::size_t>(u)] = s;
     }
     begin += size;
   }
 
-  // Lookahead bounds from the routed latencies. The matrix is symmetric in
-  // practice (undirected links), but scan ordered pairs anyway: correctness
-  // must not depend on that.
+  // Lookahead from the routed latencies. The matrix is symmetric in practice
+  // (undirected links), but scan ordered pairs anyway: correctness must not
+  // depend on that.
   map.lookahead_s = kInf;
-  map.min_latency_s = kInf;
   for (int u = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
-      if (u == v) continue;
-      const double lat = routing.latency_s(NodeId{u}, NodeId{v});
-      map.min_latency_s = std::min(map.min_latency_s, lat);
       if (map.shard_of[static_cast<std::size_t>(u)] != map.shard_of[static_cast<std::size_t>(v)]) {
-        map.lookahead_s = std::min(map.lookahead_s, lat);
+        map.lookahead_s = std::min(map.lookahead_s, routing.latency_s(NodeId{u}, NodeId{v}));
       }
     }
   }
@@ -96,10 +91,6 @@ constexpr double kCapacities[] = {1.0, 2.0, 4.0, 8.0, 16.0};
 struct Layout {
   int regions = 1;
   int shards = 1;
-  /// Engine window: the intra-region (LAN) latency floor,
-  /// max(intra_region_latency_s, 1 us) — invariant to the requested shard
-  /// count by construction. Every message delay is clamped up to it.
-  double window = 0.0;
   /// Min inter-shard latency at THIS shard count (reporting only).
   double lookahead = 0.0;
   std::vector<int> region_shard;
@@ -119,19 +110,13 @@ void validate(const ScaleParams& p) {
   if (p.min_load_mi < 0.0 || p.max_load_mi < p.min_load_mi) fail("bad load range");
   if (p.min_data_mb < 0.0 || p.max_data_mb < p.min_data_mb) fail("bad data range");
   if (p.mean_lifetime_s < 0.0) fail("mean lifetime must be >= 0");
-  if (p.mean_lifetime_s > 0.0 && !(p.mean_downtime_s > 0.0)) {
-    fail("mean downtime must be positive under churn");
-  }
-  if (p.contacts < 0) fail("contacts must be >= 0");
-  if (p.intra_region_latency_s < 0.0) fail("intra-region latency must be >= 0");
-  if (p.regions < 0) fail("regions must be >= 0");
 }
 
 Layout build_layout(const ScaleParams& p) {
   Layout l;
-  l.regions = p.regions > 0 ? std::min(p.regions, p.peers) : std::min(p.peers, 64);
+  l.regions = std::min(p.peers, kMaxRegions);
 
-  net::TopologyParams tp = p.backbone;
+  net::TopologyParams tp;
   tp.node_count = l.regions;
   util::Rng rng = util::Rng(p.seed).fork("scale-backbone");
   const net::Topology topo = l.regions > 1 ? net::Topology::generate_waxman(tp, rng)
@@ -144,18 +129,6 @@ Layout build_layout(const ScaleParams& p) {
   l.region_shard = map.shard_of;
   l.lookahead = map.lookahead_s;
 
-  // The engine window is the intra-region (LAN) latency floor: the true
-  // minimum message delay in the model, because every delay — including
-  // routed inter-region latencies that happen to be shorter, and zero-latency
-  // links — is clamped up to the window (see ScaleModel::delay; a WAN hop
-  // faster than a LAN hop would be unphysical anyway). Two properties hang on
-  // this choice: the window never depends on the shard count (or digests
-  // would diverge across counts — map.lookahead_s must NOT be used), and it
-  // is orders of magnitude wider than the closest backbone pair, so windows
-  // are dense enough for the parallel drive to pay off. A zero floor is
-  // clamped to a 1 us scheduling quantum.
-  l.window = std::max(p.intra_region_latency_s, 1e-6);
-
   const std::size_t r = static_cast<std::size_t>(l.regions);
   l.latency.assign(r * r, 0.0);
   l.bandwidth.assign(r * r, 0.0);
@@ -163,9 +136,9 @@ Layout build_layout(const ScaleParams& p) {
     for (int b = 0; b < l.regions; ++b) {
       const bool same = a == b;
       l.latency[static_cast<std::size_t>(a) * r + static_cast<std::size_t>(b)] =
-          same ? p.intra_region_latency_s : routing.latency_s(NodeId(a), NodeId(b));
+          same ? kIntraRegionLatencyS : routing.latency_s(NodeId(a), NodeId(b));
       l.bandwidth[static_cast<std::size_t>(a) * r + static_cast<std::size_t>(b)] =
-          same ? tp.max_bandwidth_mbps : routing.bandwidth_mbps(NodeId(a), NodeId(b));
+          same ? net::kMaxBandwidthMbps : routing.bandwidth_mbps(NodeId(a), NodeId(b));
     }
   }
   return l;
@@ -180,7 +153,7 @@ class ScaleModel {
   ScaleModel(const ScaleParams& params, Layout layout)
       : p_(params),
         l_(std::move(layout)),
-        engine_(l_.shards, l_.window),
+        engine_(l_.shards, kIntraRegionLatencyS),
         peers_(static_cast<std::size_t>(params.peers)) {
     engine_.set_threads(p_.threads);
     engine_.set_parallel_threshold(p_.parallel_threshold);
@@ -230,7 +203,7 @@ class ScaleModel {
     r.shards = l_.shards;
     r.threads = p_.threads;
     r.parallel_windows = engine_.parallel_windows();
-    r.window_s = l_.window;
+    r.window_s = kIntraRegionLatencyS;
     r.lookahead_s = l_.lookahead;
     return r;
   }
@@ -251,10 +224,22 @@ class ScaleModel {
                             static_cast<std::size_t>(l_.regions) +
                         static_cast<std::size_t>(region_of(v))];
   }
+  // The engine window is the intra-region (LAN) latency floor,
+  // kIntraRegionLatencyS: the true minimum message delay in the model,
+  // because every delay — including routed inter-region latencies that
+  // happen to be shorter, and zero-latency links — is clamped up to it (a
+  // WAN hop faster than a LAN hop would be unphysical anyway). Two properties
+  // hang on this choice: the window never depends on the shard count (or
+  // digests would diverge across counts — Layout::lookahead must NOT be
+  // used), and it is orders of magnitude wider than the closest backbone
+  // pair, so windows are dense enough for the parallel drive to pay off.
+
   /// Message delay: routed latency, never below the conservative window.
-  [[nodiscard]] double delay(int u, int v) const { return std::max(l_.window, latency(u, v)); }
+  [[nodiscard]] double delay(int u, int v) const {
+    return std::max(kIntraRegionLatencyS, latency(u, v));
+  }
   /// Clamps a timer interval so the self-post clears the lookahead check.
-  [[nodiscard]] double interval(double dt) const { return std::max(l_.window, dt); }
+  [[nodiscard]] double interval(double dt) const { return std::max(kIntraRegionLatencyS, dt); }
 
   /// Globally unique message key: sender id in the high bits, the sender's
   /// own message counter below. Ties on arrival time resolve by key, so the
@@ -405,7 +390,7 @@ class ScaleModel {
       ++u.churn_departures;
       notify_contacts(i, t, /*up=*/false);
     }
-    const double back = t + interval(u.rng.exponential(p_.mean_downtime_s));
+    const double back = t + interval(u.rng.exponential(kMeanDowntimeS));
     send(i, i, back, [this, i, back] { churn_rejoin(i, back); });
   }
 
@@ -442,7 +427,7 @@ class ScaleModel {
     }
     if (up) {
       if (!v.knows(static_cast<std::uint32_t>(peer)) &&
-          v.contacts.size() < 2 * static_cast<std::size_t>(p_.contacts)) {
+          v.contacts.size() < 2 * static_cast<std::size_t>(core::kBootstrapContacts)) {
         v.contacts.push_back(static_cast<std::uint32_t>(peer));
       }
     } else {
@@ -476,11 +461,11 @@ class ScaleModel {
     }
   }
 
-  /// Draws `contacts` distinct peers != i by rejection (k is tiny relative to
-  /// n, so retries are rare; util::Rng::sample_indices is O(n) per call and
-  /// would make initialisation quadratic at 10^6 peers).
+  /// Draws core::kBootstrapContacts distinct peers != i by rejection (k is
+  /// tiny relative to n, so retries are rare; util::Rng::sample_indices is
+  /// O(n) per call and would make initialisation quadratic at 10^6 peers).
   void pick_contacts(grid::ScalePeer& u, int i, int n) {
-    const int k = std::min(p_.contacts, n - 1);
+    const int k = std::min(core::kBootstrapContacts, n - 1);
     u.contacts.reserve(static_cast<std::size_t>(std::max(k, 0)));
     while (static_cast<int>(u.contacts.size()) < k) {
       // Uniform over [0, n-1) then skip our own slot: uniform over peers != i.
@@ -546,12 +531,9 @@ ScaleParams scale_params_from_config(const ExperimentConfig& config) {
   p.max_data_mb = config.workflow.max_data_mb;
   if (config.dynamic_factor > 0.0) {
     // Same convention as the full model: dynamic factor 1.0 ~ one-hour mean
-    // lifetime; downtime keeps the ChurnModel default scale.
+    // lifetime (downtime is kMeanDowntimeS).
     p.mean_lifetime_s = 3600.0 / config.dynamic_factor;
-    p.mean_downtime_s = 600.0;
   }
-  p.contacts = config.system.bootstrap_contacts;
-  p.backbone = config.topology;
   p.threads = config.routing_threads;
   p.seed = config.seed;
   return p;

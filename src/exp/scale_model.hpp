@@ -22,10 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "net/topology.hpp"
 #include "sim/shard_engine.hpp"
 #include "util/types.hpp"
 
@@ -38,31 +36,23 @@ namespace dpjit::exp {
 struct ExperimentConfig;
 
 /// Partition of a routed network's nodes into contiguous shard blocks, plus
-/// the conservative-lookahead bounds the sharded PDES loop (sim::ShardEngine)
+/// the conservative lookahead the sharded PDES loop (sim::ShardEngine)
 /// needs. Produced by compute_shard_map.
 ///
 /// `lookahead_s` is the minimum routed latency between any two nodes living
 /// in DIFFERENT shards: a conservative time window of at most this length
 /// guarantees no cross-shard message can land inside the window it was sent
-/// from. `min_latency_s` is the minimum over ALL distinct pairs — the
-/// lookahead of the finest possible partition (every node its own shard) and
-/// therefore a window bound that is valid for EVERY shard count at once,
-/// which is what the byte-identical-digests-at-any-shard-count guarantee of
-/// the scale scenarios is built on. A zero lookahead (zero-latency link
-/// between shards) means the partition is not conservatively shardable;
-/// callers must fall back to fewer shards or clamp delays (see
-/// run_scale_model).
+/// from. It depends on the shard count, so the scale model never sizes its
+/// window by it (see run_scale_model): the model's window is the LAN floor,
+/// which is valid for every count at once. A zero lookahead (zero-latency
+/// link between shards) means the partition is not conservatively
+/// shardable; callers must fall back to fewer shards or clamp delays.
 struct ShardMap {
   int shards = 1;
-  int nodes = 0;
-  /// shard -> [begin, end) contiguous node-id block.
-  std::vector<std::pair<int, int>> ranges;
-  /// node -> owning shard.
+  /// node -> owning shard; shard s owns one contiguous block of node ids.
   std::vector<int> shard_of;
   /// Min latency between nodes in different shards (+inf when shards == 1).
   double lookahead_s = 0.0;
-  /// Min latency over all distinct node pairs (+inf when nodes < 2).
-  double min_latency_s = 0.0;
 
   [[nodiscard]] int shard(NodeId n) const { return shard_of[static_cast<std::size_t>(n.get())]; }
 };
@@ -72,13 +62,24 @@ struct ShardMap {
 /// clamped to [1, node_count]. O(n^2) latency scan.
 [[nodiscard]] ShardMap compute_shard_map(const net::Routing& routing, int shards);
 
+/// Backbone regions of a scale-model run: min(peers, kMaxRegions). Peers
+/// live in contiguous region blocks and the shard map partitions REGIONS,
+/// not peers.
+inline constexpr int kMaxRegions = 64;
+/// Message latency between peers of the same region (the LAN floor), in
+/// seconds; also the engine window length.
+inline constexpr double kIntraRegionLatencyS = 0.01;
+/// Mean downtime before a departed peer rejoins, in seconds (the churn
+/// model's 600 s scale).
+inline constexpr double kMeanDowntimeS = 600.0;
+
 /// Knobs of one scale-model run. Defaults give the scale/peers-100k scenario.
+/// Each peer gossips with and sends transfers to core::kBootstrapContacts
+/// partners; the region backbone is a Waxman topology (net::TopologyParams)
+/// whose routed paths give the inter-region latency and bandwidth.
 struct ScaleParams {
   /// Peer count n (10^5 for goldens, 10^6 for the nightly job).
   int peers = 100000;
-  /// Backbone regions; peers live in contiguous region blocks and the shard
-  /// map partitions REGIONS, not peers. 0 = min(peers, 64).
-  int regions = 0;
   /// Shard count for the PDES loop (clamped to [1, regions]). Never affects
   /// results — only wall-clock.
   int shards = 1;
@@ -104,16 +105,6 @@ struct ScaleParams {
   double max_data_mb = 100.0;
   /// Mean peer lifetime; 0 disables churn.
   double mean_lifetime_s = 0.0;
-  /// Mean downtime before a departed peer rejoins.
-  double mean_downtime_s = 600.0;
-  /// Gossip/transfer partners per peer.
-  int contacts = 4;
-  /// Message latency between peers of the same region (the LAN floor); also
-  /// the engine window length.
-  double intra_region_latency_s = 0.01;
-  /// Waxman backbone connecting the regions (node_count is overwritten with
-  /// `regions`); inter-region latency/bandwidth come from its routed paths.
-  net::TopologyParams backbone;
   std::uint64_t seed = 1;
 };
 
@@ -151,8 +142,8 @@ struct ScaleResult {
   int shards = 1;
   int threads = 0;
   std::uint64_t parallel_windows = 0;
-  /// Engine window length: the intra-region latency floor,
-  /// max(intra_region_latency_s, 1 us); S-invariant.
+  /// Engine window length: the intra-region latency floor
+  /// (kIntraRegionLatencyS); S-invariant.
   double window_s = 0.0;
   /// Min latency between regions in different shards at THIS shard count.
   double lookahead_s = 0.0;

@@ -206,9 +206,6 @@ ScenarioRegistry build_registry() {
              c.nodes = 200;
              c.workflows_per_node = 6;
              c.bursts.wave_count = 3;
-             c.bursts.first_wave_s = 1800.0;
-             c.bursts.period_s = 4.0 * 3600.0;
-             c.bursts.width_s = 900.0;
            })});
   reg.add({"tail/heavy-tailed-loads",
            "heavy-tailed task sizes over the Table-I ranges: lognormal loads (sigma 1.2), "
@@ -453,12 +450,6 @@ ExperimentConfig conformance_preset(ExperimentConfig cfg) {
     if (cfg.trace.synth_jobs > cap) cfg.trace.synth_jobs = cap;
   }
   return cfg;
-}
-
-std::uint64_t conformance_digest(const Scenario& scenario) { return conformance_digest(scenario, 1); }
-
-std::uint64_t conformance_digest(const Scenario& scenario, int shards) {
-  return conformance_digest(scenario, shards, 1);
 }
 
 std::uint64_t conformance_digest(const Scenario& scenario, int shards, int threads) {

@@ -100,18 +100,12 @@ inline constexpr int kConformanceMinNodes = 40;
 inline constexpr int kConformanceMaxNodes = 64;
 
 /// Runs one scenario under the conformance preset and digests the result.
-[[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario);
-
-/// Same, executing a sharded scenario at the given shard count (>= 1). The
-/// digest is shard-invariant — tests/scenario and the shard-determinism CI
-/// job check every count against the SAME golden entry. `shards` is applied
-/// to scale/* scenarios (exp::run_scale_model) only; classic scenarios ignore
-/// it (see Scenario::sharded).
-[[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario, int shards);
-
-/// Same, additionally pinning the worker-thread count of the sharded run
-/// (also digest-neutral; the determinism tests sweep both axes).
-[[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario, int shards, int threads);
+/// A sharded scenario runs at `shards` (>= 1) shards on `threads` worker
+/// threads. The digest is invariant to both — tests/scenario and the
+/// shard-determinism CI job check every combination against the SAME golden
+/// entry. Classic scenarios ignore both (see Scenario::sharded).
+[[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario, int shards = 1,
+                                               int threads = 1);
 
 /// Writes the canonical golden-digest document (valid JSON, one scenario per
 /// line, sorted by name) — the exact bytes committed as

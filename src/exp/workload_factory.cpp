@@ -17,8 +17,7 @@ int log2_ceil(int n) {
 }
 
 net::Topology build_topology(const ExperimentConfig& cfg, util::Rng& rng) {
-  net::TopologyParams params = cfg.topology;
-  params.node_count = cfg.nodes;
+  const net::TopologyParams params{cfg.nodes};
   auto topo_rng = rng.fork("topology");
   return net::Topology::generate_waxman(params, topo_rng);
 }
@@ -31,7 +30,6 @@ core::SystemConfig build_system_config(const ExperimentConfig& cfg) {
   if (cfg.dynamic_factor > 0.0) {
     sys.churn.dynamic_factor = cfg.dynamic_factor;
     if (sys.churn.stable_count == 0) sys.churn.stable_count = cfg.nodes / 2;
-    if (sys.churn.interval_s <= 0.0) sys.churn.interval_s = sys.scheduling_interval_s;
   }
   return sys;
 }
@@ -76,7 +74,7 @@ dag::Workflow draw_from_mix(const ExperimentConfig& cfg, util::Rng& rng) {
 
   dag::TemplateParams tpl;
   tpl.load_mi = 0.5 * (cfg.workflow.min_load_mi + cfg.workflow.max_load_mi);
-  tpl.image_mb = 0.5 * (cfg.workflow.min_image_mb + cfg.workflow.max_image_mb);
+  tpl.image_mb = 0.5 * (dag::kMinImageMb + dag::kMaxImageMb);
   tpl.data_mb = 0.5 * (cfg.workflow.min_data_mb + cfg.workflow.max_data_mb);
   if (pick->family == "montage") return dag::make_montage(WorkflowId{}, pick->size, tpl);
   if (pick->family == "fork-join") return dag::make_fork_join(WorkflowId{}, 2, pick->size, tpl);
@@ -100,11 +98,6 @@ World::World(const ExperimentConfig& config)
   if (config.nodes < 1) throw std::invalid_argument("World: nodes >= 1");
   if (config.workflows_per_node < 0) throw std::invalid_argument("World: workflows_per_node >= 0");
   if (config.bursts.wave_count < 0) throw std::invalid_argument("World: bursts.wave_count >= 0");
-  if (config.bursts.wave_count > 0 &&
-      (config.bursts.first_wave_s < 0.0 || config.bursts.period_s <= 0.0 ||
-       config.bursts.width_s <= 0.0)) {
-    throw std::invalid_argument("World: burst wave timing must be positive");
-  }
   validate_mix(config.workload_mix);
 
   engine_.reserve(config.event_capacity_hint != 0
@@ -235,8 +228,8 @@ void World::submit_workload() {
         // Flash-crowd model: workflow j joins wave j % wave_count; every wave
         // dumps one workflow per home inside a short window.
         const int wave = j % config_.bursts.wave_count;
-        const double open = config_.bursts.first_wave_s + wave * config_.bursts.period_s;
-        const double at = open + arrival_rng.uniform(0.0, config_.bursts.width_s);
+        const double open = BurstArrivals::kFirstWaveS + wave * BurstArrivals::kPeriodS;
+        const double at = open + arrival_rng.uniform(0.0, BurstArrivals::kWidthS);
         engine_.schedule_at(at, [this, h, pending = std::move(wf)]() mutable {
           system_->submit(NodeId{h}, std::move(pending));
         });

@@ -17,14 +17,15 @@ namespace dpjit::exp {
 
 /// Flash-crowd arrival process (extension; see ExperimentConfig::bursts).
 struct BurstArrivals {
+  /// Start of the first wave (seconds of simulated time).
+  static constexpr double kFirstWaveS = 1800.0;
+  /// Spacing between wave openings.
+  static constexpr double kPeriodS = 4.0 * 3600.0;
+  /// Each home's submissions land uniformly inside [open, open + width].
+  static constexpr double kWidthS = 900.0;
+
   /// Number of submission waves; 0 disables the burst model.
   int wave_count = 0;
-  /// Start of the first wave (seconds of simulated time).
-  double first_wave_s = 1800.0;
-  /// Spacing between wave openings.
-  double period_s = 4.0 * 3600.0;
-  /// Each home's submissions land uniformly inside [open, open + width].
-  double width_s = 900.0;
 };
 
 /// Trace-driven workload (see ExperimentConfig::trace): jobs come from a
@@ -97,7 +98,8 @@ struct ExperimentConfig {
   dag::GeneratorParams workflow;
   /// Heterogeneous capacities drawn uniformly from this set (Table I).
   std::vector<double> capacity_choices = {1.0, 2.0, 4.0, 8.0, 16.0};
-  /// WAN parameters (node_count is overwritten with `nodes`).
+  /// Unused: the WAN has `nodes` nodes and the net::TopologyParams shape
+  /// constants. Kept only because perfbench's traced runner copies it.
   net::TopologyParams topology;
   /// Scheduling/gossip/churn knobs.
   core::SystemConfig system;

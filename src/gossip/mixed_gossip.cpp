@@ -14,9 +14,8 @@ int derive_log2(int n) {
 }
 
 /// True on the cycles that close an aggregation epoch (never cycle 0).
-bool epoch_boundary(const GossipParams& params, std::uint64_t cycle) {
-  return params.aggregation_epoch_cycles > 0 &&
-         cycle % static_cast<std::uint64_t>(params.aggregation_epoch_cycles) == 0 && cycle > 0;
+bool epoch_boundary(std::uint64_t cycle) {
+  return cycle % static_cast<std::uint64_t>(kAggregationEpochCycles) == 0 && cycle > 0;
 }
 
 /// One push-pull averaging step: both ends leave with the pair's mean.
@@ -44,7 +43,7 @@ MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params,
       faults_(faults) {
   if (node_count < 1) throw std::invalid_argument("MixedGossipService: node_count >= 1");
   if (params_.cycle_s <= 0.0) throw std::invalid_argument("MixedGossipService: cycle_s > 0");
-  fanout_ = params_.fanout > 0 ? params_.fanout : derive_log2(n_);
+  fanout_ = derive_log2(n_);
   cache_size_ = params_.cache_size > 0
                     ? params_.cache_size
                     : std::min(30, static_cast<int>(std::ceil(2.5 * derive_log2(n_))));
@@ -54,8 +53,7 @@ MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params,
     detector_ = std::make_unique<FailureDetector>(n_);
     budget_.assign(static_cast<std::size_t>(n_), 0);
     digest_mark_.assign(static_cast<std::size_t>(n_), 0U);
-    message_budget_ =
-        params_.round_message_budget > 0 ? params_.round_message_budget : 3 * fanout_ + 4;
+    message_budget_ = 3 * fanout_ + 4;
     // A SYNC unanswered for half a cycle makes the initiator suspect the
     // target; a suspect not refuted within two cycles is declared dead (and
     // dropped from the view) at the next cycle sweep.
@@ -103,7 +101,7 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
     run_cycle_message(cycle);
     return;
   }
-  const bool new_epoch = epoch_boundary(params_, cycle);
+  const bool new_epoch = epoch_boundary(cycle);
 
   const std::uint32_t r = acquire_round();
   for (int i = 0; i < n_; ++i) {
@@ -111,7 +109,7 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
     if (!alive_(me)) continue;
     if (new_epoch) publish_and_reseed(me);
     auto& g = nodes_[static_cast<std::size_t>(i)];
-    g.rss.expire(engine_.now(), params_.staleness_bound_s, me);
+    g.rss.expire(engine_.now(), kStalenessBoundS, me);
     epidemic_push(me, rounds_[r]);
     aggregation_exchange(me);
   }
@@ -301,7 +299,7 @@ void MixedGossipService::aggregation_exchange(NodeId from) {
 }
 
 void MixedGossipService::run_cycle_message(std::uint64_t cycle) {
-  const bool new_epoch = epoch_boundary(params_, cycle);
+  const bool new_epoch = epoch_boundary(cycle);
   const SimTime now = engine_.now();
 
   for (int i = 0; i < n_; ++i) {
@@ -312,7 +310,7 @@ void MixedGossipService::run_cycle_message(std::uint64_t cycle) {
     // SWIM sweep first: expired suspects become dead and leave the view, so
     // this cycle's digest no longer advertises them.
     detector_->sweep(me, now, [&g](NodeId dead) { g.rss.forget(dead); });
-    g.rss.expire(now, params_.staleness_bound_s, me);
+    g.rss.expire(now, kStalenessBoundS, me);
     // Budget renews every cycle. All sends below schedule their deliveries
     // strictly after this cycle event returns, so resetting inside the same
     // loop is race-free: no reply can be charged before its budget exists.

@@ -36,21 +36,22 @@
 
 namespace dpjit::gossip {
 
-/// Tuning of the mixed protocol. Zeros mean "derive from n" as the paper does.
+/// Entries older than this many seconds are dropped from RSS (handles
+/// churned nodes).
+inline constexpr double kStalenessBoundS = 1800.0;
+/// Aggregation gossip restarts every this many cycles (epoch length).
+inline constexpr int kAggregationEpochCycles = 12;
+
+/// Tuning of the mixed protocol. The push fan-out is always ceil(log2(n))
+/// (paper); a zero cache size derives from n the same way.
 struct GossipParams {
   /// Gossip cycle length in seconds (paper: 5 minutes).
   double cycle_s = 300.0;
   /// Epidemic TTL in hops (paper: 4).
   int ttl = 4;
-  /// Push fan-out per cycle; 0 derives ceil(log2(n)) (paper).
-  int fanout = 0;
   /// RSS capacity; 0 derives ceil(2.5 * log2(n)), capped at 30 - reproduces
   /// the bounded acquaintance count of Fig. 11(a).
   int cache_size = 0;
-  /// Entries older than this are dropped from RSS (handles churned nodes).
-  double staleness_bound_s = 1800.0;
-  /// Aggregation gossip restarts every this many cycles (epoch length).
-  int aggregation_epoch_cycles = 12;
 
   // --- message-level mode (realism; ROADMAP item 5) ------------------------
   /// Replaces the cycle's shared-message epidemic push with a phased
@@ -58,10 +59,9 @@ struct GossipParams {
   /// message with its own latency and - when a sim::FaultPlan is attached -
   /// loss/duplication/extra-delay draws. Membership becomes SWIM-style
   /// suspicion (FailureDetector) instead of the oracular alive() callback.
+  /// Each node may SEND at most 3 * fanout + 4 protocol messages per cycle
+  /// (initiations and replies both count).
   bool message_level = false;
-  /// Max protocol messages a node may SEND per cycle in message mode
-  /// (initiations and replies both count); 0 derives 3 * fanout + 4.
-  int round_message_budget = 0;
 };
 
 /// System-wide averages produced by the aggregation gossip, as seen by one node.
@@ -125,7 +125,6 @@ class MixedGossipService {
   /// we charge 20 bytes header + 20 bytes per carried resource entry).
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  [[nodiscard]] int effective_fanout() const { return fanout_; }
   [[nodiscard]] int effective_cache_size() const { return cache_size_; }
 
   /// Message-mode observability. detector() is null in the idealized mode.

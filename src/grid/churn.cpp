@@ -20,7 +20,6 @@ ChurnModel::ChurnModel(sim::Engine& engine, Params params, int node_count, util:
   if (params_.stable_count < 0 || params_.stable_count > node_count) {
     throw std::invalid_argument("ChurnModel: stable_count in [0,n]");
   }
-  if (params_.interval_s <= 0.0) throw std::invalid_argument("ChurnModel: interval > 0");
   if (params_.wave_every < 0) throw std::invalid_argument("ChurnModel: wave_every >= 0");
   if (params_.wave_every > 0 && params_.wave_multiplier < 1.0) {
     throw std::invalid_argument("ChurnModel: wave_multiplier >= 1");
@@ -30,7 +29,7 @@ ChurnModel::ChurnModel(sim::Engine& engine, Params params, int node_count, util:
 void ChurnModel::start() {
   if (params_.dynamic_factor <= 0.0) return;
   process_ = std::make_unique<sim::PeriodicProcess>(
-      engine_, engine_.now() + params_.interval_s, params_.interval_s,
+      engine_, engine_.now() + kIntervalS, kIntervalS,
       [this](std::uint64_t) { step(); });
   process_->start();
 }

@@ -20,13 +20,15 @@ namespace dpjit::grid {
 
 class ChurnModel {
  public:
+  /// Churn step period in seconds (paper: the 15-minute task scheduling
+  /// interval). Fixed, not tied to SystemConfig::scheduling_interval_s.
+  static constexpr double kIntervalS = 900.0;
+
   struct Params {
     /// Fraction of the total node count that leaves AND joins per interval.
     double dynamic_factor = 0.0;
     /// Nodes [0, stable_count) never churn.
     int stable_count = 0;
-    /// Churn step period in seconds (paper: the task scheduling interval).
-    double interval_s = 900.0;
     /// Correlated-churn extension: every `wave_every`-th step is a departure
     /// wave taking out `wave_multiplier` x the base count at once (a campus
     /// power cut, a network partition). Joins always run at the base rate, so

@@ -4,8 +4,8 @@
 // grid::TransferManager that executes them, the live-rate probes the
 // contention-aware policies consume, core::GridSystem's run loop, and the
 // scenario registry - selects behaviour through this one enum instead of a
-// scattered `bool fair_sharing`. The mode matrix below is the single source
-// of truth for the properties the layers branch on:
+// scattered `bool fair_sharing`. The mode matrix below lists the properties
+// the layers branch on:
 //
 //   mode            contended  lookahead            oracle path
 //   --------------  ---------  -------------------  -------------------
@@ -43,18 +43,8 @@ enum class NetworkMode {
   kQuantisedFair,
 };
 
-/// Static properties of a mode - the row of the matrix above. Kept as data so
-/// CLI tools (scenario_runner --describe) and docs render from one place.
-struct NetworkModeInfo {
-  std::string_view name;        ///< canonical spelling, e.g. "quantised-fair"
-  bool contended = false;       ///< concurrent transfers share link capacity
-  bool zero_lookahead = false;  ///< rate changes propagate instantly
-  std::string_view oracle_path;  ///< how live-rate probes are answered
-};
-
-/// The matrix row for `mode`.
-[[nodiscard]] const NetworkModeInfo& network_mode_info(NetworkMode mode);
-
-[[nodiscard]] std::string_view to_string(NetworkMode mode);
+/// Canonical spelling of `mode`, e.g. "quantised-fair" (scenario_runner
+/// --describe prints it).
+[[nodiscard]] std::string_view network_mode_name(NetworkMode mode);
 
 }  // namespace dpjit::net

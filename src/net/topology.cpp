@@ -14,16 +14,7 @@ double distance(const Point& a, const Point& b) {
 }
 
 void TopologyParams::validate() const {
-  auto check = [](bool ok, const char* what) {
-    if (!ok) throw std::invalid_argument(std::string("TopologyParams: ") + what);
-  };
-  check(node_count >= 1, "node_count >= 1");
-  check(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
-  check(beta > 0.0, "beta > 0");
-  check(links_per_node >= 1, "links_per_node >= 1");
-  check(plane_size > 0.0, "plane_size > 0");
-  check(min_bandwidth_mbps > 0.0 && min_bandwidth_mbps <= max_bandwidth_mbps, "bandwidth bounds");
-  check(latency_per_unit >= 0.0, "latency_per_unit >= 0");
+  if (node_count < 1) throw std::invalid_argument("TopologyParams: node_count >= 1");
 }
 
 Topology Topology::generate_waxman(const TopologyParams& params, util::Rng& rng) {
@@ -32,16 +23,15 @@ Topology Topology::generate_waxman(const TopologyParams& params, util::Rng& rng)
   const int n = params.node_count;
   topo.positions_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    topo.positions_.push_back(Point{rng.uniform(0.0, params.plane_size),
-                                    rng.uniform(0.0, params.plane_size)});
+    topo.positions_.push_back(Point{rng.uniform(0.0, kPlaneSize), rng.uniform(0.0, kPlaneSize)});
   }
   topo.incident_.resize(static_cast<std::size_t>(n));
 
-  const double diag = params.plane_size * std::numbers::sqrt2;
+  const double diag = kPlaneSize * std::numbers::sqrt2;
   auto waxman_weight = [&](int u, int v) {
     const double d = distance(topo.positions_[static_cast<std::size_t>(u)],
                               topo.positions_[static_cast<std::size_t>(v)]);
-    return params.alpha * std::exp(-d / (params.beta * diag));
+    return kWaxmanAlpha * std::exp(-d / (kWaxmanBeta * diag));
   };
 
   auto add_link = [&](int u, int v) {
@@ -50,18 +40,18 @@ Topology Topology::generate_waxman(const TopologyParams& params, util::Rng& rng)
     Link link;
     link.a = NodeId{u};
     link.b = NodeId{v};
-    link.bandwidth_mbps = rng.uniform(params.min_bandwidth_mbps, params.max_bandwidth_mbps);
-    link.latency_s = d * params.latency_per_unit;
+    link.bandwidth_mbps = rng.uniform(kMinBandwidthMbps, kMaxBandwidthMbps);
+    link.latency_s = d * kLatencyPerUnitS;
     const LinkId id{static_cast<LinkId::underlying_type>(topo.links_.size())};
     topo.links_.push_back(link);
     topo.incident_[static_cast<std::size_t>(u)].push_back(id);
     topo.incident_[static_cast<std::size_t>(v)].push_back(id);
   };
 
-  // Incremental growth: node i joins and picks up to links_per_node distinct
+  // Incremental growth: node i joins and picks up to kLinksPerNode distinct
   // existing nodes by Waxman-weighted roulette selection.
   for (int i = 1; i < n; ++i) {
-    const int m = std::min(params.links_per_node, i);
+    const int m = std::min(kLinksPerNode, i);
     std::vector<char> chosen(static_cast<std::size_t>(i), 0);
     for (int k = 0; k < m; ++k) {
       double total = 0.0;

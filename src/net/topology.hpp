@@ -4,7 +4,7 @@
 // links with probability P(u,v) = alpha * exp(-d(u,v) / (beta * L)) where d is
 // the Euclidean distance and L the plane diagonal. We reproduce Brite's
 // *incremental growth* variant: nodes join one at a time and connect to
-// `links_per_node` existing nodes sampled with Waxman weights, which guarantees
+// `kLinksPerNode` existing nodes sampled with Waxman weights, which guarantees
 // a connected graph (what Brite does when asked for a connected topology).
 #pragma once
 
@@ -34,21 +34,24 @@ struct Link {
   double latency_s = 0.0;
 };
 
-/// Waxman/Brite generation parameters. Defaults follow common Brite settings
-/// and paper Table I for link bandwidth.
+/// Waxman/Brite generation constants: common Brite settings, and paper
+/// Table I for link bandwidth.
+inline constexpr double kWaxmanAlpha = 0.15;  ///< link probability scale
+inline constexpr double kWaxmanBeta = 0.2;    ///< distance sensitivity
+inline constexpr int kLinksPerNode = 2;       ///< Brite incremental-growth links per new node
+inline constexpr double kPlaneSize = 1000.0;  ///< side of the square placement plane
+inline constexpr double kMinBandwidthMbps = 0.1;
+inline constexpr double kMaxBandwidthMbps = 10.0;
+/// Latency per plane distance unit, seconds (~ 10 us/unit, i.e. roughly
+/// fiber propagation if one unit is a kilometre).
+inline constexpr double kLatencyPerUnitS = 1e-5;
+
+/// Waxman/Brite generation parameters: the node count; the shape is the
+/// constants above.
 struct TopologyParams {
   int node_count = 100;
-  double alpha = 0.15;        ///< Waxman alpha (link probability scale)
-  double beta = 0.2;          ///< Waxman beta (distance sensitivity)
-  int links_per_node = 2;     ///< Brite incremental-growth links per new node
-  double plane_size = 1000.0; ///< side of the square placement plane
-  double min_bandwidth_mbps = 0.1;
-  double max_bandwidth_mbps = 10.0;
-  /// Latency per plane distance unit, seconds (default ~ 10 us/unit, i.e.
-  /// roughly fiber propagation if one unit is a kilometre).
-  double latency_per_unit = 1e-5;
 
-  void validate() const;  ///< throws std::invalid_argument on bad bounds
+  void validate() const;  ///< throws std::invalid_argument when node_count < 1
 };
 
 /// An immutable undirected multigraph-free topology with node positions.

@@ -4,9 +4,9 @@
 
 namespace dpjit::sim {
 
-void Trace::record(SimTime time, TraceKind kind, NodeId node, TaskRef task, std::string note) {
-  if (!enabled_) return;
-  records_.push_back(TraceRecord{time, kind, node, task, std::move(note)});
+void Trace::append(SimTime time, TraceKind kind, NodeId node, TaskRef task,
+                   std::string_view note) {
+  records_.push_back(TraceRecord{time, kind, node, task, std::string(note)});
 }
 
 std::size_t Trace::count(TraceKind kind) const {

@@ -7,6 +7,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.hpp"
@@ -45,8 +46,11 @@ class Trace {
   void enable(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  /// Appends a record when enabled; the note is copied only then.
   void record(SimTime time, TraceKind kind, NodeId node, TaskRef task = {},
-              std::string note = {});
+              std::string_view note = {}) {
+    if (enabled_) append(time, kind, node, task, note);
+  }
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const { return records_; }
   void clear() { records_.clear(); }
@@ -58,6 +62,8 @@ class Trace {
   void print(std::ostream& os) const;
 
  private:
+  void append(SimTime time, TraceKind kind, NodeId node, TaskRef task, std::string_view note);
+
   bool enabled_ = false;
   std::vector<TraceRecord> records_;
 };

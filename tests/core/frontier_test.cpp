@@ -33,7 +33,6 @@ struct LineWorld {
         rng(5),
         landmarks(routing, 2, rng) {
     config.scheduling_interval_s = 100.0;
-    config.first_schedule_at_s = 100.0;
     config.horizon_s = 400000.0;
     config.gossip.cycle_s = 50.0;
     system = std::make_unique<GridSystem>(engine, topo, routing, landmarks,

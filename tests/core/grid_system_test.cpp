@@ -21,7 +21,6 @@ struct TinyWorld {
         rng(99),
         landmarks(routing, 2, rng) {
     config.scheduling_interval_s = 100.0;
-    config.first_schedule_at_s = 100.0;
     config.horizon_s = 200000.0;
     config.gossip.cycle_s = 50.0;
     system = std::make_unique<GridSystem>(engine, topo, routing, landmarks,

@@ -37,7 +37,6 @@ struct SlowWanWorld {
         landmarks(routing, 2, rng) {
     SystemConfig config;
     config.scheduling_interval_s = 100.0;
-    config.first_schedule_at_s = 100.0;
     config.horizon_s = 200000.0;
     config.gossip.cycle_s = 50.0;
     config.home_keeps_outputs = false;  // strict: data dies with the node

@@ -22,23 +22,20 @@ std::uint64_t digest_of(const ExperimentConfig& cfg) {
 }
 
 TEST(FaultWorld, MessageGossipDisseminatesWithoutTheOracle) {
+  // The derived per-cycle budget (3 * fanout + 4) every realism scenario
+  // runs with.
   ExperimentConfig cfg = small_world();
   cfg.system.gossip.message_level = true;
-  // A budget the protocol never exhausts: with no faults and no rate-limiter
-  // silence, every SYNC gets its ACK1.
-  cfg.system.gossip.round_message_budget = 1000;
   World w(cfg);
   w.run();
   const auto& gossip = w.system().gossip_service();
   ASSERT_TRUE(gossip.message_level());
   ASSERT_NE(gossip.detector(), nullptr);
-  // Views fill from real SYNC/ACK1/ACK2 exchanges, not from shared state.
+  // Views fill from real SYNC/ACK1/ACK2 exchanges, not from shared state,
+  // even though the budget silences some replies (see the next test).
   EXPECT_GT(gossip.mean_rss_size(), 5.0);
   EXPECT_GT(gossip.messages_sent(), 0u);
-  EXPECT_EQ(gossip.messages_suppressed(), 0u);
   EXPECT_GT(w.system().finished_workflows(), 0u);
-  // No faults, no churn, no suppressed replies: nobody is wrongly declared dead.
-  EXPECT_EQ(gossip.detector()->declared_dead(), 0u);
 }
 
 TEST(FaultWorld, TightMessageBudgetCausesRefutedSuspicions) {

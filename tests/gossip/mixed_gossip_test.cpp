@@ -30,10 +30,12 @@ class GossipHarness {
     }
   }
 
-  void run_cycles(int cycles) {
+  /// Runs `cycles` cycles, `step_s` simulated seconds apart (the default
+  /// just flushes in-flight messages).
+  void run_cycles(int cycles, double step_s = 1.0) {
     for (int c = 0; c < cycles; ++c) {
       service_->run_cycle(static_cast<std::uint64_t>(c));
-      engine_.run_until(engine_.now() + 1.0);  // flush in-flight messages
+      engine_.run_until(engine_.now() + step_s);
     }
   }
 
@@ -80,10 +82,8 @@ TEST(MixedGossip, CacheSizeScalesLogarithmically) {
 
 TEST(MixedGossip, AggregationConvergesToTrueMeans) {
   const int n = 64;
-  GossipParams params;
-  params.aggregation_epoch_cycles = 10;
-  GossipHarness h(n, params);
-  h.run_cycles(25);  // two full epochs
+  GossipHarness h(n);
+  h.run_cycles(2 * kAggregationEpochCycles + 1);  // two full epochs
   // True mean capacity: mean(1..n) = (n+1)/2; bandwidth double that.
   const double true_cap = (n + 1) / 2.0;
   int close = 0;
@@ -108,15 +108,14 @@ TEST(MixedGossip, FreshStateOverwritesStale) {
 }
 
 TEST(MixedGossip, DeadNodesFadeFromViews) {
-  GossipParams params;
-  params.staleness_bound_s = 2.0;  // with 1s "cycles" in the harness
-  params.cycle_s = 1.0;
-  GossipHarness h(32, params);
-  h.run_cycles(6);
-  // Kill node 5, keep gossiping; its entries must disappear.
+  const double cycle = GossipParams{}.cycle_s;
+  GossipHarness h(32);
+  h.run_cycles(6, cycle);
+  // Kill node 5, keep gossiping; its entries must disappear once they are
+  // older than the staleness bound.
   h.alive_[5] = false;
   h.service_->node_left(NodeId{5});
-  h.run_cycles(6);
+  h.run_cycles(static_cast<int>(kStalenessBoundS / cycle) + 2, cycle);
   for (int i = 0; i < h.n_; ++i) {
     if (i == 5) continue;
     EXPECT_FALSE(h.service_->rss(NodeId{i}).contains(NodeId{5}))
@@ -151,13 +150,13 @@ TEST(MixedGossip, MeanIdleKnownCountsZeroLoad) {
 }
 
 TEST(MixedGossip, EpochBoundaryPublishesConvergedValue) {
-  GossipParams params;
-  params.aggregation_epoch_cycles = 5;
-  GossipHarness h(32, params);
+  GossipHarness h(32);
   // Before the first epoch completes, nodes publish their local observation.
   const auto before = h.service_->averages(NodeId{0});
   EXPECT_DOUBLE_EQ(before.capacity_mips, 1.0);  // node 0's own capacity
-  h.run_cycles(6);  // crosses the epoch boundary at cycle 5
+  h.run_cycles(kAggregationEpochCycles);
+  EXPECT_DOUBLE_EQ(h.service_->averages(NodeId{0}).capacity_mips, 1.0);
+  h.run_cycles(kAggregationEpochCycles + 1);  // crosses the first epoch boundary
   const auto after = h.service_->averages(NodeId{0});
   // The published value moved toward the true mean ((n+1)/2 = 16.5).
   EXPECT_GT(after.capacity_mips, before.capacity_mips);

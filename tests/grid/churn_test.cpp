@@ -12,7 +12,6 @@ struct Harness {
     ChurnModel::Params params;
     params.dynamic_factor = df;
     params.stable_count = stable;
-    params.interval_s = 900.0;
     model = std::make_unique<ChurnModel>(
         engine, params, n, util::Rng(7),
         [this](NodeId id) { return alive[static_cast<std::size_t>(id.get())]; },

@@ -149,8 +149,8 @@ TEST(Routing, MeanPairBandwidthPositive) {
   const auto topo = Topology::generate_waxman(params, rng);
   Routing r(topo);
   const double mean = r.initial_mean_pair_bandwidth_mbps();
-  EXPECT_GT(mean, params.min_bandwidth_mbps);
-  EXPECT_LT(mean, params.max_bandwidth_mbps);
+  EXPECT_GT(mean, kMinBandwidthMbps);
+  EXPECT_LT(mean, kMaxBandwidthMbps);
 }
 
 }  // namespace

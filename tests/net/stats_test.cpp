@@ -45,8 +45,8 @@ TEST(TopologyStats, WaxmanLooksReasonable) {
   EXPECT_GE(s.mean_degree, 1.9);  // ~2 links per node in incremental growth
   EXPECT_LE(s.mean_degree, 4.1);
   EXPECT_GT(s.hop_diameter, 2);
-  EXPECT_GE(s.mean_bandwidth_mbps, params.min_bandwidth_mbps);
-  EXPECT_LE(s.mean_bandwidth_mbps, params.max_bandwidth_mbps);
+  EXPECT_GE(s.mean_bandwidth_mbps, kMinBandwidthMbps);
+  EXPECT_LE(s.mean_bandwidth_mbps, kMaxBandwidthMbps);
 }
 
 TEST(TopologyStats, PrintIncludesKeyNumbers) {

@@ -15,15 +15,13 @@
 //              before any transfer is in flight), and so do dsmf and
 //              dsmf-tc; open arrivals tell both pairs apart.
 //
-// Cost, serially on a 4-vCPU x86 VM: ~6 s in the release preset, ~100 s in
-// debug, ~315 s under ASan + UBSan. Every row but the two lookahead ones
-// takes ~0.2 s (release), ~2 s (debug) or 5-8 s (ASan). heft-la and
-// lookahead-ca plan in O(tasks * nodes^2 * fanout): on all three configs
-// they took 4-6 s each in release, 69-84 s in debug and 214-281 s under
-// ASan, past the scenario tier's per-test timeout (150 s in the debug and
-// asan presets). They run the open config only, the one that tells them
-// apart: 1.0-1.5 s, 23-37 s and 75-102 s. The rows heft and smf pin the
-// full-ahead remap on the dynamic config.
+// Cost, serially on a 4-vCPU x86 VM: ~6 s in the release preset, ~57 s in
+// debug, ~188 s under ASan + UBSan. Every row but the two lookahead ones
+// takes ~0.2 s (release), ~1.4 s (debug) or 4-8 s (ASan). heft-la and
+// lookahead-ca plan in O(tasks * nodes^2 * fanout) and take 1.1 / 1.3 s
+// (release), 13 / 17 s (debug) and 42 / 55 s (ASan), inside the scenario
+// tier's per-test timeout (150 s in the debug and asan presets). The rows
+// heft and smf pin the full-ahead remap on the dynamic config.
 //
 // A pin change is legitimate only alongside an intentional semantic change
 // to the algorithm it names.
@@ -39,9 +37,6 @@
 
 namespace dpjit::exp {
 namespace {
-
-/// A config this row does not run.
-constexpr std::uint64_t kNotRun = 0;
 
 struct Pin {
   const char* algorithm;
@@ -64,11 +59,11 @@ constexpr Pin kPins[] = {
     {"minmin-fcfs", 13463385502244131827ULL, 9303284550453056741ULL, 2282173196248539630ULL},
     {"maxmin-fcfs", 4967234715490852947ULL, 11675817623634230650ULL, 16555972210336432580ULL},
     {"sufferage-fcfs", 10030340735273581046ULL, 6776428566230249733ULL, 11411155089421346896ULL},
-    {"heft-la", kNotRun, kNotRun, 13203386582392109575ULL},
+    {"heft-la", 12671989514489053010ULL, 3054736449305766303ULL, 13203386582392109575ULL},
     {"dsmf-ca", 9344499559596570996ULL, 17707866401532341607ULL, 11096471239426629092ULL},
     {"dsmf-tc", 13287032647684359921ULL, 3251636636620959963ULL, 7207151536443149580ULL},
     {"dheft-ca", 14755089570204243617ULL, 11361228541248526741ULL, 7021927623667210907ULL},
-    {"lookahead-ca", kNotRun, kNotRun, 13766857274467162876ULL},
+    {"lookahead-ca", 9902873804821720440ULL, 7597358611692530463ULL, 13766857274467162876ULL},
 };
 
 void PrintTo(const Pin& pin, std::ostream* os) { *os << pin.algorithm; }
@@ -91,17 +86,13 @@ class AlgorithmPin : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(AlgorithmPin, MatchesPinnedDigests) {
   const Pin& pin = GetParam();
-  if (pin.static_n200 != kNotRun) {
-    EXPECT_EQ(digest_of("paper/static-n200", pin.algorithm, [](ExperimentConfig&) {}),
-              pin.static_n200)
-        << pin.algorithm << " on paper/static-n200";
-  }
-  if (pin.dynamic_df20 != kNotRun) {
-    EXPECT_EQ(digest_of("paper/dynamic-df20", pin.algorithm,
-                        [](ExperimentConfig& c) { c.reschedule = true; }),
-              pin.dynamic_df20)
-        << pin.algorithm << " on paper/dynamic-df20 with rescheduling";
-  }
+  EXPECT_EQ(digest_of("paper/static-n200", pin.algorithm, [](ExperimentConfig&) {}),
+            pin.static_n200)
+      << pin.algorithm << " on paper/static-n200";
+  EXPECT_EQ(digest_of("paper/dynamic-df20", pin.algorithm,
+                      [](ExperimentConfig& c) { c.reschedule = true; }),
+            pin.dynamic_df20)
+      << pin.algorithm << " on paper/dynamic-df20 with rescheduling";
   EXPECT_EQ(digest_of("contention/fair-static", pin.algorithm,
                       [](ExperimentConfig& c) { c.mean_interarrival_s = 3600.0; }),
             pin.open_fair)

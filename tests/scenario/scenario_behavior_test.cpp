@@ -34,8 +34,8 @@ TEST(ScenarioBehavior, FlashCrowdSubmitsInsideItsWaves) {
             .submit_time;
     bool inside = false;
     for (int k = 0; k < cfg.bursts.wave_count; ++k) {
-      const double open = cfg.bursts.first_wave_s + k * cfg.bursts.period_s;
-      if (t >= open && t <= open + cfg.bursts.width_s) {
+      const double open = BurstArrivals::kFirstWaveS + k * BurstArrivals::kPeriodS;
+      if (t >= open && t <= open + BurstArrivals::kWidthS) {
         ++per_wave[static_cast<std::size_t>(k)];
         inside = true;
         break;

@@ -39,7 +39,7 @@
 // --small on --digest) is an error: the runner names it and exits 1 before
 // running anything, instead of silently running the defaults.
 #include <array>
-#include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -77,22 +77,23 @@ bool reject_unread_flags(const util::Config& cli) {
 int list_scenarios(bool as_json) {
   const auto& reg = exp::scenario_registry();
   if (as_json) {
-    std::cout << "[\n";
-    const auto& all = reg.all();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const auto& s = all[i];
+    util::JsonWriter json(std::cout);
+    json.begin_array();
+    for (const auto& s : reg.all()) {
       const auto cfg = s.config();
-      std::cout << "  {\"name\": \"" << util::json_escape(s.name) << "\",";
-      std::cout << " \"tier\": \"" << exp::to_string(s.tier) << "\",";
-      std::cout << " \"paper_section\": \"" << util::json_escape(s.paper_section) << "\",";
-      std::cout << " \"algorithm\": \"" << util::json_escape(cfg.algorithm) << "\",";
-      std::cout << " \"nodes\": " << cfg.nodes << ",";
-      std::cout << " \"conformance_nodes\": " << exp::conformance_nodes(cfg.nodes) << ",";
-      std::cout << " \"sharded\": " << (s.sharded ? "true" : "false") << ",";
-      std::cout << " \"description\": \"" << util::json_escape(s.description) << "\"}";
-      std::cout << (i + 1 < all.size() ? "," : "") << "\n";
+      json.begin_object()
+          .kv("name", s.name)
+          .kv("tier", exp::to_string(s.tier))
+          .kv("paper_section", s.paper_section)
+          .kv("algorithm", cfg.algorithm)
+          .kv("nodes", std::int64_t{cfg.nodes})
+          .kv("conformance_nodes", std::int64_t{exp::conformance_nodes(cfg.nodes)})
+          .kv("sharded", s.sharded)
+          .kv("description", s.description)
+          .end_object();
     }
-    std::cout << "]\n";
+    json.end_array();
+    std::cout << "\n";
     return 0;
   }
   util::TablePrinter table(
@@ -132,10 +133,9 @@ int describe_scenario(const std::string& name, bool as_json) {
   // Which transfer model the run simulates, and whether the algorithm reads
   // the live-rate oracle or only static estimates - the two axes a reader of
   // a contention/* or quantised/* result needs to know to interpret it. The
-  // mode row comes straight from the net::NetworkModel matrix so this listing
-  // cannot drift from the engine's actual branch.
-  const std::string_view network_model =
-      net::network_mode_info(cfg.system.network_mode).name;
+  // mode is the one the engine resolves (effective_network_mode), so this
+  // listing cannot drift from the engine's actual branch.
+  const std::string_view network_model = net::network_mode_name(cfg.effective_network_mode());
   const auto algo = core::make_algorithm(cfg.algorithm);
   const char* oracle_path = "static estimates (gossip averages / bandwidth matrix)";
   if (algo.contended) {
@@ -146,29 +146,31 @@ int describe_scenario(const std::string& name, bool as_json) {
               "solves)";
   }
   if (as_json) {
-    std::cout << "{\n";
-    std::cout << "  \"name\": \"" << util::json_escape(s->name) << "\",\n";
-    std::cout << "  \"description\": \"" << util::json_escape(s->description) << "\",\n";
-    std::cout << "  \"tier\": \"" << exp::to_string(s->tier) << "\",\n";
-    std::cout << "  \"paper_section\": \"" << util::json_escape(s->paper_section) << "\",\n";
-    std::cout << "  \"algorithm\": \"" << util::json_escape(cfg.algorithm) << "\",\n";
-    std::cout << "  \"nodes\": " << cfg.nodes << ",\n";
-    std::cout << "  \"workflows_per_node\": " << cfg.workflows_per_node << ",\n";
-    std::cout << "  \"horizon_hours\": " << cfg.system.horizon_s / 3600.0 << ",\n";
-    std::cout << "  \"seed\": " << cfg.seed << ",\n";
-    std::cout << "  \"network_model\": \"" << network_model << "\",\n";
-    std::cout << "  \"oracle_path\": \"" << oracle_path << "\",\n";
-    std::cout << "  \"dynamic_factor\": " << cfg.dynamic_factor << ",\n";
-    std::cout << "  \"reschedule\": " << (cfg.reschedule ? "true" : "false") << ",\n";
-    std::cout << "  \"load_mi\": [" << cfg.workflow.min_load_mi << ", ";
-    std::cout << cfg.workflow.max_load_mi << "],\n";
-    std::cout << "  \"data_mb\": [" << cfg.workflow.min_data_mb << ", ";
-    std::cout << cfg.workflow.max_data_mb << "],\n";
-    std::cout << "  \"arrival_process\": \"" << arrivals << "\",\n";
-    std::cout << "  \"workload_mix_entries\": " << cfg.workload_mix.size() << ",\n";
-    std::cout << "  \"sharded\": " << (s->sharded ? "true" : "false") << ",\n";
-    std::cout << "  \"conformance_nodes\": " << conf_nodes << "\n";
-    std::cout << "}\n";
+    util::JsonWriter json(std::cout);
+    json.begin_object()
+        .kv("name", s->name)
+        .kv("description", s->description)
+        .kv("tier", exp::to_string(s->tier))
+        .kv("paper_section", s->paper_section)
+        .kv("algorithm", cfg.algorithm)
+        .kv("nodes", std::int64_t{cfg.nodes})
+        .kv("workflows_per_node", std::int64_t{cfg.workflows_per_node})
+        .kv("horizon_hours", cfg.system.horizon_s / 3600.0)
+        .kv("seed", cfg.seed)
+        .kv("network_model", network_model)
+        .kv("oracle_path", oracle_path)
+        .kv("dynamic_factor", cfg.dynamic_factor)
+        .kv("reschedule", cfg.reschedule);
+    json.key("load_mi").begin_array().value(cfg.workflow.min_load_mi);
+    json.value(cfg.workflow.max_load_mi).end_array();
+    json.key("data_mb").begin_array().value(cfg.workflow.min_data_mb);
+    json.value(cfg.workflow.max_data_mb).end_array();
+    json.kv("arrival_process", arrivals)
+        .kv("workload_mix_entries", std::uint64_t{cfg.workload_mix.size()})
+        .kv("sharded", s->sharded)
+        .kv("conformance_nodes", std::int64_t{conf_nodes})
+        .end_object();
+    std::cout << "\n";
     return 0;
   }
   std::cout << "scenario:          " << s->name << "\n";
@@ -243,33 +245,31 @@ int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
   const std::uint64_t digest = exp::scale_digest(r);
 
   if (as_json) {
-    std::cout << "{\n";
-    std::cout << "  \"scenario\": \"" << util::json_escape(scenario.name) << "\",\n";
-    std::cout << "  \"peers\": " << r.peers << ",\n";
-    std::cout << "  \"regions\": " << r.regions << ",\n";
-    std::cout << "  \"shards\": " << r.shards << ",\n";
-    std::cout << "  \"window_s\": " << r.window_s << ",\n";
-    // +inf at shards=1; JSON has no inf literal, so emit null there.
-    if (std::isfinite(r.lookahead_s)) {
-      std::cout << "  \"lookahead_s\": " << r.lookahead_s << ",\n";
-    } else {
-      std::cout << "  \"lookahead_s\": null,\n";
-    }
-    std::cout << "  \"events_processed\": " << r.events_processed << ",\n";
-    std::cout << "  \"windows\": " << r.windows << ",\n";
-    std::cout << "  \"parallel_windows\": " << r.parallel_windows << ",\n";
-    std::cout << "  \"pending_max\": " << r.pending_max << ",\n";
-    std::cout << "  \"tasks_completed\": " << r.tasks_completed << ",\n";
-    std::cout << "  \"transfers_completed\": " << r.transfers_completed << ",\n";
-    std::cout << "  \"mb_transferred\": " << r.mb_transferred << ",\n";
-    std::cout << "  \"gossip_sent\": " << r.gossip_sent << ",\n";
-    std::cout << "  \"gossip_merged\": " << r.gossip_merged << ",\n";
-    std::cout << "  \"churn_departures\": " << r.churn_departures << ",\n";
-    std::cout << "  \"churn_rejoins\": " << r.churn_rejoins << ",\n";
-    std::cout << "  \"dropped_messages\": " << r.dropped_messages << ",\n";
-    std::cout << "  \"wall_s\": " << r.wall_s << ",\n";
-    std::cout << "  \"scale_digest\": \"" << digest << "\"\n";
-    std::cout << "}\n";
+    // lookahead_s is +inf at shards=1; the writer emits it as null.
+    util::JsonWriter json(std::cout);
+    json.begin_object()
+        .kv("scenario", scenario.name)
+        .kv("peers", std::int64_t{r.peers})
+        .kv("regions", std::int64_t{r.regions})
+        .kv("shards", std::int64_t{r.shards})
+        .kv("window_s", r.window_s)
+        .kv("lookahead_s", r.lookahead_s)
+        .kv("events_processed", r.events_processed)
+        .kv("windows", r.windows)
+        .kv("parallel_windows", r.parallel_windows)
+        .kv("pending_max", r.pending_max)
+        .kv("tasks_completed", r.tasks_completed)
+        .kv("transfers_completed", r.transfers_completed)
+        .kv("mb_transferred", r.mb_transferred)
+        .kv("gossip_sent", r.gossip_sent)
+        .kv("gossip_merged", r.gossip_merged)
+        .kv("churn_departures", r.churn_departures)
+        .kv("churn_rejoins", r.churn_rejoins)
+        .kv("dropped_messages", r.dropped_messages)
+        .kv("wall_s", r.wall_s)
+        .kv("scale_digest", std::to_string(digest))
+        .end_object();
+    std::cout << "\n";
     std::cerr << "scale_digest: " << digest << "\n";
     return 0;
   }
