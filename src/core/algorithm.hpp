@@ -66,11 +66,11 @@ enum class Placement {
 struct Algorithm {
   std::string_view name;
   FirstPhase first = FirstPhase::kFullAhead;
-  /// Read the live network oracle instead of static estimates: the
-  /// just-in-time rows rank Formula (9) by
-  /// DispatchContext::finish_time_contended, the full-ahead rows charge plan
-  /// transfers through PlannerOracle::transfer_time
-  /// (TransferManager::expected_transfer_time_s).
+  /// Price transfers by the live network oracle
+  /// (TransferManager::expected_transfer_time_s) instead of static bandwidth
+  /// estimates. Read once, where GridSystem builds a row's pricer: the
+  /// just-in-time rows' DispatchContext::finish_time and the full-ahead rows'
+  /// PlannerOracle::transfer_time both charge transfers through it.
   bool contended = false;
   /// Second-phase comparator, one of ready_comparator_names().
   std::string_view ready;

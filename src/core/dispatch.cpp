@@ -8,19 +8,14 @@
 namespace dpjit::core {
 namespace {
 
-double ft_on(DispatchContext& ctx, const CandidateTask& task,
-             const gossip::ResourceEntry& resource, bool contended) {
-  return contended ? ctx.finish_time_contended(task, resource) : ctx.finish_time(task, resource);
-}
-
 /// Formula (9): index into ctx.resources() minimizing FT(tau, r), or -1 when
 /// the resource set is empty. Ties break toward the earlier entry.
-int select_min_ft(DispatchContext& ctx, const CandidateTask& task, bool contended) {
+int select_min_ft(DispatchContext& ctx, const CandidateTask& task) {
   const auto& resources = ctx.resources();
   int best = -1;
   double best_ft = kInf;
   for (std::size_t i = 0; i < resources.size(); ++i) {
-    const double ft = ft_on(ctx, task, resources[i], contended);
+    const double ft = ctx.finish_time(task, resources[i]);
     if (ft < best_ft) {
       best_ft = ft;
       best = static_cast<int>(i);
@@ -32,11 +27,10 @@ int select_min_ft(DispatchContext& ctx, const CandidateTask& task, bool contende
 /// Stable-sorts `tasks` by `before` and places each by Formula (9)
 /// (Algorithm 1 lines 11-15); a task with no resource is skipped (line 9).
 template <typename Before>
-void place_in_order(DispatchContext& ctx, std::vector<const CandidateTask*> tasks, Before before,
-                    bool contended) {
+void place_in_order(DispatchContext& ctx, std::vector<const CandidateTask*> tasks, Before before) {
   std::stable_sort(tasks.begin(), tasks.end(), before);
   for (const CandidateTask* t : tasks) {
-    const int r = select_min_ft(ctx, *t, contended);
+    const int r = select_min_ft(ctx, *t);
     if (r < 0) continue;
     ctx.dispatch(*t, ctx.resources()[static_cast<std::size_t>(r)].node);
   }
@@ -58,7 +52,7 @@ std::vector<const CandidateTask*> all_schedule_points(const DispatchContext& ctx
   return tasks;
 }
 
-void dsmf_order(DispatchContext& ctx, bool contended) {
+void dsmf_order(DispatchContext& ctx) {
   // Line 8: ascending remaining makespan; stable so equal makespans keep
   // submission order.
   std::vector<const PendingWorkflow*> order;
@@ -73,7 +67,7 @@ void dsmf_order(DispatchContext& ctx, bool contended) {
     std::vector<const CandidateTask*> tasks;
     tasks.reserve(wf->tasks.size());
     for (const auto& t : wf->tasks) tasks.push_back(&t);
-    place_in_order(ctx, std::move(tasks), longer_rpm, contended);
+    place_in_order(ctx, std::move(tasks), longer_rpm);
   }
 }
 
@@ -85,12 +79,12 @@ struct Evaluated {
   double second_ft = kInf;  // second-best finish time (for sufferage)
 };
 
-Evaluated evaluate(DispatchContext& ctx, const CandidateTask& task, bool contended) {
+Evaluated evaluate(DispatchContext& ctx, const CandidateTask& task) {
   Evaluated e;
   e.task = &task;
   const auto& resources = ctx.resources();
   for (std::size_t i = 0; i < resources.size(); ++i) {
-    const double ft = ft_on(ctx, task, resources[i], contended);
+    const double ft = ctx.finish_time(task, resources[i]);
     if (ft < e.best_ft) {
       e.second_ft = e.best_ft;
       e.best_ft = ft;
@@ -122,12 +116,12 @@ bool better_pick(FirstPhase rule, const Evaluated& a, const Evaluated& b) {
 /// to the home's schedule-point set against its gossiped resource view):
 /// evaluate every remaining point's best resource, dispatch the one the rule
 /// picks (the earliest on ties), update the working copy, repeat.
-void batch_dispatch(DispatchContext& ctx, FirstPhase rule, bool contended) {
+void batch_dispatch(DispatchContext& ctx, FirstPhase rule) {
   std::vector<const CandidateTask*> remaining = all_schedule_points(ctx);
   while (!remaining.empty()) {
     std::vector<Evaluated> evals;
     evals.reserve(remaining.size());
-    for (const CandidateTask* t : remaining) evals.push_back(evaluate(ctx, *t, contended));
+    for (const CandidateTask* t : remaining) evals.push_back(evaluate(ctx, *t));
     std::size_t chosen = 0;
     for (std::size_t i = 1; i < evals.size(); ++i) {
       if (better_pick(rule, evals[i], evals[chosen])) chosen = i;
@@ -155,18 +149,18 @@ double remaining_makespan(const std::vector<double>& rpm,
 void run_first_phase(const Algorithm& algorithm, DispatchContext& ctx) {
   switch (algorithm.first) {
     case FirstPhase::kMakespanThenRpm:
-      dsmf_order(ctx, algorithm.contended);
+      dsmf_order(ctx);
       return;
     case FirstPhase::kRpm:
-      place_in_order(ctx, all_schedule_points(ctx), longer_rpm, algorithm.contended);
+      place_in_order(ctx, all_schedule_points(ctx), longer_rpm);
       return;
     case FirstPhase::kSlack:
-      place_in_order(ctx, all_schedule_points(ctx), tighter_slack, algorithm.contended);
+      place_in_order(ctx, all_schedule_points(ctx), tighter_slack);
       return;
     case FirstPhase::kMinMin:
     case FirstPhase::kMaxMin:
     case FirstPhase::kSufferage:
-      batch_dispatch(ctx, algorithm.first, algorithm.contended);
+      batch_dispatch(ctx, algorithm.first);
       return;
     case FirstPhase::kFullAhead:
       break;

@@ -3,7 +3,10 @@
 // Every scheduling cycle, each home node builds a DispatchContext exposing
 // its pending workflows (with schedule points, RPMs and remaining makespans),
 // a mutable working copy of its resource-state set RSS, and the finish-time
-// estimator of Eqs. (4)-(6). run_first_phase orders the candidates by the
+// estimator of Eqs. (4)-(6). The context prices the input transfers with the
+// pricer chosen for the algorithm where the context is made (static
+// estimates, or the live network oracle for the contended rows), so the first
+// phase itself never asks which one it is. run_first_phase orders the candidates by the
 // algorithm's first-phase rule and dispatches each to a chosen resource node;
 // dispatching updates the working RSS copy so later selections in the same
 // cycle see the added load (Algorithm 1 line 15).
@@ -59,20 +62,10 @@ class DispatchContext {
   /// Workflows with schedule points this cycle. Stable order (by workflow id).
   [[nodiscard]] virtual const std::vector<PendingWorkflow>& pending() const = 0;
 
-  /// FT(tau, r) per Eqs. (4)-(6), offset from now.
+  /// FT(tau, r) per Eqs. (4)-(6), offset from now, with the LTD term priced
+  /// by the context's pricer.
   [[nodiscard]] virtual double finish_time(const CandidateTask& task,
                                            const gossip::ResourceEntry& resource) const = 0;
-
-  /// FT(tau, r) with the transmission-delay term (Eq. 4) answered by the live
-  /// network oracle - what the input transfers would actually cost *right
-  /// now*, contention included - instead of static bandwidth estimates.
-  /// Contexts without a live network (tests) inherit this default, which
-  /// falls back to the static estimate, so the contended rows degrade
-  /// gracefully to their baseline behaviour.
-  [[nodiscard]] virtual double finish_time_contended(const CandidateTask& task,
-                                                     const gossip::ResourceEntry& resource) const {
-    return finish_time(task, resource);
-  }
 
   /// Dispatches the task to `target` and charges the task load to the target's
   /// entry in the RSS working copy. The task is identified by `task.ref`; the
@@ -84,9 +77,8 @@ class DispatchContext {
 
 /// Runs `algorithm`'s first-phase rule over the context: dispatches every
 /// pending schedule point, or none when the resource set is empty. Formula
-/// (9) placement picks the resource entry minimizing FT (finish_time, or
-/// finish_time_contended for the contended rows); ties go to the earlier
-/// entry. Must not be called for a full-ahead algorithm.
+/// (9) placement picks the resource entry minimizing finish_time; ties go to
+/// the earlier entry. Must not be called for a full-ahead algorithm.
 void run_first_phase(const Algorithm& algorithm, DispatchContext& ctx);
 
 }  // namespace dpjit::core

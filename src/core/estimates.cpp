@@ -16,28 +16,6 @@ double execution_time_s(double load_mi, const gossip::ResourceEntry& resource) {
 }
 
 double longest_transmission_delay_s(const TaskEstimateInputs& task, NodeId target,
-                                    const BandwidthEstimateFn& bandwidth) {
-  double ltd = 0.0;
-  for (const InputSource& in : task.inputs) {
-    if (in.location == target || in.size_mb <= 0.0) continue;
-    const double bw = bandwidth(in.location, target);
-    const double t = bw > 0.0 ? in.size_mb / bw : kInf;
-    ltd = std::max(ltd, t);
-  }
-  return ltd;
-}
-
-FinishTimeEstimate estimate_finish_time(const TaskEstimateInputs& task,
-                                        const gossip::ResourceEntry& resource,
-                                        const BandwidthEstimateFn& bandwidth) {
-  FinishTimeEstimate est;
-  est.start_s = std::max(queuing_delay_s(resource),
-                         longest_transmission_delay_s(task, resource.node, bandwidth));
-  est.finish_s = est.start_s + execution_time_s(task.load_mi, resource);
-  return est;
-}
-
-double longest_transmission_delay_s(const TaskEstimateInputs& task, NodeId target,
                                     const TransferTimeFn& transfer_time) {
   double ltd = 0.0;
   for (const InputSource& in : task.inputs) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "gossip/view.hpp"
@@ -35,15 +36,23 @@ struct TaskEstimateInputs {
   std::vector<InputSource> inputs;
 };
 
-/// Estimated bandwidth (Mb/s) between two nodes - in production the
-/// landmark-based estimator fed by gossip, in tests any stub.
-using BandwidthEstimateFn = std::function<double(NodeId from, NodeId to)>;
-
-/// Full transfer-time estimate (seconds, including path latency) for moving
-/// `size_mb` megabits. Contention-aware policies plug the live
-/// grid::TransferManager::expected_transfer_time_s in here; the static variant
-/// above only divides size by an average bandwidth.
+/// Transfer-time estimate (seconds) for moving `size_mb` megabits between two
+/// nodes: how a scheduler prices a transfer. The caller picks the pricer once,
+/// where it builds its dispatch context or planner oracle: a static pricer
+/// (size_over_bandwidth) over landmark estimates or true path bandwidths, or
+/// the live grid::TransferManager::expected_transfer_time_s, latency and
+/// contention included.
 using TransferTimeFn = std::function<double(NodeId from, NodeId to, double size_mb)>;
+
+/// The static pricer: size over the estimated bandwidth (Mb/s) `bandwidth`
+/// returns for the pair, +inf when that is 0. Charges no latency.
+template <typename BandwidthFn>
+[[nodiscard]] TransferTimeFn size_over_bandwidth(BandwidthFn bandwidth) {
+  return [bandwidth = std::move(bandwidth)](NodeId from, NodeId to, double size_mb) {
+    const double bw = bandwidth(from, to);
+    return bw > 0.0 ? size_mb / bw : kInf;
+  };
+}
 
 /// R(tau, p_h): queuing delay = gossiped total load / capacity, seconds.
 [[nodiscard]] double queuing_delay_s(const gossip::ResourceEntry& resource);
@@ -51,13 +60,9 @@ using TransferTimeFn = std::function<double(NodeId from, NodeId to, double size_
 /// et(tau, p_h): execution time of the task on the node, seconds.
 [[nodiscard]] double execution_time_s(double load_mi, const gossip::ResourceEntry& resource);
 
-/// LTD(tau) (Eq. 4): slowest input transfer to `target`, seconds from now.
-/// Inputs already located at `target` cost nothing.
-[[nodiscard]] double longest_transmission_delay_s(const TaskEstimateInputs& task, NodeId target,
-                                                  const BandwidthEstimateFn& bandwidth);
-
-/// LTD(tau) with each input charged a full transfer-time estimate (latency
-/// included) instead of size / average-bandwidth.
+/// LTD(tau) (Eq. 4): slowest input transfer to `target` under
+/// `transfer_time`, seconds from now. Inputs already located at `target`, and
+/// empty ones, cost nothing.
 [[nodiscard]] double longest_transmission_delay_s(const TaskEstimateInputs& task, NodeId target,
                                                   const TransferTimeFn& transfer_time);
 
@@ -67,12 +72,6 @@ struct FinishTimeEstimate {
   double finish_s = 0.0;
 };
 
-[[nodiscard]] FinishTimeEstimate estimate_finish_time(const TaskEstimateInputs& task,
-                                                      const gossip::ResourceEntry& resource,
-                                                      const BandwidthEstimateFn& bandwidth);
-
-/// Eqs. (5)-(6) with the LTD term computed from a full transfer-time
-/// estimator (e.g. the live network oracle) instead of a static bandwidth.
 [[nodiscard]] FinishTimeEstimate estimate_finish_time(const TaskEstimateInputs& task,
                                                       const gossip::ResourceEntry& resource,
                                                       const TransferTimeFn& transfer_time);

@@ -85,15 +85,6 @@ void FullAheadPlanner::plan(const std::vector<PlanRequest>& workflows,
 
 void FullAheadPlanner::plan_batch(std::span<const PlanRequest> batch,
                                   const PlannerOracle& oracle, Assignment& out) {
-  // Movement cost of `size` megabits: the live transfer-time oracle when the
-  // caller wired one (contention-aware planning), else the classic static
-  // division - unreachable or zero-bandwidth pairs cost +inf either way.
-  auto move_cost = [&](NodeId from, NodeId to, double size) {
-    if (oracle.transfer_time) return oracle.transfer_time(from, to, size);
-    const double bw = oracle.bandwidth(from, to);
-    return bw > 0.0 ? size / bw : kInf;
-  };
-
   // A planned precedent of the task being placed: where it runs, when it
   // finishes and how much data it sends.
   struct Input {
@@ -120,12 +111,12 @@ void FullAheadPlanner::plan_batch(std::span<const PlanRequest> batch,
                         NodeId node) {
     double arrival = 0.0;
     for (const Input& in : inputs) {
-      const double xfer = in.loc != node ? move_cost(in.loc, node, in.data_mb) : 0.0;
+      const double xfer = in.loc != node ? oracle.transfer_time(in.loc, node, in.data_mb) : 0.0;
       arrival = std::max(arrival, in.ft + xfer);
     }
     const dag::Task& task = req.wf->task(t);
     if (task.image_mb > 0.0 && req.home != node) {
-      arrival = std::max(arrival, move_cost(req.home, node, task.image_mb));
+      arrival = std::max(arrival, oracle.transfer_time(req.home, node, task.image_mb));
     }
     return arrival;
   };
@@ -186,7 +177,8 @@ void FullAheadPlanner::plan_batch(std::span<const PlanRequest> batch,
           double child_best = kInf;
           for (std::size_t k = 0; k < n; ++k) {
             const NodeId cnode = oracle.nodes[k].node;
-            const double xfer = cnode != node ? move_cost(node, cnode, child_data[c]) : 0.0;
+            const double xfer =
+                cnode != node ? oracle.transfer_time(node, cnode, child_data[c]) : 0.0;
             const double carrival = std::max(child_ready[c * n + k], slot.finish + xfer);
             child_best = std::min(child_best, slot_on(child, k, carrival).finish);
           }

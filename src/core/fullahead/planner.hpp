@@ -3,9 +3,12 @@
 //
 // All plan *before execution starts*, with global resource information (the
 // paper grants the full-ahead baselines an oracle view: all nodes, their
-// capacities and true pairwise bandwidths). The plan fixes each task's
-// execution node; at run time tasks are dispatched to their planned node as
-// they become ready, and resource nodes execute them FCFS (Section IV.A).
+// capacities and true pairwise bandwidths; lookahead-ca prices transfers at
+// the live network's rates instead). The oracle carries one pricer and the
+// planner charges every edge and image move through it. The plan fixes each
+// task's execution node; at run time tasks are dispatched to their planned
+// node as they become ready, and resource nodes execute them FCFS (Section
+// IV.A).
 //
 // A planner instance is *centralized*: one instance plans the workflows of
 // every home node onto a single set of booking timelines ("the scheduling
@@ -33,16 +36,11 @@ struct PlannerOracle {
   std::vector<gossip::ResourceEntry> nodes;
   /// True system-wide averages (for ranking).
   dag::AverageEstimates averages;
-  /// True pairwise bottleneck bandwidth.
-  BandwidthEstimateFn bandwidth;
-  /// Optional live transfer-time estimator (latency + size over the rate the
-  /// network would allocate right now, as in
-  /// TransferManager::expected_transfer_time_s). When set, the planners
-  /// charge edge and image movement through it instead of the static
-  /// `size / bandwidth` division; when empty, planning is byte-for-byte
-  /// the classic static-bandwidth HEFT/SMF (the pins of heft/smf/heft-la
-  /// depend on that). GridSystem sets it for the contended rows
-  /// (lookahead-ca).
+  /// What moving data between two nodes costs: the true pairwise bottleneck
+  /// bandwidth as a static pricer (size_over_bandwidth; HEFT, SMF and
+  /// heft-la) or the live network's transfer-time estimate
+  /// (TransferManager::expected_transfer_time_s; lookahead-ca). GridSystem
+  /// picks it from Algorithm::contended.
   TransferTimeFn transfer_time;
 };
 

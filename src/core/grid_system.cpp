@@ -26,6 +26,23 @@ const std::vector<double>& ranks_under(WorkflowInstance& wf, const dag::AverageE
   return wf.ranks;
 }
 
+/// How `algorithm` prices a transfer, chosen once per dispatch context or
+/// planner oracle. The contended rows ask the TransferManager what the
+/// transfer would cost if it started now (in fair-sharing mode a what-if
+/// probe of the max-min solver, memoized per pair by the manager's
+/// epoch-keyed probe cache; in bottleneck mode the true routed path rate).
+/// The others divide by the static `bandwidth` estimate.
+template <typename BandwidthFn>
+TransferTimeFn pricer(const Algorithm& algorithm, const grid::TransferManager& transfers,
+                      BandwidthFn bandwidth) {
+  if (algorithm.contended) {
+    return [&transfers](NodeId from, NodeId to, double mb) {
+      return transfers.expected_transfer_time_s(from, to, mb);
+    };
+  }
+  return size_over_bandwidth(std::move(bandwidth));
+}
+
 }  // namespace
 
 double derive_quantised_epoch(double min_latency_s, double requested_s) {
@@ -43,7 +60,15 @@ class SystemDispatchContext final : public DispatchContext {
  public:
   SystemDispatchContext(GridSystem& sys, NodeId home, dag::AverageEstimates averages,
                         const std::vector<WorkflowId>& active)
-      : sys_(sys), averages_(averages) {
+      : sys_(sys),
+        averages_(averages),
+        // Static rows: the home's landmark estimate, falling back to its
+        // believed mean bandwidth.
+        transfer_time_(pricer(sys_.algorithm_, *sys_.transfers_,
+                              [landmarks = &sys_.landmarks_,
+                               fallback = averages.bandwidth_mbps](NodeId a, NodeId b) {
+                                return landmarks->estimate_mbps(a, b, fallback);
+                              })) {
     // Working copy of RSS(p_s): the gossiped entries plus the home node itself
     // with its true local state (a node always knows itself).
     const auto& view = sys_.gossip_->rss(home);
@@ -91,20 +116,7 @@ class SystemDispatchContext final : public DispatchContext {
 
   [[nodiscard]] double finish_time(const CandidateTask& task,
                                    const gossip::ResourceEntry& resource) const override {
-    return estimate_finish_time(task.inputs, resource, bandwidth_fn()).finish_s;
-  }
-
-  [[nodiscard]] double finish_time_contended(const CandidateTask& task,
-                                             const gossip::ResourceEntry& resource) const override {
-    // Live-oracle LTD: the TransferManager answers what each input transfer
-    // would cost if it started now (in fair-sharing mode a what-if probe of
-    // the max-min solver, memoized per pair for the cycle by the manager's
-    // probe cache; in bottleneck mode the true routed path rate).
-    return estimate_finish_time(task.inputs, resource,
-                                [this](NodeId from, NodeId to, double mb) {
-                                  return sys_.transfers_->expected_transfer_time_s(from, to, mb);
-                                })
-        .finish_s;
+    return estimate_finish_time(task.inputs, resource, transfer_time_).finish_s;
   }
 
   void dispatch(const CandidateTask& task, NodeId target) override {
@@ -125,16 +137,9 @@ class SystemDispatchContext final : public DispatchContext {
   }
 
  private:
-  [[nodiscard]] BandwidthEstimateFn bandwidth_fn() const {
-    const double fallback = averages_.bandwidth_mbps;
-    const auto* landmarks = &sys_.landmarks_;
-    return [landmarks, fallback](NodeId a, NodeId b) {
-      return landmarks->estimate_mbps(a, b, fallback);
-    };
-  }
-
   GridSystem& sys_;
   dag::AverageEstimates averages_;
+  TransferTimeFn transfer_time_;
   std::vector<gossip::ResourceEntry> resources_;
   std::vector<PendingWorkflow> pending_;
 };
@@ -454,16 +459,12 @@ void GridSystem::ensure_full_ahead_plan() {
                                                  node.capacity_mips(), engine_.now(), 0});
   }
   oracle.averages = true_averages_;
-  oracle.bandwidth = [this](NodeId a, NodeId b) { return routing_.bandwidth_mbps(a, b); };
-  if (algorithm_.contended) {
-    // Contention-aware planning: charge transfers at the rate the live
-    // network would allocate right now. Repeated pairs dedupe through the
-    // TransferManager's epoch-keyed probe cache, so a whole planning batch
-    // costs one component solve per distinct pair.
-    oracle.transfer_time = [this](NodeId a, NodeId b, double mb) {
-      return transfers_->expected_transfer_time_s(a, b, mb);
-    };
-  }
+  // Static rows: the true pairwise bandwidth. Contended rows: the live rate,
+  // where repeated pairs dedupe through the probe cache, so a whole planning
+  // batch costs one component solve per distinct pair.
+  oracle.transfer_time = pricer(algorithm_, *transfers_, [this](NodeId a, NodeId b) {
+    return routing_.bandwidth_mbps(a, b);
+  });
   std::vector<PlanRequest> requests;
   for (std::size_t k = planned_count_; k < workflows_.size(); ++k) {
     auto& wf = workflows_[k];

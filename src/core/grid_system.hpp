@@ -322,7 +322,6 @@ class GridSystem {
 
   // --- helpers ---
   [[nodiscard]] double control_latency(NodeId a, NodeId b) const;
-  [[nodiscard]] double estimate_bandwidth(NodeId a, NodeId b, NodeId believer) const;
   [[nodiscard]] TaskEstimateInputs estimate_inputs(const WorkflowInstance& wf,
                                                    TaskIndex task) const;
   void sample_cycle();

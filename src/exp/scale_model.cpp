@@ -41,17 +41,6 @@ ShardMap compute_shard_map(const net::Routing& routing, int shards) {
     begin += size;
   }
 
-  // Lookahead from the routed latencies. The matrix is symmetric in practice
-  // (undirected links), but scan ordered pairs anyway: correctness must not
-  // depend on that.
-  map.lookahead_s = kInf;
-  for (int u = 0; u < n; ++u) {
-    for (int v = 0; v < n; ++v) {
-      if (map.shard_of[static_cast<std::size_t>(u)] != map.shard_of[static_cast<std::size_t>(v)]) {
-        map.lookahead_s = std::min(map.lookahead_s, routing.latency_s(NodeId{u}, NodeId{v}));
-      }
-    }
-  }
   return map;
 }
 
@@ -87,12 +76,10 @@ struct Wire {
 /// Paper Table I heterogeneous capacity classes.
 constexpr double kCapacities[] = {1.0, 2.0, 4.0, 8.0, 16.0};
 
-/// Region layout + conservative bounds, computed before the engine exists.
+/// Region layout and shard map, computed before the engine exists.
 struct Layout {
   int regions = 1;
   int shards = 1;
-  /// Min inter-shard latency at THIS shard count (reporting only).
-  double lookahead = 0.0;
   std::vector<int> region_shard;
   std::vector<double> latency;    ///< regions x regions, seconds
   std::vector<double> bandwidth;  ///< regions x regions, Mb/s
@@ -127,7 +114,6 @@ Layout build_layout(const ScaleParams& p) {
   const ShardMap map = compute_shard_map(routing, shards);
   l.shards = map.shards;
   l.region_shard = map.shard_of;
-  l.lookahead = map.lookahead_s;
 
   const std::size_t r = static_cast<std::size_t>(l.regions);
   l.latency.assign(r * r, 0.0);
@@ -204,7 +190,6 @@ class ScaleModel {
     r.threads = p_.threads;
     r.parallel_windows = engine_.parallel_windows();
     r.window_s = kIntraRegionLatencyS;
-    r.lookahead_s = l_.lookahead;
     return r;
   }
 
@@ -230,9 +215,9 @@ class ScaleModel {
   // happen to be shorter, and zero-latency links — is clamped up to it (a
   // WAN hop faster than a LAN hop would be unphysical anyway). Two properties
   // hang on this choice: the window never depends on the shard count (or
-  // digests would diverge across counts — Layout::lookahead must NOT be
-  // used), and it is orders of magnitude wider than the closest backbone
-  // pair, so windows are dense enough for the parallel drive to pay off.
+  // digests would diverge across counts), and it is orders of magnitude
+  // wider than the closest backbone pair, so windows are dense enough for the
+  // parallel drive to pay off.
 
   /// Message delay: routed latency, never below the conservative window.
   [[nodiscard]] double delay(int u, int v) const {
@@ -502,7 +487,7 @@ std::uint64_t scale_digest(const ScaleResult& result) {
     digest *= kFnvPrime;
   };
   // Only shard/thread-invariant fields: never shards, threads, windows,
-  // pending_max, parallel_windows, window_s, lookahead_s or wall_s.
+  // pending_max, parallel_windows, window_s or wall_s.
   mix(static_cast<std::uint64_t>(result.peers));
   mix(static_cast<std::uint64_t>(result.regions));
   mix(result.tasks_completed);

@@ -35,31 +35,21 @@ namespace dpjit::exp {
 
 struct ExperimentConfig;
 
-/// Partition of a routed network's nodes into contiguous shard blocks, plus
-/// the conservative lookahead the sharded PDES loop (sim::ShardEngine)
-/// needs. Produced by compute_shard_map.
-///
-/// `lookahead_s` is the minimum routed latency between any two nodes living
-/// in DIFFERENT shards: a conservative time window of at most this length
-/// guarantees no cross-shard message can land inside the window it was sent
-/// from. It depends on the shard count, so the scale model never sizes its
-/// window by it (see run_scale_model): the model's window is the LAN floor,
-/// which is valid for every count at once. A zero lookahead (zero-latency
-/// link between shards) means the partition is not conservatively
-/// shardable; callers must fall back to fewer shards or clamp delays.
+/// Partition of a routed network's nodes into contiguous shard blocks, for
+/// the sharded PDES loop (sim::ShardEngine). Produced by compute_shard_map.
+/// The partition carries no time bound: the scale model's engine window is
+/// the LAN floor (kIntraRegionLatencyS), which every message delay is clamped
+/// up to and which holds for every shard count at once.
 struct ShardMap {
   int shards = 1;
   /// node -> owning shard; shard s owns one contiguous block of node ids.
   std::vector<int> shard_of;
-  /// Min latency between nodes in different shards (+inf when shards == 1).
-  double lookahead_s = 0.0;
 
   [[nodiscard]] int shard(NodeId n) const { return shard_of[static_cast<std::size_t>(n.get())]; }
 };
 
-/// Partitions the routing's nodes into `shards` near-equal contiguous blocks
-/// and derives the lookahead bounds from the routed latencies. `shards` is
-/// clamped to [1, node_count]. O(n^2) latency scan.
+/// Partitions the routing's nodes into `shards` near-equal contiguous blocks.
+/// `shards` is clamped to [1, node_count].
 [[nodiscard]] ShardMap compute_shard_map(const net::Routing& routing, int shards);
 
 /// Backbone regions of a scale-model run: min(peers, kMaxRegions). Peers
@@ -145,8 +135,6 @@ struct ScaleResult {
   /// Engine window length: the intra-region latency floor
   /// (kIntraRegionLatencyS); S-invariant.
   double window_s = 0.0;
-  /// Min latency between regions in different shards at THIS shard count.
-  double lookahead_s = 0.0;
   double wall_s = 0.0;
 };
 

@@ -7,12 +7,9 @@
 #include <cmath>
 #include <vector>
 
-#include "grid/models/transfer_model_detail.hpp"
 #include "grid/transfer_manager.hpp"
 
 namespace dpjit::grid {
-
-using detail::kEpsilonMb;
 
 void TransferManager::fair_flow_started(std::uint64_t id) {
   auto it = flows_.find(id);
@@ -58,7 +55,7 @@ void TransferManager::fair_abort_stalled() {
   }
   if (stalled.empty()) return;
   std::sort(stalled.begin(), stalled.end());
-  fair_resolve_batch(stalled, false);  // recursion bounded: each pass removes flows
+  resolve_batch(stalled, false);  // recursion bounded: each pass removes flows
 }
 
 void TransferManager::fair_advance_to_now() {
@@ -94,47 +91,6 @@ void TransferManager::fair_apply_updated_rates() {
       next_completion_.erase(u.id);
       flow.ci_slot = CompletionIndex::kNoSlot;
     }
-  }
-}
-
-void TransferManager::fair_resolve_batch(const std::vector<std::uint64_t>& ids, bool success) {
-  assert(mode_ == Mode::kFluidFair);
-  if (ids.empty()) return;
-  fair_advance_to_now();
-  std::vector<std::uint64_t> fluid_ids;
-  std::vector<CompletionFn> callbacks;
-  fluid_ids.reserve(ids.size());
-  callbacks.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    auto it = flows_.find(id);
-    assert(it != flows_.end());
-    Flow& flow = it->second;
-    if (flow.fluid) {
-      assert(flow.event == sim::EventQueue::kInvalidHandle);
-      fluid_ids.push_back(id);
-      next_completion_.erase(id);
-    } else {
-      // Latency-phase or loopback flow (node teardown): kill its timer.
-      engine_.cancel(flow.event);
-    }
-    if (success) {
-      ++completed_;
-      delivered_mb_ += flow.size_mb;
-    }
-    callbacks.push_back(std::move(flow.on_done));
-    erase_flow(it);
-  }
-  if (!fluid_ids.empty()) {
-    solver_.remove_batch(fluid_ids);
-    fair_apply_updated_rates();
-    fair_abort_stalled();
-  }
-  fair_schedule_next_completion();
-  // Callbacks fire last, against fully consistent state: they may re-enter
-  // start()/abort() (the grid restarts lost input transfers from the home
-  // node, for example).
-  for (auto& cb : callbacks) {
-    if (cb) cb(success);
   }
 }
 
@@ -199,7 +155,7 @@ void TransferManager::fair_tick() {
     fair_schedule_next_completion();
     return;
   }
-  fair_resolve_batch(done, true);
+  resolve_batch(done, true);
 }
 
 }  // namespace dpjit::grid

@@ -20,17 +20,14 @@
 // barriers (churn, link failure, task failure) fire their callbacks and leave
 // the solver immediately, but surviving flows' FROZEN rates do not move until
 // the next barrier. An aborted flow that had already drained is skipped by
-// the flows_ membership check in quantised_deliver().
+// the flows_ membership check at delivery.
 #include <algorithm>
 #include <cassert>
 #include <vector>
 
-#include "grid/models/transfer_model_detail.hpp"
 #include "grid/transfer_manager.hpp"
 
 namespace dpjit::grid {
-
-using detail::kEpsilonMb;
 
 void TransferManager::run_quantised(double epoch_s, SimTime horizon) {
   assert(mode_ == Mode::kQuantisedFair && epoch_s > 0.0);
@@ -39,7 +36,19 @@ void TransferManager::run_quantised(double epoch_s, SimTime horizon) {
   SimTime epoch_start = 0.0;
   for (SimTime t = 0.0; t <= horizon; epoch_start = t, t += epoch_s) {
     engine_.run_until(t);
-    quantised_deliver();
+    // Deliver the last barrier's drains in (finish_s, id) order, skipping
+    // flows aborted since detection: the abort already fired their callback
+    // and left the solver.
+    std::vector<std::uint64_t> delivered;
+    delivered.reserve(drained_.size());
+    for (const auto& [finish_s, id] : drained_) {
+      const auto it = flows_.find(id);
+      if (it == flows_.end()) continue;
+      assert(it->second.fluid);
+      delivered.push_back(id);
+    }
+    drained_.clear();
+    resolve_batch(delivered, true);
     quantised_integrate(epoch_start, epoch_s);
     quantised_barrier();
   }
@@ -113,7 +122,7 @@ void TransferManager::quantised_barrier() {
     }
     flows_.at(id).rate_mbps = rate;
   }
-  quantised_resolve_batch(stalled, false);
+  resolve_batch(stalled, false);
 }
 
 void TransferManager::quantised_integrate(SimTime epoch_start, double epoch_s) {
@@ -133,76 +142,6 @@ void TransferManager::quantised_integrate(SimTime epoch_start, double epoch_s) {
   }
   // (finish_s, id) order: pool order must not leak into the callback order.
   std::sort(drained_.begin(), drained_.end());
-}
-
-void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& ids,
-                                              bool success) {
-  assert(mode_ == Mode::kQuantisedFair);
-  if (ids.empty()) return;
-  std::vector<std::uint64_t> pool_ids;
-  std::vector<CompletionFn> callbacks;
-  pool_ids.reserve(ids.size());
-  callbacks.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    auto it = flows_.find(id);
-    assert(it != flows_.end());
-    Flow& flow = it->second;
-    if (flow.fluid) {
-      assert(flow.event == sim::EventQueue::kInvalidHandle);
-      pool_ids.push_back(id);
-    } else {
-      // Latency-phase, pending-join or loopback flow: kill its timer (a
-      // no-op for pending joins, whose handle is already invalidated; the
-      // stale queue entry is skipped at admission).
-      engine_.cancel(flow.event);
-    }
-    if (success) {
-      ++completed_;
-      delivered_mb_ += flow.size_mb;
-    }
-    callbacks.push_back(std::move(flow.on_done));
-    erase_flow(it);
-  }
-  // One batched removal; the re-solve result is deliberately NOT applied -
-  // surviving flows keep their frozen rates until the next barrier reads the
-  // solver back. No stall guard is needed here: a removal can lower a
-  // surviving solver rate (max-min fairness is not population-monotone), but
-  // never to 0 - only a zero-capacity link on the flow's own path yields 0,
-  // and the barrier that admitted the flow already aborted it for that.
-  if (!pool_ids.empty()) solver_.remove_batch(pool_ids);
-  // Callbacks fire last, against fully consistent state: they may re-enter
-  // start()/abort() (the grid restarts lost input transfers from the home
-  // node, for example).
-  for (auto& cb : callbacks) {
-    if (cb) cb(success);
-  }
-}
-
-void TransferManager::quantised_deliver() {
-  assert(mode_ == Mode::kQuantisedFair);
-  std::vector<std::uint64_t> pool_ids;
-  std::vector<CompletionFn> callbacks;
-  pool_ids.reserve(drained_.size());
-  callbacks.reserve(drained_.size());
-  for (const auto& [finish_s, id] : drained_) {
-    auto it = flows_.find(id);
-    // Aborted between drain detection and delivery: the abort already fired
-    // its callback and left the solver.
-    if (it == flows_.end()) continue;
-    Flow& flow = it->second;
-    assert(flow.fluid);
-    pool_ids.push_back(id);
-    ++completed_;
-    delivered_mb_ += flow.size_mb;
-    callbacks.push_back(std::move(flow.on_done));
-    erase_flow(it);
-  }
-  drained_.clear();
-  // Frozen-rate semantics again: remove in one batch, apply nothing.
-  if (!pool_ids.empty()) solver_.remove_batch(pool_ids);
-  for (auto& cb : callbacks) {
-    if (cb) cb(true);
-  }
 }
 
 std::size_t TransferManager::quantised_active() const { return pool_.size(); }

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <vector>
 
-#include "grid/models/transfer_model_detail.hpp"
 #include "net/rate_oracle.hpp"
 
 namespace dpjit::grid {
@@ -95,11 +94,7 @@ void TransferManager::finish(std::uint64_t id, bool success) {
   if (it->second.fluid) {
     // Single-flow pool removal is the batch resolve with one element, so the
     // two paths cannot drift apart.
-    if (mode_ == Mode::kQuantisedFair) {
-      quantised_resolve_batch({id}, success);
-    } else {
-      fair_resolve_batch({id}, success);
-    }
+    resolve_batch({id}, success);
     return;
   }
   CompletionFn cb = std::move(it->second.on_done);
@@ -140,12 +135,11 @@ void TransferManager::node_left(NodeId n) {
     // full recompute per flow; sorted so the callback order is deterministic
     // (the collection above iterates in hash-map order).
     std::sort(doomed.begin(), doomed.end());
-    if (mode_ == Mode::kQuantisedFair) {
-      quantised_resolve_batch(doomed, false);
-    } else {
-      fair_resolve_batch(doomed, false);
-    }
+    resolve_batch(doomed, false);
   } else {
+    // Not a batch: each abort's callback runs before the next flow is torn
+    // down, and may abort or start transfers in between. The pinned digests
+    // hold this interleaving (and the hash-map order) in place.
     for (std::uint64_t id : doomed) finish(id, false);
   }
 }
@@ -171,12 +165,63 @@ void TransferManager::link_state_changed(LinkId l, bool up) {
   if (doomed.empty()) return;
   std::sort(doomed.begin(), doomed.end());  // hash-map order -> deterministic
   link_aborts_ += doomed.size();
-  if (mode_ == Mode::kQuantisedFair) {
-    quantised_resolve_batch(doomed, false);
-  } else if (mode_ == Mode::kFluidFair) {
-    fair_resolve_batch(doomed, false);
-  } else {
+  if (mode_ == Mode::kBottleneck) {
+    // Per-id, as in node_left: callbacks interleave with the teardown.
     for (const std::uint64_t id : doomed) finish(id, false);
+  } else {
+    resolve_batch(doomed, false);
+  }
+}
+
+void TransferManager::resolve_batch(const std::vector<std::uint64_t>& ids, bool success) {
+  assert(mode_ != Mode::kBottleneck);
+  if (ids.empty()) return;
+  const bool fluid_mode = mode_ == Mode::kFluidFair;
+  if (fluid_mode) fair_advance_to_now();
+  std::vector<std::uint64_t> pool_ids;
+  std::vector<CompletionFn> callbacks;
+  pool_ids.reserve(ids.size());
+  callbacks.reserve(ids.size());
+  for (const std::uint64_t id : ids) {
+    auto it = flows_.find(id);
+    assert(it != flows_.end());
+    Flow& flow = it->second;
+    if (flow.fluid) {
+      assert(flow.event == sim::EventQueue::kInvalidHandle);
+      pool_ids.push_back(id);
+      if (fluid_mode) next_completion_.erase(id);
+    } else {
+      // Latency-phase, pending-join or loopback flow: kill its timer (a
+      // no-op for pending joins, whose handle is already invalidated; the
+      // stale queue entry is skipped at admission).
+      engine_.cancel(flow.event);
+    }
+    if (success) {
+      ++completed_;
+      delivered_mb_ += flow.size_mb;
+    }
+    callbacks.push_back(std::move(flow.on_done));
+    erase_flow(it);
+  }
+  if (!pool_ids.empty()) {
+    solver_.remove_batch(pool_ids);
+    // Fluid mode applies the re-solved rates now. Quantised mode leaves the
+    // survivors on their frozen rates until the next barrier reads the
+    // solver back, and needs no stall guard: a removal can lower a surviving
+    // solver rate (max-min fairness is not population-monotone), but never
+    // to 0 - only a zero-capacity link on the flow's own path yields 0, and
+    // the barrier that admitted the flow already aborted it for that.
+    if (fluid_mode) {
+      fair_apply_updated_rates();
+      fair_abort_stalled();
+    }
+  }
+  if (fluid_mode) fair_schedule_next_completion();
+  // Callbacks fire last, against fully consistent state: they may re-enter
+  // start()/abort() (the grid restarts lost input transfers from the home
+  // node, for example).
+  for (auto& cb : callbacks) {
+    if (cb) cb(success);
   }
 }
 

@@ -30,6 +30,11 @@
 //    schedules NO completion events in this mode - run_quantised() owns the
 //    clock. Machinery: models/quantised_fair.cpp.
 //
+// Both contended modes release pooled flows - deliveries, aborts, churn and
+// link teardown - through one batch (resolve_batch); the modes differ only
+// in the fluid-only steps around it (clock advance, rate re-application and
+// stall guard, completion re-arming).
+//
 // The manager also answers the live-rate oracle queries: what-if
 // transfer-rate and transfer-time probes against the live network, consumed
 // by the contention-aware scheduling policies (see rate_oracle.hpp). Every
@@ -199,7 +204,19 @@ class TransferManager {
     std::uint32_t pool_slot = 0;
   };
 
+  /// Remaining volume below this is considered delivered (numerical slack).
+  /// One definition for every mode: the quantised integration must agree with
+  /// the fluid pool on what "drained" means or the epoch->0 convergence breaks.
+  static constexpr double kEpsilonMb = 1e-9;
+
   void finish(std::uint64_t id, bool success);
+  /// The one release path of the contended modes: resolves a batch of flows
+  /// (completion or abort, in the given order) with one batched solver
+  /// removal, stats and erase, then fires the callbacks. Fluid mode also
+  /// advances the fluid clock first, applies the re-solved rates with the
+  /// stall guard, and re-arms the completion event; quantised mode leaves the
+  /// surviving flows' frozen rates until the next barrier.
+  void resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
   /// Marks the flow fluid and appends it to pool_.
   void join_pool(Flow& flow);
   /// Erases a flow, swap-erasing it from pool_ first when it is fluid.
@@ -220,9 +237,6 @@ class TransferManager {
   /// with rate <= 0 (saturated/zero-capacity link) - such a flow can never
   /// complete and no completion event could be armed for it.
   void fair_abort_stalled();
-  /// Resolves a sorted batch of flows (completion or abort): one batched
-  /// solver removal, stats, erase, reschedule, then the callbacks.
-  void fair_resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
   void fair_schedule_next_completion();
   /// The armed completion event: delivers every flow that crossed the line.
   void fair_tick();
@@ -230,13 +244,6 @@ class TransferManager {
   // --- quantised-fair machinery (models/quantised_fair.cpp) ---
   /// Propagation phase over: queue the flow for admission at the next barrier.
   void quantised_flow_ready(std::uint64_t id);
-  /// Aborts a sorted batch immediately (callbacks now, solver removal now);
-  /// frozen rates do not move.
-  void quantised_resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
-  /// Delivers the drains found by the last quantised_integrate(): one
-  /// batched solver removal, stats, then success callbacks. Flows aborted
-  /// since detection are skipped.
-  void quantised_deliver();
   /// Advances every pool flow over [epoch_start, epoch_start + epoch_s) at
   /// its frozen rate; flows that drain are queued in drained_.
   void quantised_integrate(SimTime epoch_start, double epoch_s);

@@ -5,7 +5,9 @@
 #include <stdexcept>
 
 namespace dpjit::util {
+namespace {
 
+/// Escapes a string for inclusion in a JSON document (without quotes).
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -28,6 +30,8 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
+
+}  // namespace
 
 void JsonWriter::before_value() {
   if (stack_.empty()) {

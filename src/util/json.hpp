@@ -12,9 +12,6 @@
 
 namespace dpjit::util {
 
-/// Escapes a string for inclusion in a JSON document (without quotes).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}

@@ -13,8 +13,8 @@ gossip::ResourceEntry resource(int node, double load, double cap) {
   return gossip::ResourceEntry{NodeId{node}, load, cap, 0.0, 0};
 }
 
-BandwidthEstimateFn flat_bw(double mbps) {
-  return [mbps](NodeId, NodeId) { return mbps; };
+TransferTimeFn flat_bw(double mbps) {
+  return size_over_bandwidth([mbps](NodeId, NodeId) { return mbps; });
 }
 
 TEST(Estimates, QueuingDelayIsLoadOverCapacity) {
@@ -31,7 +31,8 @@ TEST(Estimates, LtdTakesSlowestInput) {
   TaskEstimateInputs task;
   task.load_mi = 10;
   task.inputs = {{NodeId{1}, 100.0}, {NodeId{2}, 10.0}};
-  auto bw = [](NodeId from, NodeId) { return from == NodeId{1} ? 10.0 : 1.0; };
+  const auto bw =
+      size_over_bandwidth([](NodeId from, NodeId) { return from == NodeId{1} ? 10.0 : 1.0; });
   // Input from 1: 100/10 = 10 s; from 2: 10/1 = 10 s -> LTD = 10.
   EXPECT_DOUBLE_EQ(longest_transmission_delay_s(task, NodeId{0}, bw), 10.0);
 }

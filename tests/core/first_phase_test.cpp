@@ -24,7 +24,7 @@ class ComputeContext final : public DispatchContext {
 
   [[nodiscard]] double finish_time(const CandidateTask& task,
                                    const gossip::ResourceEntry& r) const override {
-    return estimate_finish_time(task.inputs, r, [](NodeId, NodeId) { return 1.0; }).finish_s;
+    return estimate_finish_time(task.inputs, r, transfer_time_).finish_s;
   }
 
   void dispatch(const CandidateTask& task, NodeId target) override {
@@ -37,32 +37,7 @@ class ComputeContext final : public DispatchContext {
   std::vector<std::pair<TaskRef, NodeId>> dispatched_;
 
  private:
-  std::vector<gossip::ResourceEntry> resources_;
-  std::vector<PendingWorkflow> pending_;
-};
-
-/// Equal static estimates everywhere; the live estimate says node 0's
-/// inputs crawl.
-class LiveContext final : public DispatchContext {
- public:
-  LiveContext(std::vector<gossip::ResourceEntry> resources, std::vector<PendingWorkflow> pending)
-      : resources_(std::move(resources)), pending_(std::move(pending)) {}
-
-  [[nodiscard]] std::vector<gossip::ResourceEntry>& resources() override { return resources_; }
-  [[nodiscard]] const std::vector<PendingWorkflow>& pending() const override { return pending_; }
-  [[nodiscard]] double finish_time(const CandidateTask&,
-                                   const gossip::ResourceEntry&) const override {
-    return 10.0;
-  }
-  [[nodiscard]] double finish_time_contended(const CandidateTask&,
-                                             const gossip::ResourceEntry& r) const override {
-    return r.node == NodeId{0} ? 100.0 : 10.0;
-  }
-  void dispatch(const CandidateTask&, NodeId target) override { targets.push_back(target); }
-
-  std::vector<NodeId> targets;
-
- private:
+  TransferTimeFn transfer_time_ = size_over_bandwidth([](NodeId, NodeId) { return 1.0; });
   std::vector<gossip::ResourceEntry> resources_;
   std::vector<PendingWorkflow> pending_;
 };
@@ -177,27 +152,6 @@ TEST(FirstPhase, SelectMinFtTieBreaksTowardFirstEntry) {
   run_first_phase(make_algorithm("dsmf"), ctx);
   ASSERT_EQ(ctx.dispatched_.size(), 1u);
   EXPECT_EQ(ctx.dispatched_[0].second, NodeId{3});
-}
-
-TEST(FirstPhase, ContendedRowsRankByTheLiveEstimate) {
-  // Only the contended rows see the live estimate's difference.
-  const std::vector<gossip::ResourceEntry> resources{
-      {NodeId{0}, 0.0, 1.0, 0.0, 0},
-      {NodeId{1}, 0.0, 1.0, 0.0, 0},
-  };
-  PendingWorkflow wf;
-  wf.wf = WorkflowId{0};
-  wf.tasks.push_back(compute_task(0, 0, 10, 1, 1));
-  for (const char* name : {"dsmf", "dheft"}) {
-    LiveContext ctx(resources, {wf});
-    run_first_phase(make_algorithm(name), ctx);
-    EXPECT_EQ(ctx.targets, std::vector<NodeId>{NodeId{0}}) << name;
-  }
-  for (const char* name : {"dsmf-ca", "dheft-ca"}) {
-    LiveContext ctx(resources, {wf});
-    run_first_phase(make_algorithm(name), ctx);
-    EXPECT_EQ(ctx.targets, std::vector<NodeId>{NodeId{1}}) << name;
-  }
 }
 
 TEST(FirstPhase, FullAheadRowsHaveNoFirstPhase) {

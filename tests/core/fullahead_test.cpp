@@ -14,7 +14,7 @@ PlannerOracle oracle3() {
       {NodeId{2}, 0.0, 1.0, 0.0, 0},
   };
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId a, NodeId b) { return a == b ? kInf : 1.0; };
+  o.transfer_time = size_over_bandwidth([](NodeId a, NodeId b) { return a == b ? kInf : 1.0; });
 
   return o;
 }
@@ -52,7 +52,7 @@ TEST(FullAhead, SingleNodePlanSerializes) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 4.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId, NodeId) { return kInf; };
+  o.transfer_time = size_over_bandwidth([](NodeId, NodeId) { return kInf; });
 
   FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
@@ -76,7 +76,7 @@ TEST(FullAhead, ParallelBranchesSpreadAcrossNodes) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 1.0, 0.0, 0}, {NodeId{1}, 0.0, 1.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId, NodeId) { return kInf; };
+  o.transfer_time = size_over_bandwidth([](NodeId, NodeId) { return kInf; });
 
   FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
@@ -93,7 +93,7 @@ TEST(FullAhead, ExpensiveTransferKeepsTaskLocal) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 2.0, 0.0, 0}, {NodeId{1}, 0.0, 1.9, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId a2, NodeId b2) { return a2 == b2 ? kInf : 0.1; };
+  o.transfer_time = size_over_bandwidth([](NodeId a2, NodeId b2) { return a2 == b2 ? kInf : 0.1; });
 
   FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
@@ -108,7 +108,7 @@ TEST(FullAhead, InitialBacklogSteersAway) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 100000.0, 10.0, 0.0, 0}, {NodeId{1}, 0.0, 1.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId, NodeId) { return kInf; };
+  o.transfer_time = size_over_bandwidth([](NodeId, NodeId) { return kInf; });
 
   FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
@@ -128,7 +128,7 @@ TEST(FullAhead, SmfPlansShorterWorkflowFirst) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 1.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId, NodeId) { return kInf; };
+  o.transfer_time = size_over_bandwidth([](NodeId, NodeId) { return kInf; });
 
   FullAheadPlanner planner(make_algorithm("smf"));
   Assignment plan;
@@ -147,7 +147,7 @@ TEST(FullAhead, IncrementalPlanningKeepsEarlierBookings) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 1.0, 0.0, 0}, {NodeId{1}, 0.0, 1.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId, NodeId) { return kInf; };
+  o.transfer_time = size_over_bandwidth([](NodeId, NodeId) { return kInf; });
 
   FullAheadPlanner planner(make_algorithm("heft"));
   Assignment plan;
@@ -183,7 +183,7 @@ TEST(Lookahead, AvoidsNodeThatStrandsTheChild) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 10.0, 0.0, 0}, {NodeId{1}, 0.0, 8.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId x, NodeId y) { return x == y ? kInf : 0.1; };
+  o.transfer_time = size_over_bandwidth([](NodeId x, NodeId y) { return x == y ? kInf : 0.1; });
 
   FullAheadPlanner heft(make_algorithm("heft"));
   Assignment heft_plan;
@@ -197,30 +197,6 @@ TEST(Lookahead, AvoidsNodeThatStrandsTheChild) {
       << "lookahead co-locates parent with the child's node";
 }
 
-TEST(FullAhead, EmptyTransferTimeFnIsByteIdenticalToStaticPath) {
-  // An unset PlannerOracle::transfer_time must leave planning EXACTLY the
-  // classic static-bandwidth HEFT (heft/smf goldens depend on it), and a
-  // transfer_time that encodes the same `size / bw` arithmetic must agree.
-  const auto wfa = testing::fig3_workflow_a();
-  const auto wfb = testing::fig3_workflow_b();
-  const std::vector<PlanRequest> reqs = {{WorkflowId{0}, &wfa, NodeId{0}, 115.0},
-                                         {WorkflowId{1}, &wfb, NodeId{0}, 65.0}};
-  auto o = oracle3();
-  FullAheadPlanner static_planner(make_algorithm("heft"));
-  Assignment static_plan;
-  static_planner.plan(reqs, o, static_plan);
-
-  auto o_live = oracle3();
-  o_live.transfer_time = [&o](NodeId from, NodeId to, double mb) {
-    const double bw = o.bandwidth(from, to);
-    return bw > 0.0 ? mb / bw : kInf;
-  };
-  FullAheadPlanner live_planner(make_algorithm("heft"));
-  Assignment live_plan;
-  live_planner.plan(reqs, o_live, live_plan);
-  EXPECT_EQ(static_plan, live_plan);
-}
-
 TEST(FullAhead, TransferTimeOracleSteersAwayFromCongestedPath) {
   // One task with a 100 Mb image, home node 0 (slow CPU), node 1 fast. The
   // healthy bandwidth matrix says shipping the image to node 1 is cheap, so
@@ -231,7 +207,7 @@ TEST(FullAhead, TransferTimeOracleSteersAwayFromCongestedPath) {
   PlannerOracle o;
   o.nodes = {{NodeId{0}, 0.0, 1.0, 0.0, 0}, {NodeId{1}, 0.0, 10.0, 0.0, 0}};
   o.averages = {1.0, 1.0};
-  o.bandwidth = [](NodeId u, NodeId v) { return u == v ? kInf : 100.0; };
+  o.transfer_time = size_over_bandwidth([](NodeId u, NodeId v) { return u == v ? kInf : 100.0; });
 
   FullAheadPlanner static_planner(make_algorithm("heft"));
   Assignment static_plan;

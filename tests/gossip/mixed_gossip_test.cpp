@@ -123,6 +123,35 @@ TEST(MixedGossip, DeadNodesFadeFromViews) {
   }
 }
 
+TEST(MixedGossip, DeadNodeExpiresAtTheStalenessBound) {
+  // Views with room to spare (capacity above n) never evict, so only the
+  // staleness bound can drop the dead node: every survivor still lists it
+  // while its freshest entry is younger than the bound, and none does once
+  // every entry is older.
+  GossipParams params;
+  params.cache_size = 32;
+  const double cycle = params.cycle_s;
+  GossipHarness h(16, params);
+  h.run_cycles(6, cycle);
+  h.alive_[5] = false;
+  h.service_->node_left(NodeId{5});
+  // Node 5's last summary is a cycle old at the kill, so after
+  // bound / cycle - 2 more cycles it is at most bound - cycle old.
+  const int cycles_within_bound = static_cast<int>(kStalenessBoundS / cycle) - 2;
+  h.run_cycles(cycles_within_bound, cycle);
+  for (int i = 0; i < h.n_; ++i) {
+    if (i == 5) continue;
+    EXPECT_TRUE(h.service_->rss(NodeId{i}).contains(NodeId{5}))
+        << "node " << i << " dropped dead node 5 before the staleness bound";
+  }
+  h.run_cycles(4, cycle);
+  for (int i = 0; i < h.n_; ++i) {
+    if (i == 5) continue;
+    EXPECT_FALSE(h.service_->rss(NodeId{i}).contains(NodeId{5}))
+        << "node " << i << " still believes in dead node 5";
+  }
+}
+
 TEST(MixedGossip, JoinedNodeIntegrates) {
   GossipHarness h(32);
   h.alive_[7] = false;

@@ -3,17 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 
 namespace dpjit::util {
 namespace {
 
-TEST(JsonEscape, PassesPlainText) { EXPECT_EQ(json_escape("hello"), "hello"); }
+/// `{"<key>":"<value>"}` as JsonWriter writes it.
+std::string object_with(std::string_view key, std::string_view value) {
+  std::ostringstream os;
+  JsonWriter j(os);
+  j.begin_object().kv(key, value).end_object();
+  return os.str();
+}
 
-TEST(JsonEscape, EscapesSpecials) {
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
+TEST(JsonWriter, PassesPlainText) {
+  EXPECT_EQ(object_with("hello", "hello"), R"({"hello":"hello"})");
+}
+
+TEST(JsonWriter, EscapesSpecialsInKeysAndValues) {
+  // A quote, a backslash, \n, \t and a control character, each in a key and
+  // in a value.
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {"a\"b", R"(a\"b)"},
+      {"a\\b", R"(a\\b)"},
+      {"a\nb\tc", R"(a\nb\tc)"},
+      {std::string_view("\x01", 1), R"(\u0001)"},
+  };
+  for (const auto& [raw, escaped] : cases) {
+    const std::string e(escaped);
+    EXPECT_EQ(object_with(raw, "v"), "{\"" + e + "\":\"v\"}");
+    EXPECT_EQ(object_with("k", raw), "{\"k\":\"" + e + "\"}");
+  }
 }
 
 TEST(JsonWriter, FlatObject) {

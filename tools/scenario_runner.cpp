@@ -245,7 +245,6 @@ int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
   const std::uint64_t digest = exp::scale_digest(r);
 
   if (as_json) {
-    // lookahead_s is +inf at shards=1; the writer emits it as null.
     util::JsonWriter json(std::cout);
     json.begin_object()
         .kv("scenario", scenario.name)
@@ -253,7 +252,6 @@ int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
         .kv("regions", std::int64_t{r.regions})
         .kv("shards", std::int64_t{r.shards})
         .kv("window_s", r.window_s)
-        .kv("lookahead_s", r.lookahead_s)
         .kv("events_processed", r.events_processed)
         .kv("windows", r.windows)
         .kv("parallel_windows", r.parallel_windows)
@@ -275,7 +273,7 @@ int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
   }
   std::cout << "peers:               " << r.peers << " (" << r.regions << " regions, " << r.shards
             << " shards)\n";
-  std::cout << "window / lookahead:  " << r.window_s << " s / " << r.lookahead_s << " s\n";
+  std::cout << "window:              " << r.window_s << " s\n";
   std::cout << "events:              " << r.events_processed << " in " << r.windows << " windows ("
             << r.parallel_windows << " parallel)\n";
   std::cout << "tasks completed:     " << r.tasks_completed << "\n";
