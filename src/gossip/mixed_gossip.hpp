@@ -50,7 +50,9 @@ struct GossipParams {
   /// Epidemic TTL in hops (paper: 4).
   int ttl = 4;
   /// RSS capacity; 0 derives ceil(2.5 * log2(n)), capped at 30 - reproduces
-  /// the bounded acquaintance count of Fig. 11(a).
+  /// the bounded acquaintance count of Fig. 11(a). At most
+  /// ResourceView::kMaxCapacity (65534): the constructor throws
+  /// std::invalid_argument above it.
   int cache_size = 0;
 
   // --- message-level mode (realism; ROADMAP item 5) ------------------------

@@ -15,17 +15,24 @@
 namespace dpjit::gossip {
 
 /// One entry of RSS(p_i): the freshest state this node knows about a peer.
+/// `ttl` sits beside `node` so an entry packs into 32 bytes; the constructor
+/// keeps the {node, load, capacity, stamp, ttl} argument order.
 struct ResourceEntry {
+  constexpr ResourceEntry() = default;
+  constexpr ResourceEntry(NodeId peer, double load, double capacity, SimTime at, int hops)
+      : node(peer), ttl(hops), load_mi(load), capacity_mips(capacity), stamped_at(at) {}
+
   NodeId node;
+  /// Remaining epidemic forwarding hops (paper: TTL = 4).
+  int ttl = 0;
   /// Total load (MI) queued + running at `node` when the state was sampled.
   double load_mi = 0.0;
   /// Node capacity in MIPS.
   double capacity_mips = 1.0;
-  /// Simulated time at which `node` sampled this state.
+  /// Simulated time at which `node` sampled this state (finite).
   SimTime stamped_at = 0.0;
-  /// Remaining epidemic forwarding hops (paper: TTL = 4).
-  int ttl = 0;
 };
+static_assert(sizeof(ResourceEntry) == 32);
 
 /// Bounded freshest-first cache of ResourceEntry, one per known peer.
 ///
@@ -33,18 +40,22 @@ struct ResourceEntry {
 /// shuffles the entries in order, consuming RNG draws), so all mutations keep
 /// the same vector layout the naive implementation produced. Two side
 /// structures make a merge cheap without touching that layout: a
-/// direct-mapped node -> slot index (O(1) lookup) and a lazily recomputed
-/// cached stalest slot. The stalest stamp is the view's *stamp floor*: once
-/// the view is full, an entry stamped strictly below it cannot change the
-/// view, so it is rejected before any lookup. Most entries a receiver gets
-/// are about peers it does not hold, and without the cache each of those
-/// paid a full-view min scan.
+/// direct-mapped node -> slot index (O(1) lookup) and a cached stalest slot,
+/// kept up to date across the mutations a merge makes. The stalest stamp is
+/// the view's *stamp floor*: once the view is full, an entry stamped strictly
+/// below it cannot change the view, so it is rejected before any lookup. Most
+/// entries a receiver gets are about peers it does not hold, and without the
+/// cache each of those paid a full-view min scan.
 class ResourceView {
  public:
-  explicit ResourceView(std::size_t capacity = 30) : capacity_(capacity) {}
+  /// Largest capacity: slots are 16-bit and 0xffff marks "no slot".
+  static constexpr std::size_t kMaxCapacity = 0xfffe;
+
+  explicit ResourceView(std::size_t capacity = 30) { set_capacity(capacity); }
 
   /// Shrinking below size() keeps every entry; the view just stays full.
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
+  /// Throws std::invalid_argument above kMaxCapacity.
+  void set_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Merges an incoming entry: replaces an older entry about the same node,
@@ -54,10 +65,14 @@ class ResourceView {
 
   /// Merges the entries of one delivered message in order. Equivalent to
   ///   for (e : entries) if (screen(e) && accept(e)) merge(e);
-  /// except that entries stamped below the stamp floor skip `accept` and
-  /// merge(), which would have been no-ops. `accept` must therefore be a
-  /// pure read; `screen` runs for every entry and may have side effects.
-  /// Returns the number of entries the floor skipped.
+  /// except that entries merge() would ignore skip `accept` and merge():
+  /// those stamped below the stamp floor, and those stamped exactly at it
+  /// about a peer the view does not hold (they would evict the first stalest
+  /// slot only if it were strictly staler). `accept` must therefore be a pure
+  /// read; `screen` runs for every entry and may have side effects. Returns
+  /// the number of entries skipped below the floor; at-floor skips are not
+  /// counted. Residents at the floor still merge: an equal stamp may raise
+  /// their TTL.
   template <typename Screen, typename Accept>
   std::size_t merge_message(std::span<const ResourceEntry> entries, Screen&& screen,
                             Accept&& accept) {
@@ -69,8 +84,10 @@ class ResourceView {
         ++skipped;
         continue;
       }
+      const std::uint16_t slot = lookup(e.node);
+      if (slot == kNoSlot && e.stamped_at == floor) continue;
       // Only a merge that changed the view can move the floor.
-      if (accept(e) && merge(e)) floor = stamp_floor();
+      if (accept(e) && merge_at(e, slot)) floor = stamp_floor();
     }
     return skipped;
   }
@@ -113,6 +130,12 @@ class ResourceView {
  private:
   static constexpr std::uint16_t kNoSlot = 0xffff;
 
+  /// merge() past the floor check, with `entry.node`'s slot already looked up.
+  bool merge_at(const ResourceEntry& entry, std::uint16_t slot);
+  /// The cached stalest slot, which held stamp `old`, was just given a fresher
+  /// stamp: moves the cache to the next first minimum.
+  void advance_stalest(SimTime old);
+
   /// Slot of `node` in entries_, or kNoSlot. Grows the index on demand.
   [[nodiscard]] std::uint16_t lookup(NodeId node) const {
     const auto i = static_cast<std::size_t>(node.get());
@@ -129,7 +152,7 @@ class ResourceView {
     if (i < slot_of_.size()) slot_of_[i] = kNoSlot;
   }
   /// The slot min_element would pick (first minimum stamp). Requires a
-  /// non-empty view; recomputed only after an invalidation.
+  /// non-empty view; rescanned only after an invalidation.
   [[nodiscard]] std::uint16_t stalest_slot() const {
     assert(!entries_.empty());
     if (stalest_ == kNoSlot) {
@@ -141,13 +164,13 @@ class ResourceView {
     return stalest_;
   }
 
-  std::size_t capacity_;
+  std::size_t capacity_ = 0;
   std::vector<ResourceEntry> entries_;
   /// node id -> slot in entries_ (kNoSlot when absent); lazily grown.
   std::vector<std::uint16_t> slot_of_;
-  /// Cached stalest_slot(), kNoSlot when it must be recomputed. Every
-  /// mutation that can change which slot holds the first minimum stamp
-  /// resets it; adjust_load and the equal-stamp TTL bump touch no stamp.
+  /// Cached stalest_slot(), kNoSlot when it must be rescanned. Merges keep it
+  /// up to date; expire, forget and clear reset it. adjust_load and the
+  /// equal-stamp TTL bump touch no stamp.
   mutable std::uint16_t stalest_ = kNoSlot;
 };
 

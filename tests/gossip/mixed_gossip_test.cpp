@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -78,6 +79,23 @@ TEST(MixedGossip, CacheSizeScalesLogarithmically) {
   EXPECT_LE(c100, 30);
   EXPECT_GE(c2000, c100);  // grows with n...
   EXPECT_LE(c2000, 30);    // ...but stays bounded (Fig. 11a)
+}
+
+TEST(MixedGossip, CacheSizeBeyondTheSlotIndexThrows) {
+  // View slots are 16-bit with 0xffff meaning "no slot", so a larger cache
+  // would corrupt the slot index of a Release build: the constructor's
+  // set_capacity on every view refuses it.
+  sim::Engine engine;
+  GossipParams params;
+  auto make = [&](int cache_size) {
+    params.cache_size = cache_size;
+    return MixedGossipService(engine, params, 4, [](NodeId, double&, double&) {},
+                              [](NodeId) { return true; }, [](NodeId, NodeId) { return 0.0; },
+                              [](NodeId) { return 1.0; }, util::Rng(1));
+  };
+  EXPECT_THROW(static_cast<void>(make(65535)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(make(1 << 20)), std::invalid_argument);
+  EXPECT_EQ(make(65534).effective_cache_size(), 65534);
 }
 
 TEST(MixedGossip, AggregationConvergesToTrueMeans) {

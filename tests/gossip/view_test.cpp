@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "gossip/view.hpp"
@@ -170,6 +171,13 @@ class NaiveView {
   void clear() { entries_.clear(); }
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
 
+  [[nodiscard]] const ResourceEntry* find(NodeId node) const {
+    for (const auto& e : entries_) {
+      if (e.node == node) return &e;
+    }
+    return nullptr;
+  }
+
   [[nodiscard]] const std::vector<ResourceEntry>& entries() const { return entries_; }
 
  private:
@@ -199,6 +207,17 @@ SimTime naive_floor(const NaiveView& v, std::size_t capacity) {
   SimTime floor = v.entries().front().stamped_at;
   for (const auto& e : v.entries()) floor = std::min(floor, e.stamped_at);
   return floor;
+}
+
+/// Slot of the naive view's first minimum stamp (what min_element returns).
+std::size_t naive_stalest_slot(const NaiveView& v) {
+  const auto& e = v.entries();
+  return static_cast<std::size_t>(
+      std::min_element(e.begin(), e.end(),
+                       [](const ResourceEntry& a, const ResourceEntry& b) {
+                         return a.stamped_at < b.stamped_at;
+                       }) -
+      e.begin());
 }
 
 TEST(ResourceView, RandomizedDifferentialAgainstNaiveReference) {
@@ -355,6 +374,90 @@ TEST(ResourceView, BatchedMessageMergeMatchesEntryByEntry) {
     }
   }
   EXPECT_GT(skipped_total, 0u);  // the floor fast path actually ran
+}
+
+TEST(ResourceView, TieHeavyMessagesMatchTheNaiveReference) {
+  // Stamps are multiples of the 300 s gossip cycle, so a full view's floor is
+  // tied by many entries of every message. At-floor newcomers are skipped
+  // without being counted, at-floor residents still take the TTL bump, and
+  // the cached stalest slot follows evictions and refreshes of the first
+  // minimum, both to a later tied slot and, when none is left, by a rescan.
+  constexpr double kCycle = 300.0;
+  constexpr int kPeers = 40;
+  util::Rng rng(29);
+  std::size_t at_floor_newcomers = 0;
+  std::size_t at_floor_ttl_bumps = 0;
+  std::size_t stalest_to_later_tie = 0;
+  std::size_t stalest_after_rise = 0;
+  for (int round = 0; round < 30; ++round) {
+    const std::size_t cap = 4 + rng.index(20);
+    ResourceView fast(cap);
+    NaiveView slow(cap);
+    for (int msg = 0; msg < 80; ++msg) {
+      // At most 8 distinct stamps per message; the newest advances one cycle
+      // every 4 messages, so the floor keeps rising.
+      const int newest = msg / 4;
+      std::vector<ResourceEntry> message(20 + rng.index(9));
+      for (auto& e : message) {
+        const int cycle = std::max(0, newest - static_cast<int>(rng.index(8)));
+        e = ResourceEntry{NodeId{1 + static_cast<int>(rng.index(kPeers))}, rng.uniform(0.0, 50.0),
+                          2.0, kCycle * cycle, static_cast<int>(rng.index(5))};
+      }
+      const auto accept = [](const ResourceEntry& e) { return e.node.get() % 9 != 0; };
+      const std::size_t skipped =
+          fast.merge_message(message, [](const ResourceEntry&) { return true; }, accept);
+
+      std::size_t below_floor = 0;
+      for (const auto& e : message) {
+        const SimTime floor = naive_floor(slow, cap);
+        if (e.stamped_at < floor) {
+          ++below_floor;
+          continue;
+        }
+        if (!accept(e)) continue;
+        const ResourceEntry* resident = slow.find(e.node);
+        if (e.stamped_at == floor) {
+          if (resident == nullptr) ++at_floor_newcomers;
+          if (resident != nullptr && e.ttl > resident->ttl) ++at_floor_ttl_bumps;
+        }
+        const bool full = slow.entries().size() >= cap;
+        const std::size_t before = full ? naive_stalest_slot(slow) : 0;
+        const SimTime before_stamp = full ? slow.entries()[before].stamped_at : 0.0;
+        if (slow.merge(e) && full) {
+          const std::size_t after = naive_stalest_slot(slow);
+          const SimTime after_stamp = slow.entries()[after].stamped_at;
+          if (after_stamp == before_stamp && after > before) ++stalest_to_later_tie;
+          if (after_stamp > before_stamp) ++stalest_after_rise;
+        }
+      }
+      EXPECT_EQ(skipped, below_floor);
+      expect_same_layout(fast, slow);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int n = 1; n <= kPeers; ++n) {
+        ASSERT_EQ(fast.find(NodeId{n}) != nullptr, slow.find(NodeId{n}) != nullptr) << "node " << n;
+      }
+      ASSERT_EQ(fast.stamp_floor(), naive_floor(slow, cap));
+      if (rng.bernoulli(0.05)) {
+        fast.expire(kCycle * newest, 3 * kCycle, NodeId{0});
+        slow.expire(kCycle * newest, 3 * kCycle, NodeId{0});
+      }
+    }
+  }
+  // Every path the test is about actually ran.
+  EXPECT_GT(at_floor_newcomers, 0u);
+  EXPECT_GT(at_floor_ttl_bumps, 0u);
+  EXPECT_GT(stalest_to_later_tie, 0u);
+  EXPECT_GT(stalest_after_rise, 0u);
+}
+
+TEST(ResourceView, CapacityBeyondTheSlotIndexThrows) {
+  // Slots are 16-bit and 0xffff means "no slot".
+  EXPECT_THROW(ResourceView(65535), std::invalid_argument);
+  ResourceView v(4);
+  EXPECT_THROW(v.set_capacity(65535), std::invalid_argument);
+  EXPECT_EQ(v.capacity(), 4u);
+  v.set_capacity(ResourceView::kMaxCapacity);
+  EXPECT_EQ(v.capacity(), 65534u);
 }
 
 TEST(ResourceView, ExpireDropsOldAndSelf) {
