@@ -169,7 +169,9 @@ void World::submit_trace_workload() {
   const int max_tasks =
       tc.max_tasks_per_job != 0 ? tc.max_tasks_per_job : config_.workflow.max_tasks;
   const int min_tasks = std::clamp(tc.min_tasks_per_job, 1, max_tasks);
-  auto wf_rng = rng_.fork("trace-workload");
+  workflow_rng_ = rng_.fork("trace-workload");
+  system_->reserve_workflows(trace.jobs.size());
+  arrivals_.reserve(trace.jobs.size());
   for (std::size_t k = 0; k < trace.jobs.size(); ++k) {
     const TraceJob& job = trace.jobs[k];
     int h = job.owner % homes;
@@ -182,28 +184,16 @@ void World::submit_trace_workload() {
       x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
       h = static_cast<int>((x ^ (x >> 31)) % static_cast<std::uint64_t>(homes));
     }
-    // The job's shape steers the generated workflow: processor count -> task
-    // count, runtime -> per-task load centered on runtime * MI/s with the
-    // generator's usual +/- 50% spread. Data volumes keep the configured
-    // ranges, so the CCR regime stays a scenario knob.
-    dag::GeneratorParams params = config_.workflow;
-    const int tasks = std::clamp(job.procs, min_tasks, max_tasks);
-    params.min_tasks = params.max_tasks = tasks;
-    const double center_mi = job.runtime_s * tc.load_mi_per_s;
-    params.min_load_mi = std::max(1.0, 0.5 * center_mi);
-    params.max_load_mi = std::max(params.min_load_mi, 1.5 * center_mi);
-    auto one_rng = wf_rng.fork("job", static_cast<std::uint64_t>(k));
-    auto wf = dag::generate_workflow(WorkflowId{}, params, one_rng);
-
-    const double at = job.submit_s * tc.time_scale;
-    if (at <= 0.0) {
-      system_->submit(NodeId{h}, std::move(wf));
+    const Arrival a{job.submit_s * tc.time_scale, 0, k, h,
+                    std::clamp(job.procs, min_tasks, max_tasks),
+                    job.runtime_s * tc.load_mi_per_s};
+    if (a.at <= 0.0) {
+      system_->submit(NodeId{h}, generate(a));
     } else {
-      engine_.schedule_at(at, [this, h, pending = std::move(wf)]() mutable {
-        system_->submit(NodeId{h}, std::move(pending));
-      });
+      queue(a);
     }
   }
+  start_arrivals();
 }
 
 void World::submit_workload() {
@@ -213,37 +203,89 @@ void World::submit_workload() {
     submit_trace_workload();
     return;
   }
-  auto wf_rng = rng_.fork("workload");
+  workflow_rng_ = rng_.fork("workload");
   auto arrival_rng = rng_.fork("arrivals");
   const int homes = home_count();
+  const auto total = static_cast<std::size_t>(homes) *
+                     static_cast<std::size_t>(config_.workflows_per_node);
+  system_->reserve_workflows(total);
+  if (config_.bursts.wave_count > 0 || config_.mean_interarrival_s > 0.0) {
+    arrivals_.reserve(total);
+  }
   for (int h = 0; h < homes; ++h) {
     double next_arrival = 0.0;
     for (int j = 0; j < config_.workflows_per_node; ++j) {
-      auto one_rng = wf_rng.fork("wf", static_cast<std::uint64_t>(h) * 1000003ULL +
-                                           static_cast<std::uint64_t>(j));
-      auto wf = config_.workload_mix.empty()
-                    ? dag::generate_workflow(WorkflowId{}, config_.workflow, one_rng)
-                    : draw_from_mix(config_, one_rng);
+      Arrival a;
+      a.key = static_cast<std::uint64_t>(h) * 1000003ULL + static_cast<std::uint64_t>(j);
+      a.home = h;
       if (config_.bursts.wave_count > 0) {
         // Flash-crowd model: workflow j joins wave j % wave_count; every wave
         // dumps one workflow per home inside a short window.
         const int wave = j % config_.bursts.wave_count;
         const double open = BurstArrivals::kFirstWaveS + wave * BurstArrivals::kPeriodS;
-        const double at = open + arrival_rng.uniform(0.0, BurstArrivals::kWidthS);
-        engine_.schedule_at(at, [this, h, pending = std::move(wf)]() mutable {
-          system_->submit(NodeId{h}, std::move(pending));
-        });
+        a.at = open + arrival_rng.uniform(0.0, BurstArrivals::kWidthS);
+        queue(a);
       } else if (config_.mean_interarrival_s <= 0.0) {
         // Closed model (the paper's setting): everything arrives at t = 0.
-        system_->submit(NodeId{h}, std::move(wf));
+        system_->submit(NodeId{h}, generate(a));
       } else {
-        // Open model: Poisson arrivals per home node. Event callbacks are
-        // move-only, so the workflow moves straight into the capture.
+        // Open model: Poisson arrivals per home node.
         next_arrival += arrival_rng.exponential(config_.mean_interarrival_s);
-        engine_.schedule_at(next_arrival, [this, h, pending = std::move(wf)]() mutable {
-          system_->submit(NodeId{h}, std::move(pending));
-        });
+        a.at = next_arrival;
+        queue(a);
       }
+    }
+  }
+  start_arrivals();
+}
+
+dag::Workflow World::generate(const Arrival& a) const {
+  if (config_.trace.enabled()) {
+    // The job's shape steers the generated workflow: processor count -> task
+    // count, runtime -> per-task load centered on runtime * MI/s with the
+    // generator's usual +/- 50% spread. Data volumes keep the configured
+    // ranges, so the CCR regime stays a scenario knob.
+    dag::GeneratorParams params = config_.workflow;
+    params.min_tasks = params.max_tasks = a.tasks;
+    params.min_load_mi = std::max(1.0, 0.5 * a.center_mi);
+    params.max_load_mi = std::max(params.min_load_mi, 1.5 * a.center_mi);
+    auto one_rng = workflow_rng_.fork("job", a.key);
+    return dag::generate_workflow(WorkflowId{}, params, one_rng);
+  }
+  auto one_rng = workflow_rng_.fork("wf", a.key);
+  return config_.workload_mix.empty()
+             ? dag::generate_workflow(WorkflowId{}, config_.workflow, one_rng)
+             : draw_from_mix(config_, one_rng);
+}
+
+void World::queue(Arrival a) {
+  if (!(a.at >= engine_.now())) throw std::logic_error("World: arrival time in the past or NaN");
+  // The seq is taken where an event of its own would have been scheduled, so
+  // equal-time ties with every other event keep their order.
+  a.seq = engine_.reserve_seq();
+  arrivals_.push_back(a);
+}
+
+void World::start_arrivals() {
+  std::sort(arrivals_.begin(), arrivals_.end(), [](const Arrival& a, const Arrival& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  });
+  if (arrivals_.empty()) return;
+  engine_.schedule_reserved(arrivals_.front().at, arrivals_.front().seq, [this] { arrive(); });
+}
+
+void World::arrive() {
+  for (;;) {
+    const Arrival& a = arrivals_[next_arrival_++];
+    system_->submit(NodeId{a.home}, generate(a));
+    if (next_arrival_ == arrivals_.size()) {
+      std::vector<Arrival>().swap(arrivals_);
+      return;
+    }
+    const Arrival& next = arrivals_[next_arrival_];
+    if (!engine_.take_next(next.at, next.seq)) {
+      engine_.schedule_reserved(next.at, next.seq, [this] { arrive(); });
+      return;
     }
   }
 }

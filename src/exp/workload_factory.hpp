@@ -3,8 +3,10 @@
 // capacities, grid system, submitted workflows and a metrics collector.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/grid_system.hpp"
 #include "dag/generator.hpp"
@@ -174,6 +176,10 @@ class World {
  public:
   explicit World(const ExperimentConfig& config);
 
+  /// Pending events and fault handlers hold `this`.
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
   /// Submits the configured workload (idempotent) and runs to the horizon.
   void run();
 
@@ -193,8 +199,31 @@ class World {
   [[nodiscard]] int home_count() const;
 
  private:
+  /// One queued arrival: the (at, seq) key its own event would have had, the
+  /// home it is submitted from and the fork index its DAG is generated from
+  /// when it arrives (the trace job index, or h * 1000003 + j). Trace jobs
+  /// also carry the task count and load center their shape steers.
+  struct Arrival {
+    double at = 0.0;
+    std::uint64_t seq = 0;
+    std::uint64_t key = 0;
+    int home = 0;
+    int tasks = 0;
+    double center_mi = 0.0;
+  };
+
   void submit_workload();
   void submit_trace_workload();
+  /// Generates the workflow `a` submits, from the fork keyed by `a.key`.
+  [[nodiscard]] dag::Workflow generate(const Arrival& a) const;
+  /// Reserves the seq an event of `a`'s own would have taken now and queues
+  /// `a` behind the arrival cursor.
+  void queue(Arrival a);
+  /// Sorts the queued arrivals by (at, seq) and schedules the first.
+  void start_arrivals();
+  /// The arrival cursor's event: submits the next arrival, then each
+  /// successor the engine lets it run in place, and re-posts otherwise.
+  void arrive();
 
   ExperimentConfig config_;
   util::Rng rng_;
@@ -207,6 +236,13 @@ class World {
   /// keeps a raw pointer to the plan for per-message fate draws.
   std::unique_ptr<sim::FaultPlan> faults_;
   std::unique_ptr<core::GridSystem> system_;
+  /// Parent stream of the per-workflow forks (`"trace-workload"` or
+  /// `"workload"`).
+  util::Rng workflow_rng_;
+  /// Arrivals after t = 0 in (at, seq) order; arrivals_[next_arrival_] is
+  /// the one the pending cursor event submits.
+  std::vector<Arrival> arrivals_;
+  std::size_t next_arrival_ = 0;
   bool submitted_ = false;
 };
 
