@@ -1,10 +1,69 @@
 #include "gossip/mixed_gossip.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "sim/time_key.hpp"
 
 namespace dpjit::gossip {
+namespace detail {
+namespace {
+
+/// Widest radix digit: 2^11 counters fit in L1 beside the records in flight.
+constexpr int kMaxDigitBits = 11;
+constexpr int kMaxPasses = (64 + kMaxDigitBits - 1) / kMaxDigitBits;
+
+}  // namespace
+
+void sort_round(std::span<Delivery> records, std::vector<Delivery>& scratch) {
+  const std::size_t n = records.size();
+  if (n < 2) return;
+  // Only the key bits where some record differs from the first need sorting.
+  const std::uint64_t key0 = sim::encode_time(records[0].at);
+  std::uint64_t varying = 0;
+  for (const Delivery& d : records) varying |= sim::encode_time(d.at) ^ key0;
+  if (varying == 0) return;  // one time throughout: already in order
+  const int low = std::countr_zero(varying);
+  const int bits = 64 - std::countl_zero(varying) - low;
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int width = (bits + passes - 1) / passes;  // balanced digits
+  const std::size_t buckets = std::size_t{1} << width;
+  const std::uint64_t mask = buckets - 1;
+
+  // One read of the records fills every pass's histogram. Only the first
+  // passes * buckets counters are used, so only they are zeroed.
+  std::array<std::uint32_t, std::size_t{kMaxPasses} << kMaxDigitBits> counts;
+  std::fill_n(counts.begin(), static_cast<std::size_t>(passes) * buckets, 0U);
+  for (const Delivery& d : records) {
+    const std::uint64_t k = sim::encode_time(d.at) >> low;
+    for (int p = 0; p < passes; ++p) ++counts[p * buckets + ((k >> (p * width)) & mask)];
+  }
+
+  // Stable scatter passes, lowest digit first, ping-ponging between buffers.
+  scratch.resize(n);
+  Delivery* src = records.data();
+  Delivery* dst = scratch.data();
+  for (int p = 0; p < passes; ++p) {
+    std::uint32_t* start = counts.data() + p * buckets;
+    const int shift = low + p * width;
+    if (start[(key0 >> shift) & mask] == n) continue;  // digit equal in every record
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) sum += std::exchange(start[b], sum);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[start[(sim::encode_time(src[i].at) >> shift) & mask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != records.data()) std::copy_n(src, n, records.data());
+}
+
+}  // namespace detail
+
 namespace {
 
 int derive_log2(int n) {
@@ -188,23 +247,30 @@ void MixedGossipService::epidemic_push(NodeId from, Round& round) {
   for (NodeId to : pick_targets(from, fanout_)) {
     double delay = 0.0;
     for (int c = send(from, to, message_bytes, delay); c > 0; --c) {
-      round.deliveries.push_back(Delivery{now + delay, engine_.reserve_seq(), to, first, last});
+      const std::uint64_t seq = engine_.reserve_seq();
+      if (round.deliveries.empty()) round.base_seq = seq;
+      // Within one cycle event this cannot happen: it would take 2^32 sends.
+      if (seq - round.base_seq > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::logic_error("MixedGossipService: a round spans more than 2^32 sequence numbers");
+      }
+      round.deliveries.push_back(
+          Delivery{now + delay, static_cast<std::uint32_t>(seq - round.base_seq), to, first, last});
     }
   }
   if (round.deliveries.size() == posted) round.entries.resize(first);  // nobody to tell
 }
 
 void MixedGossipService::post_round(std::uint32_t r) {
-  auto& deliveries = rounds_[r].deliveries;
-  if (deliveries.empty()) {
+  Round& round = rounds_[r];
+  if (round.deliveries.empty()) {
     release_round(r);
     return;
   }
-  std::sort(deliveries.begin(), deliveries.end(), [](const Delivery& a, const Delivery& b) {
-    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-  });
-  const Delivery& head = deliveries.front();
-  engine_.schedule_reserved(head.at, head.seq, [this, r] { drain_round(r); });
+  // Records were appended in rising seq order, so a stable sort by time
+  // leaves them in (time, seq) order.
+  detail::sort_round(round.deliveries, sort_scratch_);
+  const Delivery& head = round.deliveries.front();
+  engine_.schedule_reserved(head.at, round.base_seq + head.seq, [this, r] { drain_round(r); });
 }
 
 void MixedGossipService::drain_round(std::uint32_t r) {
@@ -219,8 +285,9 @@ void MixedGossipService::drain_round(std::uint32_t r) {
       return;
     }
     const Delivery& next = round.deliveries[round.next];
-    if (!engine_.take_next(next.at, next.seq)) {
-      engine_.schedule_reserved(next.at, next.seq, [this, r] { drain_round(r); });
+    const std::uint64_t seq = round.base_seq + next.seq;
+    if (!engine_.take_next(next.at, seq)) {
+      engine_.schedule_reserved(next.at, seq, [this, r] { drain_round(r); });
       return;
     }
   }
@@ -232,12 +299,13 @@ std::uint32_t MixedGossipService::acquire_round() {
     free_rounds_.pop_back();
     return r;
   }
-  // Sized for a full push of every node up front: grown by doubling, the
-  // arena's discarded halves fragment the heap.
+  // Sized for a full push of every node up front, and so is the sort buffer:
+  // grown by doubling, the discarded halves fragment the heap.
   const auto n = static_cast<std::size_t>(n_);
   Round& round = rounds_.emplace_back();
   round.entries.reserve(n * static_cast<std::size_t>(cache_size_ + 1));
   round.deliveries.reserve(n * static_cast<std::size_t>(fanout_));
+  sort_scratch_.reserve(round.deliveries.capacity());
   return static_cast<std::uint32_t>(rounds_.size() - 1);
 }
 

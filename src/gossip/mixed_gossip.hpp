@@ -19,6 +19,14 @@
 // Delivery order and the engine's event count are those of one event per
 // copy. The message-level legs (SYNC/ACK1/ACK2) still schedule one event per
 // message: their replies are built at delivery time.
+//
+// A round is ordered by detail::sort_round, a stable LSD radix sort on
+// sim::encode_time(at) over only the key bits that differ within the round.
+// Records are appended in rising seq order, so stability alone yields the
+// (time, seq) order, ties included. The service owns the sort's second buffer
+// and reuses it for every round. A record is 24 bytes: its seq is stored as a
+// 32-bit offset from the round's first reserved seq (Round::base_seq), added
+// back where the round talks to the engine.
 #pragma once
 
 #include <functional>
@@ -71,6 +79,28 @@ struct GlobalAverages {
   double capacity_mips = 1.0;
   double bandwidth_mbps = 1.0;
 };
+
+namespace detail {
+
+/// One delivery copy of an epidemic round: `to` receives the round's arena
+/// entries [first, last) at `at`. `seq` is the engine sequence number reserved
+/// at post time, less the round's base_seq.
+struct Delivery {
+  SimTime at;
+  std::uint32_t seq;
+  NodeId to;
+  std::uint32_t first;
+  std::uint32_t last;
+};
+static_assert(sizeof(Delivery) == 24, "a round record is 24 bytes");
+
+/// Stably sorts `records` by `at`: records with equal times keep their input
+/// order. `scratch` is the second buffer; it is resized to the record count
+/// and may be reused across calls. Requires no NaN times and fewer than 2^32
+/// records.
+void sort_round(std::span<Delivery> records, std::vector<Delivery>& scratch);
+
+}  // namespace detail
 
 /// The per-node protocol stack, driven by MixedGossipService.
 struct NodeGossip {
@@ -158,21 +188,14 @@ class MixedGossipService {
     SimTime stamped_at = 0.0;
   };
 
-  /// One delivery copy of a round: `to` receives arena entries [first, last)
-  /// at `at`, ordered by the engine sequence number reserved at post time.
-  struct Delivery {
-    SimTime at;
-    std::uint64_t seq;
-    NodeId to;
-    std::uint32_t first;
-    std::uint32_t last;
-  };
+  using Delivery = detail::Delivery;
   /// One cycle's epidemic push (idealized mode). Drained rounds keep their
   /// storage and are reused.
   struct Round {
     std::vector<ResourceEntry> entries;
     std::vector<Delivery> deliveries;
-    std::size_t next = 0;  ///< first undelivered record
+    std::uint64_t base_seq = 0;  ///< engine seq of the first record posted
+    std::size_t next = 0;        ///< first undelivered record
   };
 
   /// Appends `from`'s push to `round`: its message to the arena, one record
@@ -241,6 +264,8 @@ class MixedGossipService {
   /// Epidemic rounds, in flight or free for reuse (indices in free_rounds_).
   std::vector<Round> rounds_;
   std::vector<std::uint32_t> free_rounds_;
+  /// post_round()'s sort buffer, shared by every round.
+  std::vector<Delivery> sort_scratch_;
 
   // --- message-level mode state ---
   std::unique_ptr<FailureDetector> detector_;

@@ -70,15 +70,18 @@ double Rng::uniform(double lo, double hi) {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo and lo + r overflow std::int64_t on ranges
+  // wider than 2^63.
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
+  // Rejection sampling to avoid modulo bias, with one division per draw.
   std::uint64_t v;
+  std::uint64_t r;
   do {
     v = (*this)();
-  } while (v >= limit);
-  return lo + static_cast<std::int64_t>(v % span);
+    r = v % span;
+  } while (detail::rejects_draw(v, r, span));
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r);
 }
 
 bool Rng::bernoulli(double p) {

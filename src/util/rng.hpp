@@ -13,6 +13,18 @@
 
 namespace dpjit::util {
 
+namespace detail {
+
+/// Rng::uniform_int's rejection test for a raw draw `v` with r = v % span:
+/// true exactly when v is at or above the largest multiple of span that is
+/// <= 2^64-1. v - r is the multiple of span at or below v, and it reaches that
+/// limit when a further span does not fit below 2^64-1.
+[[nodiscard]] constexpr bool rejects_draw(std::uint64_t v, std::uint64_t r, std::uint64_t span) {
+  return ~0ULL - (v - r) < span;
+}
+
+}  // namespace detail
+
 /// xoshiro256** PRNG (Blackman & Vigna), seeded via SplitMix64.
 /// Satisfies std::uniform_random_bit_generator.
 class Rng {

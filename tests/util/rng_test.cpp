@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <utility>
 
 namespace dpjit::util {
 namespace {
@@ -69,6 +72,48 @@ TEST(Rng, UniformIntUnbiasedish) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) ++counts[rng.uniform_int(0, 9)];
   for (int c : counts) EXPECT_NEAR(c, n / 10, n / 100);
+}
+
+/// uniform_int as it was with two divisions per draw: the rejection limit is
+/// computed as (2^64-1) - (2^64-1) % span.
+std::int64_t two_division_uniform_int(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>(rng());
+  const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
+  std::uint64_t v;
+  do {
+    v = rng();
+  } while (v >= limit);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + v % span);
+}
+
+TEST(Rng, RejectionTestMatchesTwoDivisionLimitAtEdges) {
+  constexpr std::uint64_t kMax = ~0ULL;
+  for (const std::uint64_t span : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+                                   std::uint64_t{8}, std::uint64_t{23}, std::uint64_t{24},
+                                   std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1, kMax}) {
+    const std::uint64_t limit = kMax - kMax % span;
+    for (const std::uint64_t v : {limit - 1, limit, limit - span, kMax, std::uint64_t{0}}) {
+      SCOPED_TRACE(testing::Message() << "span " << span << " v " << v);
+      EXPECT_EQ(detail::rejects_draw(v, v % span, span), v >= limit);
+    }
+  }
+}
+
+TEST(Rng, UniformIntMatchesTwoDivisionStream) {
+  // Small spans (the view shuffle's), spans that reject often, and both ends
+  // of the signed range; the generators must also stay in step.
+  const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0}, {0, 1}, {0, 2}, {0, 22}, {-5, 18}, {0, 29}, {0, kMax}, {-1, kMax}, {kMin, kMax - 1}};
+  Rng fast(77);
+  Rng reference(77);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const auto& [lo, hi] = ranges[static_cast<std::size_t>(i) % std::size(ranges)];
+    ASSERT_EQ(fast.uniform_int(lo, hi), two_division_uniform_int(reference, lo, hi)) << i;
+  }
+  EXPECT_EQ(fast(), reference());
 }
 
 TEST(Rng, BernoulliExtremes) {
