@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
   const auto cli = util::Config::from_args(argc, argv);
 
   exp::ExperimentConfig base;
-  base.nodes = static_cast<int>(cli.get_int("nodes", 200));
-  base.workflows_per_node = static_cast<int>(cli.get_int("workflows", 3));
+  base.nodes = cli.get_int("nodes", 200);
+  base.workflows_per_node = cli.get_int("workflows", 3);
   base.algorithm = cli.get_string("algorithm", "dsmf");
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
+  base.seed = cli.get_int("seed", std::uint64_t{11});
   base.system.horizon_s = cli.get_double("hours", 18.0) * 3600.0;
 
   // The dynamic environments come from the scenario registry; "" is the

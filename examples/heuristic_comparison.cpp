@@ -18,9 +18,9 @@ int main(int argc, char** argv) {
   // (e.g. --scenario=tail/heavy-tailed-loads compares under heavy tails).
   const auto scenario = cli.get_string("scenario", "paper/static-n200");
   exp::ExperimentConfig base = exp::scenario_registry().at(scenario).config();
-  base.nodes = static_cast<int>(cli.get_int("nodes", 128));
-  base.workflows_per_node = static_cast<int>(cli.get_int("workflows", 3));
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+  base.nodes = cli.get_int("nodes", 128);
+  base.workflows_per_node = cli.get_int("workflows", 3);
+  base.seed = cli.get_int("seed", std::uint64_t{3});
   base.system.horizon_s = cli.get_double("hours", 36.0) * 3600.0;
 
   std::cout << "comparing the paper's eight algorithms on " << base.nodes << " peers, "

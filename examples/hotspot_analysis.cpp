@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
   // mixed-template scenarios give very different hotspot pictures).
   exp::ExperimentConfig cfg =
       exp::scenario_registry().at(cli.get_string("scenario", "paper/static-n200")).config();
-  cfg.nodes = static_cast<int>(cli.get_int("nodes", 48));
-  cfg.workflows_per_node = static_cast<int>(cli.get_int("workflows", 3));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 23));
+  cfg.nodes = cli.get_int("nodes", 48);
+  cfg.workflows_per_node = cli.get_int("workflows", 3);
+  cfg.seed = cli.get_int("seed", std::uint64_t{23});
 
   const std::string algo_a = cli.get_string("a", "dsmf");
   const std::string algo_b = cli.get_string("b", "dheft");

@@ -22,15 +22,15 @@
 int main(int argc, char** argv) {
   using namespace dpjit;
   const auto cli = util::Config::from_args(argc, argv);
-  const int labs = static_cast<int>(cli.get_int("labs", 6));
-  const int mosaics = static_cast<int>(cli.get_int("mosaics", 4));
-  const int width = static_cast<int>(cli.get_int("width", 8));
+  const int labs = cli.get_int("labs", 6);
+  const int mosaics = cli.get_int("mosaics", 4);
+  const int width = cli.get_int("width", 8);
 
   exp::ExperimentConfig cfg;
-  cfg.nodes = static_cast<int>(cli.get_int("nodes", 96));
+  cfg.nodes = cli.get_int("nodes", 96);
   cfg.workflows_per_node = 0;  // we submit our own workload below
   cfg.algorithm = cli.get_string("algorithm", "dsmf");
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  cfg.seed = cli.get_int("seed", std::uint64_t{42});
 
   exp::World world(cfg);
   net::print_topology_stats(std::cout, net::topology_stats(world.topology(), world.routing()));

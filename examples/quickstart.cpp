@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
   // shrink to an interactive scale.
   const auto scenario = cli.get_string("scenario", "paper/static-n200");
   dpjit::exp::ExperimentConfig cfg = dpjit::exp::scenario_registry().at(scenario).config();
-  cfg.nodes = static_cast<int>(cli.get_int("nodes", 64));
-  cfg.workflows_per_node = static_cast<int>(cli.get_int("workflows", 3));
+  cfg.nodes = cli.get_int("nodes", 64);
+  cfg.workflows_per_node = cli.get_int("workflows", 3);
   cfg.algorithm = cli.get_string("algorithm", "dsmf");
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  cfg.seed = cli.get_int("seed", std::uint64_t{7});
   cfg.system.horizon_s = cli.get_double("hours", 36.0) * 3600.0;
 
   std::cout << "dpjit quickstart (" << scenario << "): " << cfg.nodes << " peers, "

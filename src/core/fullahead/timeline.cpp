@@ -34,6 +34,4 @@ void Timeline::book(double start, double duration) {
   slots_.insert(it, {start, end});
 }
 
-double Timeline::makespan() const { return slots_.empty() ? 0.0 : slots_.back().second; }
-
 }  // namespace dpjit::core

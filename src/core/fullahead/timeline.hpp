@@ -21,13 +21,6 @@ class Timeline {
   /// bookings (throws std::logic_error otherwise).
   void book(double start, double duration);
 
-  [[nodiscard]] const std::vector<std::pair<double, double>>& bookings() const {
-    return slots_;
-  }
-
-  /// End of the last booking, 0 when empty.
-  [[nodiscard]] double makespan() const;
-
  private:
   std::vector<std::pair<double, double>> slots_;  // sorted [start, end)
 };

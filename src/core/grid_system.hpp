@@ -225,7 +225,6 @@ class GridSystem {
   [[nodiscard]] const gossip::MixedGossipService& gossip_service() const { return *gossip_; }
   [[nodiscard]] const grid::TransferManager& transfers() const { return *transfers_; }
   [[nodiscard]] const grid::ChurnModel& churn_model() const { return *churn_; }
-  [[nodiscard]] const dag::AverageEstimates& true_averages() const { return true_averages_; }
   [[nodiscard]] sim::Trace& trace() { return trace_; }
   [[nodiscard]] std::uint64_t tasks_dispatched() const { return tasks_dispatched_; }
   [[nodiscard]] std::uint64_t tasks_failed() const { return tasks_failed_; }

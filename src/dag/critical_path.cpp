@@ -40,32 +40,4 @@ double expected_finish_time(const Workflow& wf, const AverageEstimates& avg) {
   return ranks[static_cast<std::size_t>(wf.entry().get())];
 }
 
-std::vector<TaskIndex> critical_path(const Workflow& wf, const AverageEstimates& avg) {
-  const auto ranks = upward_ranks(wf, avg);
-  std::vector<TaskIndex> path;
-  TaskIndex cur = wf.entry();
-  path.push_back(cur);
-  while (!wf.successors(cur).empty()) {
-    // The critical successor realizes rank(cur) = eet(cur) + ett(edge) + rank(succ).
-    const double want = ranks[static_cast<std::size_t>(cur.get())] -
-                        expected_execution_time(wf.task(cur), avg);
-    TaskIndex next{};
-    double best = -1.0;
-    for (TaskIndex s : wf.successors(cur)) {
-      const double via = expected_transmission_time(wf.edge_data(cur, s), avg) +
-                         ranks[static_cast<std::size_t>(s.get())];
-      // Track the max; floating-point equality with `want` is implied at the max.
-      if (via > best) {
-        best = via;
-        next = s;
-      }
-    }
-    (void)want;
-    assert(next.valid());
-    path.push_back(next);
-    cur = next;
-  }
-  return path;
-}
-
 }  // namespace dpjit::dag

@@ -37,8 +37,4 @@ struct AverageEstimates {
 /// Requires a normalized workflow (unique entry).
 [[nodiscard]] double expected_finish_time(const Workflow& wf, const AverageEstimates& avg);
 
-/// The critical workflow tasks t* (Eq. (1)): the entry->exit path realizing
-/// eft(f), in execution order.
-[[nodiscard]] std::vector<TaskIndex> critical_path(const Workflow& wf, const AverageEstimates& avg);
-
 }  // namespace dpjit::dag

@@ -228,12 +228,6 @@ TaskIndex Workflow::entry() const {
   return entries.front();
 }
 
-TaskIndex Workflow::exit() const {
-  auto exits = exit_tasks();
-  if (exits.size() != 1) throw std::logic_error("workflow does not have a unique exit; call normalize()");
-  return exits.front();
-}
-
 std::span<const TaskIndex> Workflow::topological_order() const {
   sync();
   const std::size_t skip = 2 * frozen_edges();

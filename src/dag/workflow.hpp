@@ -111,8 +111,6 @@ class Workflow {
 
   /// The unique entry (no precedents). Requires exactly one to exist.
   [[nodiscard]] TaskIndex entry() const;
-  /// The unique exit (no successors). Requires exactly one to exist.
-  [[nodiscard]] TaskIndex exit() const;
 
   /// All tasks with no precedents / no successors (useful before normalize()).
   [[nodiscard]] std::vector<TaskIndex> entry_tasks() const;

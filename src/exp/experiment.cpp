@@ -42,6 +42,27 @@ ExperimentResult summarize(const World& world, double wall_seconds) {
   r.probe_cache_hits = transfers.probe_cache_hits();
   r.probe_cache_misses = transfers.probe_cache_misses();
   r.link_aborts = transfers.link_aborts();
+  if (const sim::FaultPlan* faults = world.fault_plan()) {
+    r.fault_messages_lost = faults->messages_lost();
+    r.fault_messages_duplicated = faults->messages_duplicated();
+    r.fault_messages_delayed = faults->messages_delayed();
+    r.fault_link_failures = faults->link_failures();
+    r.fault_link_recoveries = faults->link_recoveries();
+    r.fault_node_crashes = faults->node_crashes();
+    r.fault_node_restarts = faults->node_restarts();
+  }
+  if (const gossip::FailureDetector* detector = system.gossip_service().detector()) {
+    r.detector_suspicions = detector->suspicions();
+    r.detector_refutations = detector->refutations();
+    r.detector_declared_dead = detector->declared_dead();
+  }
+  r.gossip_messages_suppressed = system.gossip_service().messages_suppressed();
+  const auto& churn = system.churn_model();
+  r.churn_steps = churn.total_steps();
+  r.churn_leaves = churn.total_leaves();
+  r.churn_joins = churn.total_joins();
+  r.quantised_barriers = transfers.barrier_stamp();
+  r.routing_repaired_rows = world.routing().repaired_rows();
   r.wall_seconds = wall_seconds;
   return r;
 }

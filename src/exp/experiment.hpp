@@ -71,6 +71,34 @@ struct ExperimentResult {
   /// The most events the engine held pending at once (sim::Engine::
   /// pending_max). NOT part of result_digest.
   std::uint64_t pending_max = 0;
+  // Counters that explain a run, none of them part of result_digest (a run
+  // rebuilt outside World, like perfbench's traced one, leaves them 0), and
+  // each 0 where its source is not attached.
+  /// What the fault plan injected: dropped, duplicated and delayed gossip
+  /// messages, link failures and recoveries, node crashes and restarts. 0
+  /// when config.faults is all-zero.
+  std::uint64_t fault_messages_lost = 0;
+  std::uint64_t fault_messages_duplicated = 0;
+  std::uint64_t fault_messages_delayed = 0;
+  std::uint64_t fault_link_failures = 0;
+  std::uint64_t fault_link_recoveries = 0;
+  std::uint64_t fault_node_crashes = 0;
+  std::uint64_t fault_node_restarts = 0;
+  /// The message-level failure detector's suspicions, refutations and death
+  /// declarations, and the sends the per-cycle budget suppressed. 0 in the
+  /// idealized gossip mode.
+  std::uint64_t detector_suspicions = 0;
+  std::uint64_t detector_refutations = 0;
+  std::uint64_t detector_declared_dead = 0;
+  std::uint64_t gossip_messages_suppressed = 0;
+  /// Churn steps run and the departures and rejoins they made.
+  std::uint64_t churn_steps = 0;
+  std::uint64_t churn_leaves = 0;
+  std::uint64_t churn_joins = 0;
+  /// Epoch barriers the quantised-fair network ran (0 in other modes).
+  std::uint64_t quantised_barriers = 0;
+  /// Routing source rows rebuilt by link-failure repairs.
+  std::uint64_t routing_repaired_rows = 0;
   double wall_seconds = 0.0;
 };
 

@@ -1,6 +1,7 @@
 #include "exp/figures.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <iostream>
@@ -20,10 +21,14 @@ namespace dpjit::exp {
 
 void apply_cli_overrides(const util::Config& cli, ExperimentConfig& cfg) {
   if (cli.get_bool("paper", false)) cfg.nodes = 1000;  // paper Section IV.A headline scale
-  cfg.nodes = static_cast<int>(cli.get_int("nodes", cfg.nodes));
-  cfg.workflows_per_node = static_cast<int>(cli.get_int("workflows", cfg.workflows_per_node));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.system.horizon_s = cli.get_double("hours", cfg.system.horizon_s / 3600.0) * 3600.0;
+  cfg.nodes = cli.get_int("nodes", cfg.nodes);
+  cfg.workflows_per_node = cli.get_int("workflows", cfg.workflows_per_node);
+  cfg.seed = cli.get_int("seed", cfg.seed);
+  const double hours = cli.get_double("hours", cfg.system.horizon_s / 3600.0);
+  if (!(hours > 0.0) || !std::isfinite(hours)) {
+    throw std::out_of_range("--hours must be positive and finite, got " + std::to_string(hours));
+  }
+  cfg.system.horizon_s = hours * 3600.0;
 }
 
 ExperimentConfig figure_config(const util::Config& cli, std::string_view scenario,
@@ -118,7 +123,7 @@ void print_dsmf_gains(std::ostream& os, const std::vector<ExperimentResult>& res
 void print_algorithm_sweep(const util::Config& cli, std::ostream& os, const std::string& x_name,
                            const std::vector<std::string>& x_values,
                            const std::vector<ExperimentConfig>& configs, Scalar metric) {
-  const auto results = run_seed_averaged(configs, static_cast<int>(cli.get_int("seeds", 1)));
+  const auto results = run_seed_averaged(configs, cli.get_int("seeds", 1));
   const auto algos = core::paper_algorithms();
   std::vector<std::vector<double>> values(algos.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -157,7 +162,7 @@ void load_factor_sweep(Scalar metric, const std::string& title, const util::Conf
                        std::ostream& os) {
   const auto base = figure_config(cli, "paper/static-n1000", /*bench_scale_nodes=*/100);
   banner(os, title, base);
-  const int max_lf = static_cast<int>(cli.get_int("max-load-factor", 8));
+  const int max_lf = cli.get_int("max-load-factor", 8);
   std::vector<ExperimentConfig> configs;
   std::vector<std::string> x_values;
   for (int lf = 1; lf <= max_lf; ++lf) {
@@ -481,7 +486,7 @@ void ablation_lookahead(const std::string& title, const util::Config& cli, std::
 /// on ignoring contention.
 void ablation_network_model(const std::string& title, const util::Config& cli, std::ostream& os) {
   auto base = figure_config(cli, "paper/static-n200", /*bench_scale_nodes=*/64);
-  base.workflows_per_node = static_cast<int>(cli.get_int("workflows", 2));
+  base.workflows_per_node = cli.get_int("workflows", 2);
   banner(os, title, base);
 
   std::vector<ExperimentConfig> configs;

@@ -63,7 +63,6 @@ void MetricsCollector::on_workflow_finished(const core::WorkflowReport& report) 
 }
 
 void MetricsCollector::on_cycle(const core::CycleSample& sample) {
-  ++cycles_seen_;
   if (!sketches_) {
     samples_.push_back(sample);
   } else if (sample.time >= 0.75 * horizon_) {
@@ -168,13 +167,6 @@ const std::vector<core::CycleSample>& MetricsCollector::samples() const {
     throw std::logic_error("MetricsCollector::samples(): streaming mode keeps no records");
   }
   return samples_;
-}
-
-const util::ReservoirSampler<core::WorkflowReport>& MetricsCollector::reservoir() const {
-  if (!sketches_) {
-    throw std::logic_error("MetricsCollector::reservoir(): retaining mode has no reservoir");
-  }
-  return sketches_->reservoir;
 }
 
 }  // namespace dpjit::exp

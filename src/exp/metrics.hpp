@@ -102,16 +102,11 @@ class MetricsCollector final : public core::MetricsSink {
   /// capacity whatever the workload size — the O(1)-memory guarantee
   /// OpenStreamFullScale asserts on the million-task stream.
   [[nodiscard]] std::size_t live_reports() const;
-  /// Cycle samples observed (retained or not).
-  [[nodiscard]] std::size_t cycles_seen() const { return cycles_seen_; }
 
   /// The raw records; throw std::logic_error when streaming.
   [[nodiscard]] const std::vector<core::WorkflowReport>& reports() const;
   [[nodiscard]] const std::vector<core::CycleSample>& samples() const;
-  /// The sample of reports; throws std::logic_error when retaining.
-  [[nodiscard]] const util::ReservoirSampler<core::WorkflowReport>& reservoir() const;
 
-  [[nodiscard]] double horizon() const { return horizon_; }
   [[nodiscard]] double bucket() const { return bucket_; }
 
  private:
@@ -134,7 +129,6 @@ class MetricsCollector final : public core::MetricsSink {
   double ct_sum_ = 0.0;
   double eff_sum_ = 0.0;
   double resp_sum_ = 0.0;
-  std::size_t cycles_seen_ = 0;
 
   // Per-bucket curve accumulators (buckets_ + 1 slots, fixed at ctor time).
   std::vector<std::size_t> finished_in_;

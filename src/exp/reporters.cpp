@@ -133,6 +133,22 @@ void write_results_json(std::ostream& os, const std::vector<ExperimentResult>& r
     json.kv("ct_p99_s", r.ct_p99);
     json.kv("ready_depth_max", r.ready_depth_max);
     json.kv("pending_max", r.pending_max);
+    json.kv("fault_messages_lost", r.fault_messages_lost);
+    json.kv("fault_messages_duplicated", r.fault_messages_duplicated);
+    json.kv("fault_messages_delayed", r.fault_messages_delayed);
+    json.kv("fault_link_failures", r.fault_link_failures);
+    json.kv("fault_link_recoveries", r.fault_link_recoveries);
+    json.kv("fault_node_crashes", r.fault_node_crashes);
+    json.kv("fault_node_restarts", r.fault_node_restarts);
+    json.kv("detector_suspicions", r.detector_suspicions);
+    json.kv("detector_refutations", r.detector_refutations);
+    json.kv("detector_declared_dead", r.detector_declared_dead);
+    json.kv("gossip_messages_suppressed", r.gossip_messages_suppressed);
+    json.kv("churn_steps", r.churn_steps);
+    json.kv("churn_leaves", r.churn_leaves);
+    json.kv("churn_joins", r.churn_joins);
+    json.kv("quantised_barriers", r.quantised_barriers);
+    json.kv("routing_repaired_rows", r.routing_repaired_rows);
     json.kv("wall_seconds", r.wall_seconds);
     const std::pair<const char*, const std::vector<CurvePoint>*> curves[] = {
         {"throughput", &r.throughput},

@@ -70,10 +70,6 @@ struct TraceStats {
   std::size_t normalized_owner = 0;
   /// Rows whose submit time preceded an earlier row's (re-sorted stably).
   std::size_t out_of_order = 0;
-
-  [[nodiscard]] std::size_t skipped() const {
-    return skipped_missing_submit + skipped_missing_runtime;
-  }
 };
 
 /// A parsed, normalized trace: jobs sorted by (submit_s, id), first at t = 0.

@@ -157,10 +157,8 @@ class MixedGossipService {
   /// we charge 20 bytes header + 20 bytes per carried resource entry).
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  [[nodiscard]] int effective_cache_size() const { return cache_size_; }
-
-  /// Message-mode observability. detector() is null in the idealized mode.
-  [[nodiscard]] bool message_level() const { return params_.message_level; }
+  /// Message-mode observability (ExperimentResult's detector_* and
+  /// gossip_messages_suppressed). detector() is null in the idealized mode.
   [[nodiscard]] const FailureDetector* detector() const { return detector_.get(); }
   /// Sends skipped because the per-cycle message budget was exhausted.
   [[nodiscard]] std::uint64_t messages_suppressed() const { return messages_suppressed_; }

@@ -103,14 +103,4 @@ bool ResourceView::forget(NodeId node) {
   return true;
 }
 
-bool ResourceView::adjust_load(NodeId node, double delta_mi) {
-  const std::uint16_t slot = lookup(node);
-  if (slot == kNoSlot) return false;
-  ResourceEntry& e = entries_[slot];
-  e.load_mi = std::max(0.0, e.load_mi + delta_mi);
-  return true;
-}
-
-bool ResourceView::contains(NodeId node) const { return lookup(node) != kNoSlot; }
-
 }  // namespace dpjit::gossip

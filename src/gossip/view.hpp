@@ -108,13 +108,8 @@ class ResourceView {
   /// Removes the entry about a node (e.g. observed dead). Returns true if found.
   bool forget(NodeId node);
 
-  /// Updates the load recorded for `node` (local correction after dispatching
-  /// work to it - Algorithm 1 line 15). Returns false if unknown.
-  bool adjust_load(NodeId node, double delta_mi);
-
   [[nodiscard]] const std::vector<ResourceEntry>& entries() const { return entries_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool contains(NodeId node) const;
 
   /// The entry about `node`, or nullptr when absent. O(1).
   [[nodiscard]] const ResourceEntry* find(NodeId node) const {
@@ -169,8 +164,8 @@ class ResourceView {
   /// node id -> slot in entries_ (kNoSlot when absent); lazily grown.
   std::vector<std::uint16_t> slot_of_;
   /// Cached stalest_slot(), kNoSlot when it must be rescanned. Merges keep it
-  /// up to date; expire, forget and clear reset it. adjust_load and the
-  /// equal-stamp TTL bump touch no stamp.
+  /// up to date; expire, forget and clear reset it. The equal-stamp TTL bump
+  /// touches no stamp.
   mutable std::uint16_t stalest_ = kNoSlot;
 };
 

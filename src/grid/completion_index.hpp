@@ -41,7 +41,6 @@ class CompletionIndex {
   /// Removes the flow's entry; false when absent (safe no-op).
   bool erase(std::uint64_t id);
 
-  [[nodiscard]] bool contains(std::uint64_t id) const { return slot_of_.count(id) > 0; }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 

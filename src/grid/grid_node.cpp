@@ -60,11 +60,6 @@ void GridNode::add_ready(ReadyTask task) {
   depth_max_ = std::max(depth_max_, ++live_);
 }
 
-const ReadyTask* GridNode::find_ready(TaskRef ref) const {
-  const std::uint32_t slot = locate(ref);
-  return slot == kNoSlot ? nullptr : &ready_[slot];
-}
-
 bool GridNode::input_arrived(TaskRef ref, SimTime now) {
   const std::uint32_t slot = locate(ref);
   if (slot == kNoSlot) return false;

@@ -68,9 +68,6 @@ class GridNode {
   /// TaskRef and std::logic_error when the TaskRef is already queued.
   void add_ready(ReadyTask task);
 
-  /// Looks up a ready task; nullptr when absent.
-  [[nodiscard]] const ReadyTask* find_ready(TaskRef ref) const;
-
   /// One input transfer of a queued task arrived at `now`. Returns true when
   /// it was the task's last pending input (data_ready_at is stamped and the
   /// task becomes a phase-2 candidate); false otherwise, including when the

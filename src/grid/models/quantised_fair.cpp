@@ -144,12 +144,4 @@ void TransferManager::quantised_integrate(SimTime epoch_start, double epoch_s) {
   std::sort(drained_.begin(), drained_.end());
 }
 
-std::size_t TransferManager::quantised_active() const { return pool_.size(); }
-
-std::size_t TransferManager::quantised_pending_joins() const {
-  std::size_t n = 0;
-  for (const auto& [id, flow] : flows_) n += flow.join_pending ? 1 : 0;
-  return n;
-}
-
 }  // namespace dpjit::grid

@@ -111,7 +111,6 @@ class TransferManager {
   [[nodiscard]] std::size_t active_count() const { return flows_.size(); }
   [[nodiscard]] std::uint64_t completed_count() const { return completed_; }
   [[nodiscard]] double total_delivered_mb() const { return delivered_mb_; }
-  [[nodiscard]] Mode mode() const { return mode_; }
 
   // --- quantised-fair barrier loop (models/quantised_fair.cpp) --------------
   // Only valid in Mode::kQuantisedFair.
@@ -129,14 +128,9 @@ class TransferManager {
   /// the barrier stamp the probe cache keys on. Tests call it directly.
   void quantised_barrier();
 
-  /// Barriers executed so far (the probe-cache epoch key in quantised mode).
+  /// Barriers executed so far: the probe-cache epoch key in quantised mode,
+  /// and ExperimentResult::quantised_barriers.
   [[nodiscard]] std::uint64_t barrier_stamp() const { return barrier_stamp_; }
-
-  /// Flows admitted to the frozen-rate pool and not yet delivered/aborted.
-  [[nodiscard]] std::size_t quantised_active() const;
-
-  /// Flows waiting (propagation done) to be admitted at the next barrier.
-  [[nodiscard]] std::size_t quantised_pending_joins() const;
 
   // --- live-rate oracle (see rate_oracle.hpp) ------------------------------
 

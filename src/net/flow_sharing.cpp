@@ -188,8 +188,6 @@ void FairShareSolver::unlink(FlowRec& rec) {
   }
 }
 
-void FairShareSolver::remove(std::uint64_t id) { remove_batch({id}); }
-
 void FairShareSolver::remove_batch(const std::vector<std::uint64_t>& ids) {
   ++mutation_stamp_;
   // The batch resumes when every removed path lies in one recorded

@@ -66,7 +66,7 @@ struct FlowPath {
 /// component from round 0:
 ///  - add: the round the new flow freezes, found by replaying the record
 ///    with the flow as a phantom (the argument probe_rate() rests on);
-///  - remove / remove_batch: the earliest freeze round of the removed flows.
+///  - remove_batch: the earliest freeze round of the removed flows.
 ///    Before it, none of their links was in the bottleneck band, and
 ///    removing them only raises those links' ratios, so neither the round
 ///    share nor the band moves.
@@ -100,10 +100,6 @@ class FairShareSolver {
   /// flow; it must stay valid for the flow's lifetime.
   /// Precondition: `id` not present.
   void add(std::uint64_t id, std::vector<LinkId> links, void* user = nullptr);
-
-  /// Removes one flow and re-solves the component it belonged to.
-  /// Precondition: `id` present.
-  void remove(std::uint64_t id);
 
   /// Removes every flow in `ids` with a single re-solve of the union of the
   /// affected components (churn teardown: one solve, not one per flow).
@@ -156,15 +152,13 @@ class FairShareSolver {
   [[nodiscard]] std::vector<std::pair<std::uint64_t, double>> resolve_reference(
       const std::vector<LinkId>& seed_links) const;
 
-  [[nodiscard]] bool contains(std::uint64_t id) const { return flows_.count(id) > 0; }
-  [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
   [[nodiscard]] std::size_t link_count() const { return caps_.size(); }
 
-  /// Flows re-solved by the last add/remove/remove_batch.
+  /// Flows re-solved by the last add/remove_batch.
   /// Invalidated by the next mutation.
   [[nodiscard]] const std::vector<UpdatedFlow>& updated() const { return updated_; }
 
-  /// Counter bumped by every observable mutation (add/remove/remove_batch)
+  /// Counter bumped by every observable mutation (add/remove_batch)
   /// and by NOTHING else - in particular not by probe_rate(), whose scratch
   /// epoch ticks on every call. Two probes of the same path between equal
   /// mutation stamps are guaranteed bit-identical, which is the invalidation

@@ -67,11 +67,8 @@ class Routing {
   /// not change. Serial; O(affected_rows * E log n).
   void set_link_state(LinkId l, bool up);
 
-  [[nodiscard]] bool link_state(LinkId l) const {
-    return link_up_[static_cast<std::size_t>(l.get())] != 0;
-  }
-
-  /// Source rows rebuilt by set_link_state repairs so far (tests).
+  /// Source rows rebuilt by set_link_state repairs so far
+  /// (ExperimentResult::routing_repaired_rows).
   [[nodiscard]] std::uint64_t repaired_rows() const { return repaired_rows_; }
 
  private:

@@ -123,11 +123,6 @@ Topology Topology::from_links(int node_count, std::vector<Link> links) {
   return topo;
 }
 
-const Point& Topology::position(NodeId n) const {
-  assert(n.valid() && static_cast<std::size_t>(n.get()) < positions_.size());
-  return positions_[static_cast<std::size_t>(n.get())];
-}
-
 const Link& Topology::link(LinkId l) const {
   assert(l.valid() && static_cast<std::size_t>(l.get()) < links_.size());
   return links_[static_cast<std::size_t>(l.get())];

@@ -65,7 +65,6 @@ class Topology {
 
   [[nodiscard]] int node_count() const { return static_cast<int>(positions_.size()); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
-  [[nodiscard]] const Point& position(NodeId n) const;
   [[nodiscard]] const Link& link(LinkId l) const;
   [[nodiscard]] const std::vector<Link>& links() const { return links_; }
 

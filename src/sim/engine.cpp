@@ -31,7 +31,7 @@ EventQueue::Handle Engine::insert(SimTime t, std::uint64_t seq, EventFn fn) {
 }
 
 bool Engine::take_next(SimTime t, std::uint64_t seq) {
-  if (!(t <= take_until_) || stop_requested_ || !queue_.precedes_next(t, seq)) return false;
+  if (!(t <= take_until_) || !queue_.precedes_next(t, seq)) return false;
   now_ = t;
   ++processed_;
   return true;
@@ -55,20 +55,15 @@ bool Engine::step() {
 }
 
 void Engine::run_until(SimTime end) {
-  stop_requested_ = false;
   const SimTime outer = std::exchange(take_until_, end);
-  while (!queue_.empty() && !stop_requested_) {
-    if (queue_.next_time() > end) break;
-    run_next();
-  }
+  while (!queue_.empty() && queue_.next_time() <= end) run_next();
   take_until_ = outer;
-  if (now_ < end && !stop_requested_) now_ = end;
+  if (now_ < end) now_ = end;
 }
 
 void Engine::run_all() {
-  stop_requested_ = false;
   const SimTime outer = std::exchange(take_until_, std::numeric_limits<SimTime>::infinity());
-  while (!stop_requested_ && !queue_.empty()) run_next();
+  while (!queue_.empty()) run_next();
   take_until_ = outer;
 }
 

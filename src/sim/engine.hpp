@@ -40,8 +40,8 @@ class Engine {
   EventQueue::Handle schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
 
   /// Called by a running event: true when the run loop would run an event
-  /// keyed (t, seq) next - `t` is within the current run_until end, no stop
-  /// was requested, the caller is not inside step(), and (t, seq) orders
+  /// keyed (t, seq) next - `t` is within the current run_until end, the
+  /// caller is not inside step(), and (t, seq) orders
   /// before every pending event. Then the caller runs that event itself:
   /// now() is `t` and processed() counts it. False changes nothing; the
   /// caller schedules the event instead.
@@ -69,9 +69,6 @@ class Engine {
   /// Runs until the queue drains completely.
   void run_all();
 
-  /// Makes run_until / run_all return after the current event completes.
-  void request_stop() { stop_requested_ = true; }
-
   /// Number of events executed so far.
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
@@ -81,9 +78,6 @@ class Engine {
   /// The most events ever pending at once (observability; events a component
   /// holds back for take_next() are not pending).
   [[nodiscard]] std::size_t pending_max() const { return pending_max_; }
-
-  /// Read-only view of the underlying queue (slab-capacity inspection).
-  [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
  private:
   static constexpr SimTime kNoTake = -std::numeric_limits<SimTime>::infinity();
@@ -100,7 +94,6 @@ class Engine {
   SimTime take_until_ = kNoTake;
   std::uint64_t processed_ = 0;
   std::size_t pending_max_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace dpjit::sim

@@ -37,21 +37,17 @@ class EventQueue {
   /// are zero are skipped, so no valid handle ever equals kInvalidHandle.
   using Handle = std::uint64_t;
 
-  /// Never returned by schedule(); cancel(kInvalidHandle) is a safe no-op.
+  /// Never returned by schedule_reserved(); cancel(kInvalidHandle) is a safe
+  /// no-op.
   static constexpr Handle kInvalidHandle = 0;
 
-  /// Schedules `fn` at absolute time `t`. Returns a cancellation handle.
-  Handle schedule(SimTime t, EventFn fn) {
-    return schedule_reserved(t, reserve_seq(), std::move(fn));
-  }
-
-  /// Takes the next insertion sequence number without scheduling anything.
-  /// Every schedule() takes one too, so a reserved number orders the later
-  /// event exactly where an event scheduled now would have gone.
+  /// Takes the next insertion sequence number. Events pop in (time, seq)
+  /// order, so a number reserved now orders the later event exactly where an
+  /// event scheduled now would have gone.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedules `fn` at time `t` under a sequence number from reserve_seq().
-  /// Each reserved number may be used once.
+  /// Each reserved number may be used once. Returns a cancellation handle.
   Handle schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
 
   /// True when an event keyed (t, seq) would pop before every pending one
@@ -81,13 +77,6 @@ class EventQueue {
 
   /// Pre-sizes the slab and heap for `n` concurrently pending events.
   void reserve(std::size_t n);
-
-  /// Number of slots ever allocated (bounded by the peak pending count, not
-  /// by the number of schedule/cancel operations - there are no tombstones).
-  [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
-
-  /// Reserved (pre-allocated) slab capacity; allocation introspection only.
-  [[nodiscard]] std::size_t reserved_capacity() const { return slots_.capacity(); }
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffU;

@@ -121,7 +121,7 @@ class FaultPlan {
 
   [[nodiscard]] const FaultParams& params() const { return params_; }
 
-  // --- counters (observability; not part of the result digest) -------------
+  // --- counters (ExperimentResult's fault_*; not part of the result digest) --
   [[nodiscard]] std::uint64_t messages_lost() const { return messages_lost_; }
   [[nodiscard]] std::uint64_t messages_duplicated() const { return messages_duplicated_; }
   [[nodiscard]] std::uint64_t messages_delayed() const { return messages_delayed_; }
@@ -129,12 +129,6 @@ class FaultPlan {
   [[nodiscard]] std::uint64_t link_recoveries() const { return link_recoveries_; }
   [[nodiscard]] std::uint64_t node_crashes() const { return node_crashes_; }
   [[nodiscard]] std::uint64_t node_restarts() const { return node_restarts_; }
-  [[nodiscard]] bool link_down(LinkId l) const {
-    return link_down_[static_cast<std::size_t>(l.get())] != 0;
-  }
-  [[nodiscard]] bool node_down(NodeId n) const {
-    return node_down_[static_cast<std::size_t>(n.get())] != 0;
-  }
 
  private:
   void link_wave();

@@ -27,7 +27,6 @@ class PeriodicProcess {
   void stop();
 
   [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] std::uint64_t cycles_run() const { return cycle_; }
 
  private:
   void arm(SimTime t);

@@ -215,14 +215,6 @@ void ShardEngine::run_until(SimTime end) {
   for (Shard& shard : shards_) shard.now = std::max(shard.now, end);
 }
 
-bool ShardEngine::idle() const {
-  if (!seeds_.empty()) return false;
-  for (const Shard& shard : shards_) {
-    if (!shard.queue.empty() || !shard.outbox.empty()) return false;
-  }
-  return true;
-}
-
 std::uint64_t ShardEngine::processed() const {
   std::uint64_t total = 0;
   for (const Shard& shard : shards_) total += shard.processed;

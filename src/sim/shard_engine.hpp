@@ -68,7 +68,6 @@ class ShardEngine {
   ShardEngine& operator=(const ShardEngine&) = delete;
 
   [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
-  [[nodiscard]] double window_s() const { return window_; }
 
   /// Shard-local clock: the time of the shard's current/last executed event,
   /// or the end of the last completed run_until.
@@ -94,9 +93,6 @@ class ShardEngine {
   /// exactly `end` still run; afterwards every shard clock reads `end`.
   void run_until(SimTime end);
 
-  /// True when no pending events or undelivered messages remain.
-  [[nodiscard]] bool idle() const;
-
   /// Worker threads for the window drive (<= 0 = hardware concurrency).
   /// Purely a wall-clock knob: results are byte-identical at any setting.
   void set_threads(int threads) { threads_ = threads; }
@@ -110,7 +106,8 @@ class ShardEngine {
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t processed() const;
 
-  /// Pending (scheduled, not yet executed) events across all shards.
+  /// Events not yet executed across all shards: queued, in an outbox or
+  /// seeded. 0 when the engine is idle.
   [[nodiscard]] std::size_t pending() const;
 
   /// Most events pending across all shards at any window barrier (after the

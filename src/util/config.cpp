@@ -1,19 +1,10 @@
 #include "util/config.hpp"
 
-#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace dpjit::util {
-namespace {
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) s.remove_suffix(1);
-  return s;
-}
-
-}  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -33,26 +24,6 @@ Config Config::from_args(int argc, const char* const* argv) {
     } else {
       cfg.positional_.emplace_back(arg);
     }
-  }
-  return cfg;
-}
-
-Config Config::from_string(std::string_view text) {
-  Config cfg;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    auto nl = text.find('\n', pos);
-    std::string_view line = text.substr(pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = (nl == std::string_view::npos) ? text.size() : nl + 1;
-    if (auto hash = line.find('#'); hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    auto eq = line.find('=');
-    if (eq == std::string_view::npos) throw std::invalid_argument("config line missing '=': " + std::string(line));
-    auto key = trim(line.substr(0, eq));
-    auto value = trim(line.substr(eq + 1));
-    if (key.empty()) throw std::invalid_argument("config line with empty key: " + std::string(line));
-    cfg.set(std::string(key), std::string(value));
   }
   return cfg;
 }
@@ -86,13 +57,15 @@ double Config::get_double(std::string_view key, double fallback) const {
   return d;
 }
 
-std::int64_t Config::get_int(std::string_view key, std::int64_t fallback) const {
-  auto v = raw(key);
-  if (!v) return fallback;
+std::int64_t Config::parse_int(std::string_view key, const std::string& text) {
   char* end = nullptr;
-  long long i = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') {
-    throw std::invalid_argument("config key '" + std::string(key) + "' is not an integer: " + *v);
+  errno = 0;
+  const long long i = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    throw std::invalid_argument("config key '" + std::string(key) + "' is not an integer: " + text);
+  }
+  if (errno == ERANGE) {
+    throw std::out_of_range("config key '" + std::string(key) + "' is out of range: " + text);
   }
   return static_cast<std::int64_t>(i);
 }

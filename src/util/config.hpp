@@ -8,8 +8,11 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace dpjit::util {
@@ -24,10 +27,6 @@ class Config {
   /// on malformed input (e.g. "--" alone).
   static Config from_args(int argc, const char* const* argv);
 
-  /// Parses a whitespace/newline separated "key=value" text block (supports
-  /// '#' comments). Used by tests and for reading config files.
-  static Config from_string(std::string_view text);
-
   /// Sets (or overwrites) a key.
   void set(std::string key, std::string value);
 
@@ -38,8 +37,20 @@ class Config {
   /// Throw std::invalid_argument when present but unparsable.
   [[nodiscard]] std::string get_string(std::string_view key, std::string_view fallback) const;
   [[nodiscard]] double get_double(std::string_view key, double fallback) const;
-  [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
+  /// The integer getter also throws std::out_of_range when the value does
+  /// not fit T, the type of `fallback`.
+  template <typename T>
+  [[nodiscard]] T get_int(std::string_view key, T fallback) const {
+    static_assert(std::is_integral_v<T>);
+    const auto v = raw(key);
+    if (!v) return fallback;
+    const std::int64_t i = parse_int(key, *v);
+    if (!std::in_range<T>(i)) {
+      throw std::out_of_range("config key '" + std::string(key) + "' is out of range: " + *v);
+    }
+    return static_cast<T>(i);
+  }
 
   /// Positional (non --key=value) command-line arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
@@ -49,6 +60,8 @@ class Config {
 
  private:
   [[nodiscard]] std::optional<std::string> raw(std::string_view key) const;
+  /// The whole of `text` as an int64; throws when it is not one.
+  [[nodiscard]] static std::int64_t parse_int(std::string_view key, const std::string& text);
 
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;

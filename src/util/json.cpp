@@ -132,10 +132,4 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  before_value();
-  os_ << "null";
-  return *this;
-}
-
 }  // namespace dpjit::util

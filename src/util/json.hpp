@@ -32,7 +32,6 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   /// Convenience: key + value in one call.
   template <typename T>
@@ -40,9 +39,6 @@ class JsonWriter {
     key(k);
     return value(v);
   }
-
-  /// True when all containers are closed (document complete).
-  [[nodiscard]] bool complete() const { return stack_.empty() && wrote_root_; }
 
  private:
   enum class Frame { kObject, kArray };

@@ -40,12 +40,9 @@ class ReservoirSampler {
     if (j < capacity_) items_[j] = std::move(item);
   }
 
-  /// Elements currently held (== min(seen, capacity)).
+  /// Elements currently held: all offered so far, up to the capacity.
   [[nodiscard]] const std::vector<T>& items() const { return items_; }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Stream length offered so far.
-  [[nodiscard]] std::uint64_t seen() const { return seen_; }
 
  private:
   std::size_t capacity_;

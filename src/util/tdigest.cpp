@@ -90,11 +90,6 @@ void TDigest::compress() const {
   }
 }
 
-std::size_t TDigest::centroid_count() const {
-  compress();
-  return centroids_.size();
-}
-
 double TDigest::min() const { return any_ ? min_ : kNaN; }
 double TDigest::max() const { return any_ ? max_ : kNaN; }
 
@@ -124,31 +119,6 @@ double TDigest::quantile(double q) const {
   const double span = total - prev_anchor;
   const double t = span > 0.0 ? (index - prev_anchor) / span : 1.0;
   return prev_mean + std::min(t, 1.0) * (max_ - prev_mean);
-}
-
-double TDigest::cdf(double x) const {
-  compress();
-  if (centroids_.empty()) return kNaN;
-  if (x < min_) return 0.0;
-  if (x >= max_) return 1.0;
-  const double total = static_cast<double>(total_weight_);
-  double cum = 0.0;
-  double prev_anchor = 0.0;
-  double prev_mean = min_;
-  for (const Centroid& c : centroids_) {
-    const double anchor = cum + 0.5 * c.weight;
-    if (x < c.mean) {
-      const double span = c.mean - prev_mean;
-      const double t = span > 0.0 ? (x - prev_mean) / span : 0.0;
-      return (prev_anchor + t * (anchor - prev_anchor)) / total;
-    }
-    cum += c.weight;
-    prev_anchor = anchor;
-    prev_mean = c.mean;
-  }
-  const double span = max_ - prev_mean;
-  const double t = span > 0.0 ? (x - prev_mean) / span : 1.0;
-  return (prev_anchor + t * (total - prev_anchor)) / total;
 }
 
 void TDigest::merge(const TDigest& other) {

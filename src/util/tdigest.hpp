@@ -32,7 +32,7 @@ class TDigest {
   explicit TDigest(double compression = 100.0);
 
   /// Adds one observation with weight 1. Amortized O(1); triggers an
-  /// O(b log b) buffer merge every `buffer_capacity()` additions.
+  /// O(b log b) buffer merge every max(64, 5 * compression) additions.
   void add(double x);
 
   /// Total observations added.
@@ -44,23 +44,9 @@ class TDigest {
   /// first (mutable internals).
   [[nodiscard]] double quantile(double q) const;
 
-  /// Fraction of observations <= x (empirical CDF estimate); NaN when empty.
-  [[nodiscard]] double cdf(double x) const;
-
   /// Exact running min/max (independent of the sketch). NaN when empty.
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-
-  /// Centroids currently held (post-flush); bounded by max_centroids().
-  [[nodiscard]] std::size_t centroid_count() const;
-
-  /// Hard bound on stored centroids for this compression setting.
-  [[nodiscard]] std::size_t max_centroids() const { return max_centroids_; }
-
-  /// Insert-buffer capacity (additions between merges).
-  [[nodiscard]] std::size_t buffer_capacity() const { return buffer_capacity_; }
-
-  [[nodiscard]] double compression() const { return compression_; }
 
   /// Folds another digest into this one (deterministic: other's centroids
   /// are appended in order, then one merge pass runs).
@@ -79,7 +65,7 @@ class TDigest {
   double compression_;
   std::size_t max_centroids_;
   std::size_t buffer_capacity_;
-  // Mutable: quantile()/cdf() flush pending inserts; the observable state
+  // Mutable: quantile() flushes pending inserts; the observable state
   // (the distribution sketched) is unchanged by compress().
   mutable std::vector<Centroid> centroids_;  // sorted by mean after compress()
   mutable std::vector<double> buffer_;

@@ -61,10 +61,11 @@ TEST(GridSystem, SubmitNormalizesAndComputesEft) {
   const auto id = w.system->submit(NodeId{0}, std::move(wf));
   const auto& inst = w.system->workflow(id);
   EXPECT_EQ(inst.dag.entry_tasks().size(), 1u);
-  // eft under true averages: capacity (4+1+2+8)/4 = 3.75 MIPS.
+  // eft under true averages: capacity (4+1+2+8)/4 = 3.75 MIPS and the
+  // healthy network's mean pair bandwidth.
   EXPECT_GT(inst.eft, 0.0);
-  const double avg_cap = w.system->true_averages().capacity_mips;
-  EXPECT_DOUBLE_EQ(avg_cap, 3.75);
+  const dag::AverageEstimates truth{3.75, w.routing.initial_mean_pair_bandwidth_mbps()};
+  EXPECT_DOUBLE_EQ(inst.eft, dag::expected_finish_time(inst.dag, truth));
 }
 
 TEST(GridSystem, JitDispatchWaitsForSchedulingCycle) {

@@ -89,7 +89,7 @@ TEST(QuantisedLoop, MidEpochAbortFiresOnceAndIsNeverDelivered) {
   EXPECT_FALSE(ok_seen);
   EXPECT_DOUBLE_EQ(done_at, 5.5);
   EXPECT_EQ(tm.completed_count(), 0u);
-  EXPECT_EQ(tm.quantised_active(), 0u);
+  EXPECT_EQ(tm.active_count(), 0u);
 }
 
 TEST(QuantisedLoop, DrainedFlowKeepsItsShareUntilDeliveredTwoBarriersLater) {

@@ -8,14 +8,12 @@ namespace {
 TEST(Timeline, EmptyStartsAtReadyTime) {
   Timeline t;
   EXPECT_DOUBLE_EQ(t.earliest_start(5.0, 10.0), 5.0);
-  EXPECT_DOUBLE_EQ(t.makespan(), 0.0);
 }
 
 TEST(Timeline, AppendsAfterBookings) {
   Timeline t;
   t.book(0.0, 10.0);
   EXPECT_DOUBLE_EQ(t.earliest_start(0.0, 5.0), 10.0);
-  EXPECT_DOUBLE_EQ(t.makespan(), 10.0);
 }
 
 TEST(Timeline, InsertionFillsGaps) {
@@ -42,12 +40,12 @@ TEST(Timeline, BookKeepsSortedAndDetectsOverlap) {
   Timeline t;
   t.book(20.0, 10.0);
   t.book(0.0, 10.0);
-  ASSERT_EQ(t.bookings().size(), 2u);
-  EXPECT_DOUBLE_EQ(t.bookings()[0].first, 0.0);
+  // Sorted: the gap between the two bookings is found, not just the tail.
+  EXPECT_DOUBLE_EQ(t.earliest_start(0.0, 10.0), 10.0);
   EXPECT_THROW(t.book(5.0, 10.0), std::logic_error);   // overlaps first
   EXPECT_THROW(t.book(25.0, 1.0), std::logic_error);   // overlaps second
   t.book(10.0, 10.0);                                  // exactly fills the gap
-  EXPECT_EQ(t.bookings().size(), 3u);
+  EXPECT_DOUBLE_EQ(t.earliest_start(0.0, 1.0), 30.0);  // no gap left
 }
 
 TEST(Timeline, ZeroDurationBookingsAllowed) {
@@ -64,7 +62,6 @@ TEST(Timeline, NegativeDurationThrows) {
 TEST(Timeline, BackToBackBookings) {
   Timeline t;
   for (int i = 0; i < 10; ++i) t.book(i * 10.0, 10.0);
-  EXPECT_DOUBLE_EQ(t.makespan(), 100.0);
   EXPECT_DOUBLE_EQ(t.earliest_start(0.0, 1.0), 100.0);
 }
 

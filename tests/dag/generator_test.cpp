@@ -49,7 +49,8 @@ TEST_P(GeneratorProperty, SatisfiesTableIConstraints) {
 TEST_P(GeneratorProperty, EveryNonExitTaskHasASuccessor) {
   util::Rng rng(GetParam());
   const auto wf = generate_workflow(WorkflowId{1}, GeneratorParams{}, rng);
-  const TaskIndex exit = wf.exit();
+  ASSERT_EQ(wf.exit_tasks().size(), 1u);
+  const TaskIndex exit = wf.exit_tasks().front();
   for (std::size_t i = 0; i < wf.task_count(); ++i) {
     const TaskIndex t{static_cast<TaskIndex::underlying_type>(i)};
     if (t == exit) continue;

@@ -80,7 +80,7 @@ TEST(Workflow, DetectsCycle) {
 TEST(Workflow, EntryAndExitOfDiamond) {
   auto wf = diamond();
   EXPECT_EQ(wf.entry().get(), 0);
-  EXPECT_EQ(wf.exit().get(), 3);
+  EXPECT_EQ(wf.exit_tasks(), std::vector<TaskIndex>{TaskIndex{3}});
 }
 
 TEST(Workflow, NormalizeAddsVirtualEntryAndExit) {
@@ -99,7 +99,7 @@ TEST(Workflow, NormalizeAddsVirtualEntryAndExit) {
   EXPECT_EQ(wf.exit_tasks().size(), 1u);
   // Virtual tasks are zero-cost (paper Section II.A).
   EXPECT_DOUBLE_EQ(wf.task(wf.entry()).load_mi, 0.0);
-  EXPECT_DOUBLE_EQ(wf.task(wf.exit()).load_mi, 0.0);
+  EXPECT_DOUBLE_EQ(wf.task(wf.exit_tasks().front()).load_mi, 0.0);
   EXPECT_TRUE(wf.validate().empty());
 }
 

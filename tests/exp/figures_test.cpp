@@ -36,8 +36,9 @@ TEST(FigureTable, CoversThePaperEvaluationOnce) {
 class EveryFigure : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EveryFigure, RunsAtTinyScale) {
-  const auto cli =
-      util::Config::from_string("nodes=40\nworkflows=1\nhours=1\nmax-load-factor=2");
+  const char* argv[] = {"prog", "--nodes=40", "--workflows=1", "--hours=1",
+                        "--max-load-factor=2"};
+  const auto cli = util::Config::from_args(5, argv);
   const auto* figure = find_figure(GetParam());
   ASSERT_NE(figure, nullptr);
   std::ostringstream os;

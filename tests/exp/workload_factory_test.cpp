@@ -119,17 +119,6 @@ TEST(WorkloadFactory, EventCapacityHintNeverAffectsResults) {
   }
 }
 
-TEST(WorkloadFactory, EventCapacityHintPreSizesTheEngineSlab) {
-  auto cfg = tiny();
-  cfg.event_capacity_hint = 4096;
-  World world(cfg);
-  EXPECT_GE(world.engine().queue().reserved_capacity(), 4096u);
-  // Default derivation: nodes * 16 + 1024 slots.
-  cfg.event_capacity_hint = 0;
-  World derived(cfg);
-  EXPECT_GE(derived.engine().queue().reserved_capacity(), 16u * 16u + 1024u);
-}
-
 TEST(WorkloadFactory, OpenModelArrivalsAreMonotonePerHome) {
   auto cfg = tiny();
   cfg.mean_interarrival_s = 1200.0;

@@ -29,7 +29,6 @@ TEST(RoutingRepair, FailedLinkReroutesAroundIt) {
   ASSERT_DOUBLE_EQ(r.latency_s(NodeId{0}, NodeId{2}), 2.0);  // via node 1
 
   r.set_link_state(LinkId{1}, false);  // cut 1 -- 2
-  EXPECT_FALSE(r.link_state(LinkId{1}));
   EXPECT_DOUBLE_EQ(r.latency_s(NodeId{0}, NodeId{2}), 5.0);  // direct now
   EXPECT_DOUBLE_EQ(r.bandwidth_mbps(NodeId{0}, NodeId{2}), 5.0);
   EXPECT_EQ(r.hops(NodeId{0}, NodeId{2}), 1);

@@ -53,15 +53,14 @@ TEST(MixedGossip, ViewsPopulateWithinFewCycles) {
   // of peers (bounded by the cache size).
   const double mean = h.service_->mean_rss_size();
   EXPECT_GT(mean, 4.0);
-  EXPECT_LE(mean, h.service_->effective_cache_size());
+  EXPECT_LE(mean, static_cast<double>(h.service_->rss(NodeId{0}).capacity()));
 }
 
 TEST(MixedGossip, RssBoundedByCacheSize) {
   GossipHarness h(128);
   h.run_cycles(10);
   for (int i = 0; i < h.n_; ++i) {
-    EXPECT_LE(h.service_->rss(NodeId{i}).size(),
-              static_cast<std::size_t>(h.service_->effective_cache_size()));
+    EXPECT_LE(h.service_->rss(NodeId{i}).size(), h.service_->rss(NodeId{i}).capacity());
   }
 }
 
@@ -73,12 +72,12 @@ TEST(MixedGossip, CacheSizeScalesLogarithmically) {
                               [](NodeId) { return true; }, [](NodeId, NodeId) { return 0.0; },
                               [](NodeId) { return 1.0; }, util::Rng(1));
   };
-  const int c100 = make(100).effective_cache_size();
-  const int c2000 = make(2000).effective_cache_size();
-  EXPECT_GE(c100, 8);
-  EXPECT_LE(c100, 30);
+  const auto c100 = make(100).rss(NodeId{0}).capacity();
+  const auto c2000 = make(2000).rss(NodeId{0}).capacity();
+  EXPECT_GE(c100, 8u);
+  EXPECT_LE(c100, 30u);
   EXPECT_GE(c2000, c100);  // grows with n...
-  EXPECT_LE(c2000, 30);    // ...but stays bounded (Fig. 11a)
+  EXPECT_LE(c2000, 30u);    // ...but stays bounded (Fig. 11a)
 }
 
 TEST(MixedGossip, CacheSizeBeyondTheSlotIndexThrows) {
@@ -95,7 +94,7 @@ TEST(MixedGossip, CacheSizeBeyondTheSlotIndexThrows) {
   };
   EXPECT_THROW(static_cast<void>(make(65535)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(make(1 << 20)), std::invalid_argument);
-  EXPECT_EQ(make(65534).effective_cache_size(), 65534);
+  EXPECT_EQ(make(65534).rss(NodeId{0}).capacity(), 65534u);
 }
 
 TEST(MixedGossip, AggregationConvergesToTrueMeans) {
@@ -136,7 +135,7 @@ TEST(MixedGossip, DeadNodesFadeFromViews) {
   h.run_cycles(static_cast<int>(kStalenessBoundS / cycle) + 2, cycle);
   for (int i = 0; i < h.n_; ++i) {
     if (i == 5) continue;
-    EXPECT_FALSE(h.service_->rss(NodeId{i}).contains(NodeId{5}))
+    EXPECT_EQ(h.service_->rss(NodeId{i}).find(NodeId{5}), nullptr)
         << "node " << i << " still believes in dead node 5";
   }
 }
@@ -159,13 +158,13 @@ TEST(MixedGossip, DeadNodeExpiresAtTheStalenessBound) {
   h.run_cycles(cycles_within_bound, cycle);
   for (int i = 0; i < h.n_; ++i) {
     if (i == 5) continue;
-    EXPECT_TRUE(h.service_->rss(NodeId{i}).contains(NodeId{5}))
+    EXPECT_NE(h.service_->rss(NodeId{i}).find(NodeId{5}), nullptr)
         << "node " << i << " dropped dead node 5 before the staleness bound";
   }
   h.run_cycles(4, cycle);
   for (int i = 0; i < h.n_; ++i) {
     if (i == 5) continue;
-    EXPECT_FALSE(h.service_->rss(NodeId{i}).contains(NodeId{5}))
+    EXPECT_EQ(h.service_->rss(NodeId{i}).find(NodeId{5}), nullptr)
         << "node " << i << " still believes in dead node 5";
   }
 }
@@ -222,7 +221,7 @@ TEST(MixedGossip, NoSelfEntries) {
   GossipHarness h(24);
   h.run_cycles(6);
   for (int i = 0; i < h.n_; ++i) {
-    EXPECT_FALSE(h.service_->rss(NodeId{i}).contains(NodeId{i}));
+    EXPECT_EQ(h.service_->rss(NodeId{i}).find(NodeId{i}), nullptr);
   }
 }
 
@@ -255,7 +254,7 @@ TEST(MixedGossip, MessageModeDetectorSeesEntriesBelowTheStampFloor) {
   h.engine_.run_until(declared_by + 4 * cycle);
   const ResourceView& view = h.service_->rss(*receiver);
   ASSERT_EQ(view.size(), view.capacity());
-  ASSERT_FALSE(view.contains(dead));
+  ASSERT_EQ(view.find(dead), nullptr);
   ASSERT_TRUE(detector->believes_dead(*receiver, dead));
 
   // Newer than the death declaration (rejoin evidence), staler than every
@@ -268,7 +267,7 @@ TEST(MixedGossip, MessageModeDetectorSeesEntriesBelowTheStampFloor) {
                       std::vector<ResourceEntry>{ResourceEntry{dead, 0.0, 1.0, stamp, 4}});
   EXPECT_EQ(detector->refutations(), refutations + 1);
   EXPECT_FALSE(detector->believes_dead(*receiver, dead));
-  EXPECT_FALSE(view.contains(dead));
+  EXPECT_EQ(view.find(dead), nullptr);
   EXPECT_EQ(h.service_->floor_rejections(), rejections + 1);
 }
 

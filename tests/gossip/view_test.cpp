@@ -21,7 +21,7 @@ TEST(ResourceView, MergeInsertsNewEntries) {
   EXPECT_TRUE(v.merge(entry(1, 10, 1.0)));
   EXPECT_TRUE(v.merge(entry(2, 20, 1.0)));
   EXPECT_EQ(v.size(), 2u);
-  EXPECT_TRUE(v.contains(NodeId{1}));
+  EXPECT_NE(v.find(NodeId{1}), nullptr);
 }
 
 TEST(ResourceView, FresherEntryReplacesStale) {
@@ -52,8 +52,8 @@ TEST(ResourceView, CapacityEvictsStalest) {
   v.merge(entry(2, 0, 5.0));
   EXPECT_TRUE(v.merge(entry(3, 0, 3.0)));  // evicts node 1 (stamped 1.0)
   EXPECT_EQ(v.size(), 2u);
-  EXPECT_FALSE(v.contains(NodeId{1}));
-  EXPECT_TRUE(v.contains(NodeId{3}));
+  EXPECT_EQ(v.find(NodeId{1}), nullptr);
+  EXPECT_NE(v.find(NodeId{3}), nullptr);
 }
 
 TEST(ResourceView, FullViewRejectsStalerThanAll) {
@@ -61,7 +61,7 @@ TEST(ResourceView, FullViewRejectsStalerThanAll) {
   v.merge(entry(1, 0, 5.0));
   v.merge(entry(2, 0, 6.0));
   EXPECT_FALSE(v.merge(entry(3, 0, 1.0)));
-  EXPECT_FALSE(v.contains(NodeId{3}));
+  EXPECT_EQ(v.find(NodeId{3}), nullptr);
 }
 
 TEST(ResourceView, EqualTimestampLowerTtlIgnored) {
@@ -79,8 +79,8 @@ TEST(ResourceView, FullViewEqualStampNewcomerRejected) {
   v.merge(entry(1, 0, 3.0));
   v.merge(entry(2, 0, 5.0));
   EXPECT_FALSE(v.merge(entry(3, 0, 3.0)));
-  EXPECT_TRUE(v.contains(NodeId{1}));
-  EXPECT_FALSE(v.contains(NodeId{3}));
+  EXPECT_NE(v.find(NodeId{1}), nullptr);
+  EXPECT_EQ(v.find(NodeId{3}), nullptr);
 }
 
 TEST(ResourceView, EvictionReplacesStalestInPlace) {
@@ -157,15 +157,6 @@ class NaiveView {
     std::erase_if(entries_, [&](const ResourceEntry& e) {
       return e.node == self || (now - e.stamped_at) > max_age;
     });
-  }
-
-  bool adjust_load(NodeId node, double delta_mi) {
-    for (auto& e : entries_) {
-      if (e.node != node) continue;
-      e.load_mi = std::max(0.0, e.load_mi + delta_mi);
-      return true;
-    }
-    return false;
   }
 
   void clear() { entries_.clear(); }
@@ -251,12 +242,9 @@ TEST(ResourceView, RandomizedDifferentialAgainstNaiveReference) {
         }
       } else if (roll < 0.78) {
         EXPECT_EQ(fast.forget(NodeId{node}), slow.forget(NodeId{node}));
-      } else if (roll < 0.86) {
+      } else if (roll < 0.93) {
         fast.expire(now, 5.0, NodeId{node});
         slow.expire(now, 5.0, NodeId{node});
-      } else if (roll < 0.93) {
-        const double delta = rng.uniform(-30.0, 30.0);
-        EXPECT_EQ(fast.adjust_load(NodeId{node}, delta), slow.adjust_load(NodeId{node}, delta));
       } else if (roll < 0.98) {
         // Often shrinks below size(): the view then stays over-full.
         cap = 1 + rng.index(12);
@@ -282,8 +270,6 @@ TEST(ResourceView, FloorRejectsStalerThanStalestOnlyWhenFull) {
   EXPECT_EQ(v.stamp_floor(), 1.0);
   EXPECT_FALSE(v.merge(entry(4, 0, 0.5)));
   EXPECT_TRUE(v.merge(entry(3, 0, 6.0)));  // refreshing the stalest moves the floor
-  EXPECT_EQ(v.stamp_floor(), 4.0);
-  v.adjust_load(NodeId{2}, 7.0);  // no stamp changes
   EXPECT_EQ(v.stamp_floor(), 4.0);
   v.set_capacity(2);  // shrunk below size(): still full, nothing dropped
   EXPECT_EQ(v.size(), 3u);
@@ -466,9 +452,9 @@ TEST(ResourceView, ExpireDropsOldAndSelf) {
   v.merge(entry(2, 0, 9.0));
   v.merge(entry(3, 0, 9.5));
   v.expire(/*now=*/10.0, /*max_age=*/2.0, /*self=*/NodeId{3});
-  EXPECT_FALSE(v.contains(NodeId{1}));  // age 9 > 2
-  EXPECT_TRUE(v.contains(NodeId{2}));
-  EXPECT_FALSE(v.contains(NodeId{3}));  // self
+  EXPECT_EQ(v.find(NodeId{1}), nullptr);  // age 9 > 2
+  EXPECT_NE(v.find(NodeId{2}), nullptr);
+  EXPECT_EQ(v.find(NodeId{3}), nullptr);  // self
 }
 
 TEST(ResourceView, ForgetRemovesEntry) {
@@ -477,16 +463,6 @@ TEST(ResourceView, ForgetRemovesEntry) {
   EXPECT_TRUE(v.forget(NodeId{1}));
   EXPECT_FALSE(v.forget(NodeId{1}));
   EXPECT_EQ(v.size(), 0u);
-}
-
-TEST(ResourceView, AdjustLoadClampsAtZero) {
-  ResourceView v(4);
-  v.merge(entry(1, 10, 1.0));
-  EXPECT_TRUE(v.adjust_load(NodeId{1}, 5.0));
-  EXPECT_DOUBLE_EQ(v.entries()[0].load_mi, 15.0);
-  EXPECT_TRUE(v.adjust_load(NodeId{1}, -100.0));
-  EXPECT_DOUBLE_EQ(v.entries()[0].load_mi, 0.0);
-  EXPECT_FALSE(v.adjust_load(NodeId{9}, 1.0));
 }
 
 }  // namespace

@@ -162,15 +162,6 @@ void run_sequence(std::uint64_t seed, double add_bias, double drain, int steps) 
       ASSERT_EQ(refs_of(node.drain_ready()), refs_of(naive.drain()));
     }
     deepest = std::max(deepest, naive.ready().size());
-    // Lookups of arbitrary refs agree on presence and on the task found.
-    const TaskRef probe = random_ref();
-    const ReadyTask* got = node.find_ready(probe);
-    const ReadyTask* want = naive.find(probe);
-    ASSERT_EQ(got == nullptr, want == nullptr);
-    if (got != nullptr) {
-      EXPECT_EQ(got->arrival_seq, want->arrival_seq);
-      EXPECT_EQ(got->pending_inputs, want->pending_inputs);
-    }
     expect_same(node, naive, now);
   }
   EXPECT_EQ(node.ready_depth_max(), deepest);

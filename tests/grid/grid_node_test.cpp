@@ -22,7 +22,7 @@ TEST(GridNode, ReadySetAddFindRemove) {
   n.add_ready(task(1, 1, 100));
   n.add_ready(task(1, 2, 200));
   EXPECT_EQ(n.ready().size(), 2u);
-  ASSERT_NE(n.find_ready(TaskRef{WorkflowId{1}, TaskIndex{2}}), nullptr);
+  EXPECT_EQ(n.ready()[1]->ref, (TaskRef{WorkflowId{1}, TaskIndex{2}}));
   EXPECT_TRUE(n.remove_ready(TaskRef{WorkflowId{1}, TaskIndex{1}}));
   EXPECT_FALSE(n.remove_ready(TaskRef{WorkflowId{1}, TaskIndex{1}}));
   EXPECT_EQ(n.ready().size(), 1u);
@@ -53,7 +53,7 @@ TEST(GridNode, InputArrivedStampsTheLastInput) {
   EXPECT_TRUE(n.data_complete().empty());
   EXPECT_TRUE(n.input_arrived(ref, 2.5));
   ASSERT_EQ(n.data_complete().size(), 1u);
-  EXPECT_EQ(n.find_ready(ref)->data_ready_at, 2.5);
+  EXPECT_EQ(n.data_complete()[0]->data_ready_at, 2.5);
   // Not queued here: nothing to stamp.
   EXPECT_FALSE(n.input_arrived(TaskRef{WorkflowId{9}, TaskIndex{9}}, 3.0));
 }

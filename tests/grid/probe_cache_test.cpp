@@ -6,6 +6,8 @@
 // Release too.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -99,7 +101,7 @@ TEST_P(ProbeCache, BitIdenticalUnderLinkStateWaves) {
       tm.link_state_changed(l, true);
     } else {
       const auto l = LinkId{static_cast<int>(rng.index(topo.link_count()))};
-      if (routing.link_state(l)) {
+      if (std::find(downed.begin(), downed.end(), l) == downed.end()) {
         routing.set_link_state(l, false);
         tm.link_state_changed(l, false);
         downed.push_back(l);

@@ -26,23 +26,25 @@ TEST(QuantisedBarrier, AdmitsAfterLatencyAndReportsJoinAtFullVolume) {
   Fixture f;
   TransferManager tm(f.engine, f.topo, f.routing, TransferManager::Mode::kQuantisedFair);
   tm.start(NodeId{0}, NodeId{2}, 100.0, [](bool) {});
+  // A probe for a second 0 -> 2 flow sees the whole path until the first
+  // one joins the solver, and half of it after.
+  const auto probe = [&tm] { return tm.predicted_rate_mbps(NodeId{0}, NodeId{2}); };
   f.engine.run_until(1.0);
   // Propagation (2 s) not over: nothing to admit yet.
   tm.quantised_barrier();
-  EXPECT_EQ(tm.quantised_active(), 0u);
-  EXPECT_EQ(tm.quantised_pending_joins(), 0u);
+  EXPECT_DOUBLE_EQ(probe(), 10.0);
 
   f.engine.run_until(2.0);
-  EXPECT_EQ(tm.quantised_pending_joins(), 1u);
+  EXPECT_DOUBLE_EQ(probe(), 10.0);  // join pending, not admitted between barriers
   tm.quantised_barrier();
-  EXPECT_EQ(tm.quantised_pending_joins(), 0u);
-  EXPECT_EQ(tm.quantised_active(), 1u);
+  EXPECT_DOUBLE_EQ(probe(), 5.0);
 
   // No completion machinery in this mode: with the latency phase done the
   // manager has NO scheduled events, so the engine goes idle with the flow
   // still in flight (the fluid mode would have armed a completion here).
   f.engine.run_all();
-  EXPECT_EQ(tm.quantised_active(), 1u);
+  EXPECT_EQ(tm.active_count(), 1u);
+  EXPECT_DOUBLE_EQ(probe(), 5.0);
   EXPECT_EQ(tm.completed_count(), 0u);
 
   // Under the barrier loop the join starts from the FULL volume at rate 10:
@@ -64,7 +66,7 @@ TEST(QuantisedBarrier, ZeroSizeFlowDeliversAtAdmissionWithoutJoining) {
   tm.quantised_barrier();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(tm.completed_count(), 1u);
-  EXPECT_EQ(tm.quantised_active(), 0u);
+  EXPECT_EQ(tm.active_count(), 0u);
 }
 
 TEST(QuantisedBarrier, RatesFreezeBetweenBarriersAndRefreezeAtThem) {
@@ -103,7 +105,7 @@ TEST(QuantisedBarrier, AbortFiresNowButSurvivorRatesMoveAtTheNextBarrier) {
   tm.start(NodeId{0}, NodeId{2}, 100.0, [&](bool ok) { b_done = ok ? f.engine.now() : -2.0; });
   f.engine.schedule_at(2.5, [&] {
     EXPECT_TRUE(tm.abort(a));
-    EXPECT_EQ(tm.quantised_active(), 1u);
+    EXPECT_EQ(tm.active_count(), 1u);
   });
   tm.run_quantised(1.0, 30.0);
   EXPECT_FALSE(aborted_ok);
@@ -138,7 +140,7 @@ TEST(QuantisedBarrier, DeliverReportsSuccessAndSkipsDeadFlows) {
   EXPECT_FALSE(b_ok);
   EXPECT_EQ(tm.completed_count(), 1u);
   EXPECT_DOUBLE_EQ(tm.total_delivered_mb(), 100.0);
-  EXPECT_EQ(tm.quantised_active(), 0u);
+  EXPECT_EQ(tm.active_count(), 0u);
 }
 
 TEST(QuantisedBarrier, ZeroCapacityPathStallsAtBarrierIntoSameDeltaCancel) {
@@ -158,7 +160,7 @@ TEST(QuantisedBarrier, ZeroCapacityPathStallsAtBarrierIntoSameDeltaCancel) {
   tm.run_quantised(1.0, 10.0);
   EXPECT_FALSE(ok_seen);
   EXPECT_DOUBLE_EQ(failed_at, 2.0);  // B_2, the admitting barrier
-  EXPECT_EQ(tm.quantised_active(), 0u);
+  EXPECT_EQ(tm.active_count(), 0u);
   EXPECT_EQ(tm.completed_count(), 0u);
 }
 

@@ -88,7 +88,7 @@ TEST_P(InvariantSweep, HoldAcrossTheWholeTrace) {
     // 5. Finished workflow <=> all tasks finished, exit defines completion.
     if (wf.done()) {
       EXPECT_EQ(wf.finished_tasks, wf.tasks.size());
-      const auto& exit_rt = wf.tasks[static_cast<std::size_t>(wf.dag.exit().get())];
+      const auto& exit_rt = wf.tasks[static_cast<std::size_t>(wf.dag.exit_tasks().front().get())];
       EXPECT_DOUBLE_EQ(wf.finished_at, exit_rt.finished_at);
       EXPECT_GE(wf.entry_started_at, wf.submit_time);
     }

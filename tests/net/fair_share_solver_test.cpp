@@ -42,7 +42,7 @@ void expect_matches_anchor(const FairShareSolver& solver, const std::vector<Link
         << "flow " << got[i].first << ": resumed solve diverged from the anchor";
   }
   for (const auto& [id, rate] : want) expected[id] = rate;
-  ASSERT_EQ(solver.flow_count(), expected.size());
+  ASSERT_EQ(solver.full_solve().size(), expected.size());
   for (const auto& [id, rate] : expected) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(solver.rate(id)), std::bit_cast<std::uint64_t>(rate))
         << "flow " << id << " outside the re-solved component moved";
@@ -56,9 +56,9 @@ TEST(FairShareSolver, SingleFlowThenSharing) {
   s.add(2, {LinkId{0}});
   EXPECT_DOUBLE_EQ(s.rate(1), 5.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 5.0);
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_DOUBLE_EQ(s.rate(2), 10.0);
-  EXPECT_EQ(s.flow_count(), 1u);
+  EXPECT_EQ(s.full_solve().size(), 1u);
 }
 
 TEST(FairShareSolver, ClassicThreeFlowExample) {
@@ -80,7 +80,7 @@ TEST(FairShareSolver, LoopbackFlowIsUnlimitedAndInert) {
   EXPECT_DOUBLE_EQ(s.rate(1), 6.0);  // untouched by the loopback flow
   ASSERT_EQ(s.updated().size(), 1u);
   EXPECT_EQ(s.updated()[0].id, 2u);
-  s.remove(2);
+  s.remove_batch({2});
   EXPECT_DOUBLE_EQ(s.rate(1), 6.0);
 }
 
@@ -96,7 +96,7 @@ TEST(FairShareSolver, DisjointComponentsAreNotResolved) {
   EXPECT_DOUBLE_EQ(s.rate(1), 2.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 2.0);
   // Removing it likewise leaves the link-0 component alone.
-  s.remove(3);
+  s.remove_batch({3});
   EXPECT_TRUE(s.updated().empty());
   expect_matches_full_solve(s);
 }
@@ -120,7 +120,7 @@ TEST(FairShareSolver, ZeroCapacityLinkYieldsZeroRate) {
   EXPECT_DOUBLE_EQ(s.rate(1), 0.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 5.0);
   expect_matches_full_solve(s);
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_DOUBLE_EQ(s.rate(2), 5.0);
 }
 
@@ -131,7 +131,7 @@ TEST(FairShareSolver, DuplicateLinkCrossingsSurviveChurn) {
   EXPECT_DOUBLE_EQ(s.rate(1), 3.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 3.0);
   // Swap-erase unlinking must survive a flow occupying two slots of one link.
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_DOUBLE_EQ(s.rate(2), 9.0);
   expect_matches_full_solve(s);
 }
@@ -148,7 +148,7 @@ TEST(FairShareSolver, BatchRemovalMatchesSequentialRemoval) {
   }
   const std::vector<std::uint64_t> doomed{2, 3, 5, 8};
   batch.remove_batch(doomed);
-  for (std::uint64_t id : doomed) seq.remove(id);
+  for (std::uint64_t id : doomed) seq.remove_batch({id});
   for (std::uint64_t id : {1, 4, 6, 7}) {
     EXPECT_EQ(batch.rate(id), seq.rate(id));
   }
@@ -188,7 +188,7 @@ TEST(FairShareSolver, RandomizedDifferentialAgainstFullSolve) {
         // remove one
         std::uniform_int_distribution<std::size_t> pick(0, live.size() - 1);
         const std::size_t at = pick(gen);
-        solver.remove(live[at]);
+        solver.remove_batch({live[at]});
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
       } else {
         // batch-remove a random subset (mass teardown)
@@ -199,7 +199,7 @@ TEST(FairShareSolver, RandomizedDifferentialAgainstFullSolve) {
         solver.remove_batch(doomed);
         live = std::move(kept);
       }
-      ASSERT_EQ(solver.flow_count(), live.size());
+      ASSERT_EQ(solver.full_solve().size(), live.size());
       expect_matches_full_solve(solver);
       // updated() must cover every flow whose rate differs from before - spot
       // check: rates of flows outside updated() equal the full solve too
@@ -224,7 +224,7 @@ std::uint64_t solver_state_digest(const FairShareSolver& solver,
   };
   auto sorted = live;
   std::sort(sorted.begin(), sorted.end());
-  mix(solver.flow_count());
+  mix(solver.full_solve().size());
   for (const std::uint64_t id : sorted) {
     mix(id);
     mix(std::bit_cast<std::uint64_t>(solver.rate(id)));
@@ -265,7 +265,7 @@ TEST(FairShareSolver, ProbeIsSideEffectFreeUnderRandomizedChurn) {
     } else {
       std::uniform_int_distribution<std::size_t> at(0, live.size() - 1);
       const std::size_t k = at(gen);
-      solver.remove(live[k]);
+      solver.remove_batch({live[k]});
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
     }
     const std::uint64_t before = solver_state_digest(solver, live);
@@ -356,7 +356,7 @@ TEST(FairShareSolver, MutationStampMovesOnMutationsOnly) {
   s.add(2, {LinkId{0}});
   EXPECT_GT(s.mutation_stamp(), after_add);
   const std::uint64_t after_second = s.mutation_stamp();
-  s.remove(2);
+  s.remove_batch({2});
   EXPECT_GT(s.mutation_stamp(), after_second);
   const std::uint64_t after_remove = s.mutation_stamp();
   s.add(3, {LinkId{1}});
@@ -401,7 +401,7 @@ TEST(FairShareSolver, ProbeReplayMatchesReferenceUnderRandomizedChurn) {
       } else {
         std::uniform_int_distribution<std::size_t> at(0, live.size() - 1);
         const std::size_t k = at(gen);
-        solver.remove(live[k]);
+        solver.remove_batch({live[k]});
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
       }
       for (int p = 0; p < 40; ++p) {
@@ -458,7 +458,7 @@ TEST(FairShareSolver, RemovalCanLowerASurvivorsRate) {
   s.add(4, {LinkId{0}});               // D
   EXPECT_DOUBLE_EQ(s.rate(3), 2.0 / 3.0);
   const std::uint64_t resumed = s.resumed_solves();
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_EQ(s.resumed_solves(), resumed + 1);
   EXPECT_EQ(s.rate(3), 0.5);
   EXPECT_EQ(s.rate(2), 0.5);
@@ -487,7 +487,7 @@ TEST(FairShareSolver, SplitKeepsTheJointFillThenRecollects) {
 
   const std::uint64_t resumed = s.resumed_solves();
   const std::uint64_t full = s.full_solves();
-  s.remove(2);
+  s.remove_batch({2});
   expected.erase(2);
   EXPECT_EQ(s.resumed_solves(), resumed + 1);
   expect_matches_anchor(s, {LinkId{1}, LinkId{2}}, expected);
@@ -587,7 +587,7 @@ TEST(FairShareSolver, RandomizedResumeMatchesFromScratchAnchor) {
         std::uniform_int_distribution<std::size_t> at(0, live.size() - 1);
         auto it = std::next(live.begin(), static_cast<std::ptrdiff_t>(at(gen)));
         const std::vector<LinkId> seeds = it->second;
-        solver.remove(it->first);
+        solver.remove_batch({it->first});
         expected.erase(it->first);
         live.erase(it);
         expect_matches_anchor(solver, seeds, expected);

@@ -5,7 +5,9 @@
 // stack at figure scales (bigger n than the conformance preset).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "exp/figures.hpp"
 #include "exp/scenario.hpp"
@@ -14,7 +16,10 @@
 namespace dpjit::exp {
 namespace {
 
-util::Config cli_from(std::string_view text) { return util::Config::from_string(text); }
+util::Config cli_from(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return util::Config::from_args(static_cast<int>(args.size()), args.data());
+}
 
 // Recorded from the pre-registry fig04 driver (Table-I defaults at n=200,
 // --nodes=64): one digest per algorithm in across_algorithms order.
@@ -34,7 +39,7 @@ constexpr AlgoDigest kFig04N64[] = {
 };
 
 TEST(BenchParity, Fig04ScenarioPathReproducesPrePortDigests) {
-  const auto base = figure_config(cli_from("nodes=64"), "paper/static-n200");
+  const auto base = figure_config(cli_from({"--nodes=64"}), "paper/static-n200");
   EXPECT_EQ(base.nodes, 64);
   const auto results = run_sweep(across_algorithms(base));
   ASSERT_EQ(results.size(), std::size(kFig04N64));
@@ -52,7 +57,7 @@ constexpr std::pair<int, std::uint64_t> kFig11Scales[] = {
 };
 
 TEST(BenchParity, Fig11ScenarioPathReproducesPrePortDigests) {
-  auto base = figure_config(cli_from(""), "paper/static-n1000", /*bench_scale_nodes=*/100);
+  auto base = figure_config(cli_from({}), "paper/static-n1000", /*bench_scale_nodes=*/100);
   base.algorithm = "dsmf";
   std::vector<ExperimentConfig> configs;
   for (const auto& [n, digest] : kFig11Scales) {
@@ -81,9 +86,14 @@ TEST(BenchParity, Fig11PerfAnchorN500MatchesRecordedDigest) {
 // `--figure` (figure_config) and `--run` (the scenario config, then
 // apply_cli_overrides) must apply the shared overrides identically.
 TEST(BenchParity, FigureAndRunApplyCliOverridesIdentically) {
-  for (const char* text : {"nodes=80\nworkflows=5\nseed=9\nhours=12", "paper=true",
-                           "paper=true\nnodes=300", ""}) {
-    const auto cli = cli_from(text);
+  const std::vector<std::vector<const char*>> cases = {
+      {"--nodes=80", "--workflows=5", "--seed=9", "--hours=12"},
+      {"--paper"},
+      {"--paper", "--nodes=300"},
+      {}};
+  for (const auto& args : cases) {
+    const auto cli = cli_from(args);
+    const std::string text = args.empty() ? "" : args.front();
     const auto figure = figure_config(cli, "paper/static-n200");
     ExperimentConfig run = scenario_registry().at("paper/static-n200").config();
     apply_cli_overrides(cli, run);
@@ -93,21 +103,21 @@ TEST(BenchParity, FigureAndRunApplyCliOverridesIdentically) {
     EXPECT_EQ(figure.system.horizon_s, run.system.horizon_s) << text;
   }
 
-  const auto overridden = figure_config(cli_from("nodes=80\nworkflows=5\nseed=9\nhours=12"),
-                                        "paper/static-n200");
+  const auto overridden = figure_config(
+      cli_from({"--nodes=80", "--workflows=5", "--seed=9", "--hours=12"}), "paper/static-n200");
   EXPECT_EQ(overridden.nodes, 80);
   EXPECT_EQ(overridden.workflows_per_node, 5);
   EXPECT_EQ(overridden.seed, 9u);
   EXPECT_DOUBLE_EQ(overridden.system.horizon_s, 12 * 3600.0);
 
-  const auto defaults = figure_config(cli_from(""), "paper/static-n200", 64);
+  const auto defaults = figure_config(cli_from({}), "paper/static-n200", 64);
   EXPECT_EQ(defaults.nodes, 64);
   EXPECT_EQ(defaults.workflows_per_node, 3);
   EXPECT_EQ(defaults.seed, 1u);
   EXPECT_DOUBLE_EQ(defaults.system.horizon_s, 36 * 3600.0);
 
-  EXPECT_EQ(figure_config(cli_from("paper=true"), "paper/static-n200", 64).nodes, 1000);
-  EXPECT_EQ(figure_config(cli_from("paper=true\nnodes=300"), "paper/static-n200").nodes, 300);
+  EXPECT_EQ(figure_config(cli_from({"--paper"}), "paper/static-n200", 64).nodes, 1000);
+  EXPECT_EQ(figure_config(cli_from({"--paper", "--nodes=300"}), "paper/static-n200").nodes, 300);
 }
 
 }  // namespace

@@ -75,20 +75,6 @@ TEST(Engine, StepExecutesOne) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(Engine, RequestStopBreaksRun) {
-  Engine e;
-  int count = 0;
-  e.schedule_at(1.0, [&] {
-    ++count;
-    e.request_stop();
-  });
-  e.schedule_at(2.0, [&] { ++count; });
-  e.run_all();
-  EXPECT_EQ(count, 1);
-  e.run_all();
-  EXPECT_EQ(count, 2);
-}
-
 TEST(Engine, CancelViaEngine) {
   Engine e;
   bool ran = false;
@@ -202,19 +188,6 @@ TEST(Engine, TakeNextRefusesPastTheRunUntilEnd) {
   EXPECT_TRUE(at_end);
   EXPECT_EQ(e.processed(), 2u);
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
-}
-
-TEST(Engine, TakeNextRefusesAfterRequestStop) {
-  Engine e;
-  bool taken = true;
-  e.schedule_at(1.0, [&] {
-    e.request_stop();
-    taken = e.take_next(1.0, e.reserve_seq());
-  });
-  e.run_all();
-  EXPECT_FALSE(taken);
-  EXPECT_EQ(e.processed(), 1u);
-  EXPECT_DOUBLE_EQ(e.now(), 1.0);
 }
 
 TEST(Engine, TakeNextRefusesInsideStep) {

@@ -13,9 +13,9 @@ namespace {
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> fired;
-  q.schedule(3.0, [&] { fired.push_back(3); });
-  q.schedule(1.0, [&] { fired.push_back(1); });
-  q.schedule(2.0, [&] { fired.push_back(2); });
+  q.schedule_reserved(3.0, q.reserve_seq(), [&] { fired.push_back(3); });
+  q.schedule_reserved(1.0, q.reserve_seq(), [&] { fired.push_back(1); });
+  q.schedule_reserved(2.0, q.reserve_seq(), [&] { fired.push_back(2); });
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -24,7 +24,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(5.0, [&fired, i] { fired.push_back(i); });
+    q.schedule_reserved(5.0, q.reserve_seq(), [&fired, i] { fired.push_back(i); });
   }
   while (!q.empty()) q.pop().second();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
@@ -33,7 +33,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
   bool ran = false;
-  auto h = q.schedule(1.0, [&] { ran = true; });
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [&] { ran = true; });
   EXPECT_TRUE(q.cancel(h));
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(ran);
@@ -41,7 +41,7 @@ TEST(EventQueue, CancelPreventsExecution) {
 
 TEST(EventQueue, CancelTwiceReturnsFalse) {
   EventQueue q;
-  auto h = q.schedule(1.0, [] {});
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [] {});
   EXPECT_TRUE(q.cancel(h));
   EXPECT_FALSE(q.cancel(h));
 }
@@ -49,9 +49,9 @@ TEST(EventQueue, CancelTwiceReturnsFalse) {
 TEST(EventQueue, CancelledEventsSkippedOnPop) {
   EventQueue q;
   std::vector<int> fired;
-  q.schedule(1.0, [&] { fired.push_back(1); });
-  auto h = q.schedule(2.0, [&] { fired.push_back(2); });
-  q.schedule(3.0, [&] { fired.push_back(3); });
+  q.schedule_reserved(1.0, q.reserve_seq(), [&] { fired.push_back(1); });
+  auto h = q.schedule_reserved(2.0, q.reserve_seq(), [&] { fired.push_back(2); });
+  q.schedule_reserved(3.0, q.reserve_seq(), [&] { fired.push_back(3); });
   q.cancel(h);
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
@@ -59,16 +59,16 @@ TEST(EventQueue, CancelledEventsSkippedOnPop) {
 
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
-  auto h = q.schedule(1.0, [] {});
-  q.schedule(5.0, [] {});
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [] {});
+  q.schedule_reserved(5.0, q.reserve_seq(), [] {});
   q.cancel(h);
   EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
 }
 
 TEST(EventQueue, SizeCountsLiveOnly) {
   EventQueue q;
-  auto h = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [] {});
+  q.schedule_reserved(2.0, q.reserve_seq(), [] {});
   EXPECT_EQ(q.size(), 2u);
   q.cancel(h);
   EXPECT_EQ(q.size(), 1u);
@@ -76,7 +76,7 @@ TEST(EventQueue, SizeCountsLiveOnly) {
 
 TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
-  q.schedule(7.5, [] {});
+  q.schedule_reserved(7.5, q.reserve_seq(), [] {});
   auto [t, fn] = q.pop();
   EXPECT_DOUBLE_EQ(t, 7.5);
 }
@@ -85,19 +85,19 @@ TEST(EventQueue, InvalidHandleIsNeverIssuedAndCancelsToFalse) {
   EventQueue q;
   EXPECT_FALSE(q.cancel(EventQueue::kInvalidHandle));
   for (int i = 0; i < 100; ++i) {
-    EXPECT_NE(q.schedule(1.0 * i, [] {}), EventQueue::kInvalidHandle);
+    EXPECT_NE(q.schedule_reserved(1.0 * i, q.reserve_seq(), [] {}), EventQueue::kInvalidHandle);
   }
 }
 
 TEST(EventQueue, StaleHandleFromFiredEventIsRejected) {
   EventQueue q;
-  auto h = q.schedule(1.0, [] {});
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [] {});
   q.pop().second();
   // The slot is free now; cancelling the fired event's handle must fail ...
   EXPECT_FALSE(q.cancel(h));
   // ... and must keep failing after the slot has been reused.
   bool ran = false;
-  auto h2 = q.schedule(2.0, [&] { ran = true; });
+  auto h2 = q.schedule_reserved(2.0, q.reserve_seq(), [&] { ran = true; });
   EXPECT_FALSE(q.cancel(h));
   EXPECT_NE(h, h2);
   q.pop().second();
@@ -106,9 +106,9 @@ TEST(EventQueue, StaleHandleFromFiredEventIsRejected) {
 
 TEST(EventQueue, StaleHandleFromCancelledEventIsRejectedAfterSlotReuse) {
   EventQueue q;
-  auto h = q.schedule(1.0, [] {});
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [] {});
   EXPECT_TRUE(q.cancel(h));
-  auto h2 = q.schedule(1.0, [] {});  // reuses the freed slot
+  auto h2 = q.schedule_reserved(1.0, q.reserve_seq(), [] {});  // reuses the freed slot
   EXPECT_FALSE(q.cancel(h));         // generation check rejects the old handle
   EXPECT_TRUE(q.cancel(h2));
   EXPECT_TRUE(q.empty());
@@ -119,7 +119,8 @@ TEST(EventQueue, FifoTieBreakSurvivesInterleavedCancels) {
   std::vector<int> fired;
   std::vector<EventQueue::Handle> handles;
   for (int i = 0; i < 64; ++i) {
-    handles.push_back(q.schedule(5.0, [&fired, i] { fired.push_back(i); }));
+    handles.push_back(
+        q.schedule_reserved(5.0, q.reserve_seq(), [&fired, i] { fired.push_back(i); }));
   }
   for (int i = 0; i < 64; i += 2) q.cancel(handles[static_cast<std::size_t>(i)]);
   while (!q.empty()) q.pop().second();
@@ -132,7 +133,7 @@ TEST(EventQueue, CancelDestroysCallbackImmediately) {
   EventQueue q;
   auto token = std::make_shared<int>(7);
   std::weak_ptr<int> watch = token;
-  auto h = q.schedule(1.0, [t = std::move(token)] { (void)*t; });
+  auto h = q.schedule_reserved(1.0, q.reserve_seq(), [t = std::move(token)] { (void)*t; });
   EXPECT_FALSE(watch.expired());
   EXPECT_TRUE(q.cancel(h));
   // True removal: no tombstone keeps the capture alive until pop time.
@@ -163,7 +164,8 @@ TEST(EventQueue, MatchesReferenceModelThroughRandomMix) {
       // Schedule (times collide often to stress the FIFO tie-break).
       const double t = now + static_cast<double>(rand() % 16);
       const int id = next_id++;
-      live_handles[id] = q.schedule(t, [&fired, id] { fired.push_back(id); });
+      live_handles[id] =
+          q.schedule_reserved(t, q.reserve_seq(), [&fired, id] { fired.push_back(id); });
       model.emplace(std::make_pair(t, seq++), id);
     } else if (roll < 75) {
       // Cancel a random live event.
@@ -207,14 +209,16 @@ TEST(EventQueueStress, MillionScheduleCancelKeepsMemoryBounded) {
     return rng;
   };
   for (int i = 0; i < kLive; ++i) {
-    live.push_back(q.schedule(static_cast<double>(rand() % 1000000), [] {}));
+    live.push_back(
+        q.schedule_reserved(static_cast<double>(rand() % 1000000), q.reserve_seq(), [] {}));
   }
   std::vector<EventQueue::Handle> stale;
   for (int i = 0; i < 1000000; ++i) {
     const std::size_t victim = rand() % live.size();
     ASSERT_TRUE(q.cancel(live[victim]));
     stale.push_back(live[victim]);
-    live[victim] = q.schedule(static_cast<double>(rand() % 1000000), [] {});
+    live[victim] =
+        q.schedule_reserved(static_cast<double>(rand() % 1000000), q.reserve_seq(), [] {});
     if (stale.size() >= 64) {
       // Freed-slot handles must all be dead, however the slots were reused.
       for (auto h : stale) ASSERT_FALSE(q.cancel(h));
@@ -223,8 +227,9 @@ TEST(EventQueueStress, MillionScheduleCancelKeepsMemoryBounded) {
   }
   EXPECT_EQ(q.size(), static_cast<std::size_t>(kLive));
   // Bounded by construction: slots are reused, never accumulated. (The old
-  // lazy-cancel design kept one tombstone per cancel - a million of them.)
-  EXPECT_LE(q.slot_capacity(), static_cast<std::size_t>(kLive) + 1);
+  // lazy-cancel design kept one tombstone per cancel - a million of them.) A
+  // handle's low 24 bits are its slot index.
+  for (auto h : live) EXPECT_LE(h & 0xffffffU, static_cast<std::uint64_t>(kLive) + 1);
   while (!q.empty()) q.pop();
 }
 

@@ -23,7 +23,6 @@ TEST(Periodic, CycleIndicesIncrease) {
   p.start();
   e.run_until(3.5);
   EXPECT_EQ(cycles, (std::vector<std::uint64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(p.cycles_run(), 4u);
 }
 
 TEST(Periodic, StopHaltsFutureCycles) {

@@ -64,14 +64,15 @@ struct QueueDifferential {
     live.push_back(true);
     round_of.push_back(round);
     queue_handle.push_back(EventQueue::kInvalidHandle);
-    ref_handle.push_back(ref.schedule(t, [this, id] { ref_fired.push_back(id); }));
+    ref_handle.push_back(
+        ref.schedule_reserved(t, ref.reserve_seq(), [this, id] { ref_fired.push_back(id); }));
     return id;
   }
 
   void plain(double t) {
     const int id = new_event(t, -1);
     queue_handle[static_cast<std::size_t>(id)] =
-        queue.schedule(t, [this, id] { queue_fired.push_back(id); });
+        queue.schedule_reserved(t, queue.reserve_seq(), [this, id] { queue_fired.push_back(id); });
   }
 
   void reserve(double t) {
@@ -203,7 +204,6 @@ struct Script {
       const int child = next_id++;
       engine.schedule_in(0.5 * (id % 3), [this, child] { fire(child); });
     }
-    if (id % 37 == 0) engine.request_stop();
   }
 
   void cycle() {

@@ -35,7 +35,7 @@ struct Differential {
 
   void push(double t) {
     const int id = next_id++;
-    ref.schedule(t, [this, id] { ref_fired.push_back(id); });
+    ref.schedule_reserved(t, ref.reserve_seq(), [this, id] { ref_fired.push_back(id); });
     queue.push(t, [this, id] { queue_fired.push_back(id); });
   }
 

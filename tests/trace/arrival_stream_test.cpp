@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
@@ -63,6 +64,43 @@ TEST(ArrivalStream, PoissonQueueDepthDoesNotGrowWithTheStream) {
   EXPECT_LT(large.pending_max, 16u * kNodes / 2);
   // 12 more arrivals per home; less than one more pending event per home.
   EXPECT_LT(large.pending_max, small.pending_max + kNodes);
+}
+
+/// An inline SWF log of `1 + 3 * kGroup` jobs: job 1 alone at t = 0, then
+/// three groups of kGroup jobs sharing one submit second each. Job k is owned
+/// by user k - 1, so with more nodes than jobs it lands on home k - 1.
+constexpr int kGroup = 20;
+std::string simultaneous_swf() {
+  std::string text;
+  for (int k = 1; k <= 1 + 3 * kGroup; ++k) {
+    const int submit = k == 1 ? 0 : 10 * (1 + (k - 2) / kGroup);
+    text += std::to_string(k) + " " + std::to_string(submit) + " 0 " +
+            std::to_string(100 + k) + " 4 -1 -1 -1 -1 -1 -1 " + std::to_string(k - 1) +
+            " -1 -1 -1 -1 -1 -1\n";
+  }
+  return text;
+}
+
+TEST(ArrivalStream, SimultaneousTraceArrivalsKeepTraceOrder) {
+  // Whole-second submit times make equal-time arrivals common in real logs;
+  // their order is semantics (workflow ids, the home queues, every tie after).
+  // Groups of 20 are past the 16 below which std::sort happens to keep equal
+  // elements in order, so an unstable reordering of arrivals shows here.
+  ExperimentConfig cfg = scenario_registry().at("trace/gwa-replay").config();
+  cfg.nodes = 64;
+  cfg.routing_threads = 1;
+  cfg.system.horizon_s = 60.0;
+  cfg.trace.text = simultaneous_swf();
+  cfg.trace.format = TraceFormat::kSwf;
+  World world(cfg);
+  world.run();
+  const auto& system = world.system();
+  ASSERT_EQ(system.workflow_count(), static_cast<std::size_t>(1 + 3 * kGroup));
+  for (int w = 0; w < 1 + 3 * kGroup; ++w) {
+    const auto& wf = system.workflow(WorkflowId{w});
+    EXPECT_EQ(wf.home, NodeId{w}) << "workflow " << w << " is not trace job " << w + 1;
+    EXPECT_EQ(wf.submit_time, w == 0 ? 0.0 : 10.0 * (1 + (w - 1) / kGroup)) << "workflow " << w;
+  }
 }
 
 }  // namespace

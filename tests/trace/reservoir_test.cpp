@@ -16,7 +16,6 @@ TEST(Reservoir, FillPhaseKeepsEverything) {
   ReservoirSampler<int> r(8, Rng(1));
   for (int i = 0; i < 5; ++i) r.add(i);
   EXPECT_EQ(r.size(), 5u);
-  EXPECT_EQ(r.seen(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(r.items()[static_cast<std::size_t>(i)], i);
 }
 
@@ -24,8 +23,6 @@ TEST(Reservoir, CapacityBoundHolds) {
   ReservoirSampler<int> r(16, Rng(2));
   for (int i = 0; i < 100000; ++i) r.add(i);
   EXPECT_EQ(r.size(), 16u);
-  EXPECT_EQ(r.capacity(), 16u);
-  EXPECT_EQ(r.seen(), 100000u);
 }
 
 TEST(Reservoir, FixedSeedBitIdentical) {

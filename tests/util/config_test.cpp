@@ -61,14 +61,9 @@ TEST(Config, ThrowsOnBareDashes) {
   EXPECT_THROW(Config::from_args(2, argv), std::invalid_argument);
 }
 
-TEST(Config, FromStringWithCommentsAndBlanks) {
-  auto cfg = Config::from_string("# comment\nnodes = 10\n\nalgo=smf # trailing\n");
-  EXPECT_EQ(cfg.get_int("nodes", 0), 10);
-  EXPECT_EQ(cfg.get_string("algo", ""), "smf");
-}
-
-TEST(Config, FromStringThrowsWithoutEquals) {
-  EXPECT_THROW(Config::from_string("broken line\n"), std::invalid_argument);
+TEST(Config, ThrowsOnEmptyKey) {
+  const char* argv[] = {"prog", "--=5"};
+  EXPECT_THROW(Config::from_args(2, argv), std::invalid_argument);
 }
 
 TEST(Config, UnusedKeysTracked) {

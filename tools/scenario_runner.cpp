@@ -40,6 +40,7 @@
 // running anything, instead of silently running the defaults.
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -233,8 +234,8 @@ int emit_digests(const std::string& only, int shards, int threads) {
 int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
                        const exp::ExperimentConfig& cfg, bool as_json) {
   exp::ScaleParams params = exp::scale_params_from_config(cfg);
-  params.shards = static_cast<int>(cli.get_int("shards", params.shards));
-  params.threads = static_cast<int>(cli.get_int("threads", params.threads));
+  params.shards = cli.get_int("shards", params.shards);
+  params.threads = cli.get_int("threads", params.threads);
 
   std::cerr << "=== " << scenario.name << " ===\n"
             << scenario.description << "\n"
@@ -303,19 +304,23 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
   const auto parse_range = [](const std::string& spec, const char* flag,
                               double& lo, double& hi) {
     if (spec.empty()) return true;
+    // Each token must be a number as a whole ("100x" is not 100).
+    const auto number = [](const std::string& text, double& out) {
+      std::size_t used = 0;
+      try {
+        out = std::stod(text, &used);
+      } catch (const std::exception&) {
+        return false;
+      }
+      return used == text.size();
+    };
     const auto colon = spec.find(':');
-    if (colon == std::string::npos) {
-      std::cerr << "scenario_runner: --" << flag << " wants MIN:MAX, got '" << spec << "'\n";
-      return false;
+    if (colon != std::string::npos && number(spec.substr(0, colon), lo) &&
+        number(spec.substr(colon + 1), hi)) {
+      return true;
     }
-    try {
-      lo = std::stod(spec.substr(0, colon));
-      hi = std::stod(spec.substr(colon + 1));
-    } catch (const std::exception&) {
-      std::cerr << "scenario_runner: --" << flag << " wants MIN:MAX, got '" << spec << "'\n";
-      return false;
-    }
-    return true;
+    std::cerr << "scenario_runner: --" << flag << " wants MIN:MAX, got '" << spec << "'\n";
+    return false;
   };
   double load_lo = cfg.workflow.min_load_mi, load_hi = cfg.workflow.max_load_mi;
   double data_lo = cfg.workflow.min_data_mb, data_hi = cfg.workflow.max_data_mb;
@@ -395,9 +400,7 @@ int run_figure(const util::Config& cli, const std::string& name) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const auto cli = util::Config::from_args(argc, argv);
   const bool as_json = cli.get_bool("json", false);
   // Accept both --run=NAME and a bare positional scenario name. A bare
@@ -418,8 +421,8 @@ int main(int argc, char** argv) {
     return run_figure(cli, figure);
   }
   if (cli.get_bool("digest", false)) {
-    const int shards = static_cast<int>(cli.get_int("shards", 1));
-    const int threads = static_cast<int>(cli.get_int("threads", 1));
+    const int shards = cli.get_int("shards", 1);
+    const int threads = cli.get_int("threads", 1);
     if (reject_unread_flags(cli)) return 1;
     return emit_digests(name, shards, threads);
   }
@@ -446,4 +449,17 @@ int main(int argc, char** argv) {
     return list_scenarios(as_json);
   }
   return run_scenario(cli, name, as_json);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value (--nodes=abc, --hours=-1, --nodes=0)
+  // exits 1 naming the problem, like an unknown flag.
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "scenario_runner: " << e.what() << "\n";
+    return 1;
+  }
 }
