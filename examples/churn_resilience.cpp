@@ -6,6 +6,7 @@
 // times - and how rescheduling recovers the lost throughput.
 //
 //   ./churn_resilience [--nodes=200] [--hours=18]
+#include <exception>
 #include <iostream>
 
 #include "exp/reporters.hpp"
@@ -14,7 +15,9 @@
 #include "util/config.hpp"
 #include "util/table_printer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dpjit;
   const auto cli = util::Config::from_args(argc, argv);
 
@@ -68,4 +71,17 @@ int main(int argc, char** argv) {
   std::cout << "\nthroughput over time:\n";
   exp::print_time_series(std::cout, results, "throughput", labels);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value (--nodes=abc, --hours=-1) exits 1
+  // naming the problem.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "churn_resilience: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -3,6 +3,7 @@
 //
 //   ./heuristic_comparison [--scenario=paper/static-n200] [--nodes=128]
 //                          [--workflows=3] [--hours=36] [--csv]
+#include <exception>
 #include <iostream>
 
 #include "exp/reporters.hpp"
@@ -10,7 +11,9 @@
 #include "exp/sweep.hpp"
 #include "util/config.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dpjit;
   const auto cli = util::Config::from_args(argc, argv);
 
@@ -43,4 +46,17 @@ int main(int argc, char** argv) {
     exp::write_results_json(std::cout, results);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value (--nodes=abc, --hours=-1) exits 1
+  // naming the problem.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "heuristic_comparison: " << e.what() << "\n";
+    return 1;
+  }
 }

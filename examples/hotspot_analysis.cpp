@@ -6,6 +6,7 @@
 //
 //   ./hotspot_analysis [--scenario=paper/static-n200] [--nodes=48]
 //                      [--workflows=3] [--a=dsmf] [--b=dheft]
+#include <exception>
 #include <iostream>
 
 #include "exp/scenario.hpp"
@@ -25,9 +26,7 @@ dpjit::exp::TraceSummary run_traced(const dpjit::exp::ExperimentConfig& cfg, boo
   return dpjit::exp::summarize_trace(world.system().trace(), cfg.system.horizon_s);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dpjit;
   const auto cli = util::Config::from_args(argc, argv);
 
@@ -58,4 +57,17 @@ int main(int argc, char** argv) {
             << "  mean queue wait    : " << a.mean_queue_wait_s << " s vs "
             << b.mean_queue_wait_s << " s\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value (--nodes=abc, --hours=-1) exits 1
+  // naming the problem.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "hotspot_analysis: " << e.what() << "\n";
+    return 1;
+  }
 }

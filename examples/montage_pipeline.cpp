@@ -8,6 +8,7 @@
 // and efficiency. It also dumps the first DAG as Graphviz for inspection.
 //
 //   ./montage_pipeline [--labs=6] [--mosaics=4] [--width=8] [--nodes=96]
+#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -19,7 +20,9 @@
 #include "util/config.hpp"
 #include "util/table_printer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dpjit;
   const auto cli = util::Config::from_args(argc, argv);
   const int labs = cli.get_int("labs", 6);
@@ -68,4 +71,17 @@ int main(int argc, char** argv) {
   std::cout << "\nACT = " << world.metrics().act() << " s, AE = " << world.metrics().ae()
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value (--nodes=abc, --hours=-1) exits 1
+  // naming the problem.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "montage_pipeline: " << e.what() << "\n";
+    return 1;
+  }
 }

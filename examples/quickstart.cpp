@@ -3,13 +3,16 @@
 //
 //   ./quickstart [--scenario=paper/static-n200] [--nodes=64] [--workflows=3]
 //                [--algorithm=dsmf] [--seed=7]
+#include <exception>
 #include <iostream>
 
 #include "exp/reporters.hpp"
 #include "exp/scenario.hpp"
 #include "util/config.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const auto cli = dpjit::util::Config::from_args(argc, argv);
 
   // Start from a registered scenario (see `scenario_runner --list`), then
@@ -39,4 +42,17 @@ int main(int argc, char** argv) {
   std::cout << "throughput over time (workflows finished by hour):\n";
   dpjit::exp::print_time_series(std::cout, {result}, "throughput");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value (--nodes=abc, --hours=-1) exits 1
+  // naming the problem.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 1;
+  }
 }

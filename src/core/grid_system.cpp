@@ -171,6 +171,7 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
   for (int i = 0; i < n; ++i) {
     nodes_.emplace_back(NodeId{i}, capacities[static_cast<std::size_t>(i)]);
   }
+  alive_.assign(static_cast<std::size_t>(n), 1);
   home_queues_.resize(static_cast<std::size_t>(n));
   running_event_.resize(static_cast<std::size_t>(n), sim::EventQueue::kInvalidHandle);
 
@@ -190,8 +191,7 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
         load = node.total_load_mi(engine_.now());
         cap = node.capacity_mips();
       },
-      [this](NodeId id) { return nodes_[static_cast<std::size_t>(id.get())].alive(); },
-      [this](NodeId a, NodeId b) { return routing_.latency_s(a, b); },
+      alive_, [this](NodeId a, NodeId b) { return routing_.latency_s(a, b); },
       [this](NodeId id) { return landmarks_.local_mean_mbps(id); }, rng_gossip, faults_);
 
   // Path tracking only matters when link faults can happen; without a plan it
@@ -201,8 +201,7 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
                                                        /*track_paths=*/faults_ != nullptr);
 
   churn_ = std::make_unique<grid::ChurnModel>(
-      engine_, config_.churn, n, rng_.fork("churn"),
-      [this](NodeId id) { return nodes_[static_cast<std::size_t>(id.get())].alive(); },
+      engine_, config_.churn, n, rng_.fork("churn"), alive_,
       [this](NodeId id) { handle_leave(id); }, [this](NodeId id) { handle_join(id); });
 }
 
@@ -316,7 +315,7 @@ void GridSystem::start() {
   // Bootstrap membership (the role a rendezvous server plays in deployment).
   for (int i = 0; i < topo_.node_count(); ++i) {
     const NodeId id{i};
-    if (nodes_[static_cast<std::size_t>(i)].alive()) {
+    if (alive(NodeId{i})) {
       gossip_->node_joined(id, bootstrap_contacts(id));
     }
   }
@@ -376,7 +375,7 @@ void GridSystem::run_scheduling_cycle() {
     }
   } else {
     for (int i = 0; i < topo_.node_count(); ++i) {
-      if (nodes_[static_cast<std::size_t>(i)].alive()) schedule_home(NodeId{i});
+      if (alive(NodeId{i})) schedule_home(NodeId{i});
     }
   }
   sample_cycle();
@@ -387,7 +386,7 @@ void GridSystem::reoffer_suspect_tasks() {
   if (detector == nullptr) return;  // idealized gossip: membership is exact
   for (auto& wf : workflows_) {
     if (wf.done() || wf.in_flight_tasks == 0) continue;
-    if (!nodes_[static_cast<std::size_t>(wf.home.get())].alive()) continue;
+    if (!alive(wf.home)) continue;
     for (std::size_t t = 0; t < wf.tasks.size(); ++t) {
       auto& rt = wf.tasks[t];
       if (rt.state != TaskState::kDispatched && rt.state != TaskState::kRunning) continue;
@@ -412,7 +411,7 @@ void GridSystem::reoffer_suspect_tasks() {
       // (the duplicate-completion hazard is closed by the stale guards on
       // completion notifications and dispatch deliveries).
       auto& node = nodes_[static_cast<std::size_t>(exec.get())];
-      if (node.alive()) {
+      if (alive(exec)) {
         if (old_state == TaskState::kRunning) {
           if (node.running() != nullptr && node.running()->ref == ref) {
             node.abort_running();
@@ -453,8 +452,8 @@ void GridSystem::ensure_full_ahead_plan() {
   // with its true state, true averages, true pairwise bandwidth.
   PlannerOracle oracle;
   for (int i = 0; i < topo_.node_count(); ++i) {
+    if (!alive(NodeId{i})) continue;
     const auto& node = nodes_[static_cast<std::size_t>(i)];
-    if (!node.alive()) continue;
     oracle.nodes.push_back(gossip::ResourceEntry{NodeId{i}, node.total_load_mi(engine_.now()),
                                                  node.capacity_mips(), engine_.now(), 0});
   }
@@ -485,15 +484,15 @@ void GridSystem::dispatch_planned_task(WorkflowInstance& wf, TaskIndex t) {
   const auto it = plan_.find(ref);
   assert(it != plan_.end() && "full-ahead task missing from plan");
   NodeId target = it->second;
-  if (!nodes_[static_cast<std::size_t>(target.get())].alive()) {
+  if (!alive(target)) {
     if (config_.reschedule_failed) {
       // Re-map to the alive node with the highest capacity-per-load (the
       // planner's timelines are stale by now anyway).
       NodeId best{};
       double best_score = -1.0;
       for (int i = 0; i < topo_.node_count(); ++i) {
+        if (!alive(NodeId{i})) continue;
         const auto& node = nodes_[static_cast<std::size_t>(i)];
-        if (!node.alive()) continue;
         const double score = node.capacity_mips() / (1.0 + node.total_load_mi(engine_.now()));
         if (score > best_score) {
           best_score = score;
@@ -552,8 +551,7 @@ void GridSystem::dispatch_task(WorkflowInstance& wf, TaskIndex task, NodeId targ
 
 void GridSystem::deliver_dispatch(TaskRef ref, NodeId target, grid::ReadyTask ready) {
   auto& wf = workflows_[static_cast<std::size_t>(ref.workflow.get())];
-  auto& node = nodes_[static_cast<std::size_t>(target.get())];
-  if (!node.alive()) {
+  if (!alive(target)) {
     fail_task(ref, "target departed before task arrived");
     return;
   }
@@ -571,7 +569,7 @@ void GridSystem::deliver_dispatch(TaskRef ref, NodeId target, grid::ReadyTask re
     const auto& prt = wf.tasks[static_cast<std::size_t>(p.get())];
     assert(prt.state == TaskState::kFinished);
     NodeId source = prt.exec_node;
-    if (!nodes_[static_cast<std::size_t>(source.get())].alive()) {
+    if (!alive(source)) {
       if (!config_.home_keeps_outputs) {
         fail_task(ref, "input data lost with departed node");
         return;
@@ -585,7 +583,7 @@ void GridSystem::deliver_dispatch(TaskRef ref, NodeId target, grid::ReadyTask re
   ready.arrived_at = engine_.now();
   ready.arrival_seq = arrival_seq_++;
   ready.pending_inputs = static_cast<int>(sources.size());
-  node.add_ready(ready);
+  nodes_[static_cast<std::size_t>(target.get())].add_ready(ready);
 
   task_transfers_[ref].clear();
   for (const Src& src : sources) {
@@ -607,9 +605,8 @@ void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source,
           // link went down): back off exponentially and retry - routing has
           // already been repaired around the failed link by the fault wiring.
           const auto& retry = config_.transfer_retry;
-          if (retry.max_attempts > 0 && attempt < retry.max_attempts &&
-              nodes_[static_cast<std::size_t>(source.get())].alive() &&
-              nodes_[static_cast<std::size_t>(target.get())].alive()) {
+          if (retry.max_attempts > 0 && attempt < retry.max_attempts && alive(source) &&
+              alive(target)) {
             const double delay =
                 std::min(TransferRetryPolicy::kBackoffCapS,
                          TransferRetryPolicy::kBackoffBaseS * std::pow(2.0, attempt));
@@ -622,7 +619,7 @@ void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source,
                   rt3.dispatched_at != stamp) {
                 return;
               }
-              if (!nodes_[static_cast<std::size_t>(source.get())].alive()) {
+              if (!alive(source)) {
                 // The source died while we were backing off: fall back to the
                 // home copy (result collection) or give up.
                 if (config_.home_keeps_outputs && source != home) {
@@ -638,8 +635,7 @@ void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source,
           }
           // The source died mid-transfer. With result collection the data is
           // still available at the (stable) home node: restart from there.
-          if (config_.home_keeps_outputs && source != home &&
-              nodes_[static_cast<std::size_t>(target.get())].alive()) {
+          if (config_.home_keeps_outputs && source != home && alive(target)) {
             start_input_transfer(ref, target, home, mb);
             return;
           }
@@ -662,7 +658,7 @@ void GridSystem::start_input_transfer(TaskRef ref, NodeId target, NodeId source,
 
 void GridSystem::try_start_task(NodeId id) {
   auto& node = nodes_[static_cast<std::size_t>(id.get())];
-  if (!node.alive() || node.busy()) return;
+  if (!alive(id) || node.busy()) return;
   const auto candidates = node.data_complete();
   if (candidates.empty()) return;
 
@@ -784,15 +780,15 @@ void GridSystem::fail_task(TaskRef ref, const char* reason) {
 }
 
 void GridSystem::handle_leave(NodeId id) {
-  auto& node = nodes_[static_cast<std::size_t>(id.get())];
-  if (!node.alive()) return;
-  node.set_alive(false);
+  if (!alive(id)) return;
+  alive_[static_cast<std::size_t>(id.get())] = 0;
   trace_.record(engine_.now(), sim::TraceKind::kNodeLeave, id);
 
   // Kill the running task first so fail_task sees a detached CPU. The
   // exec_node guards skip tasks already reclaimed by the re-offer pass (their
   // failure now belongs to whichever node they were re-dispatched to).
   engine_.cancel(running_event_[static_cast<std::size_t>(id.get())]);
+  auto& node = nodes_[static_cast<std::size_t>(id.get())];
   if (auto running = node.abort_running()) {
     const auto& rt = workflows_[static_cast<std::size_t>(running->ref.workflow.get())]
                          .tasks[static_cast<std::size_t>(running->ref.task.get())];
@@ -836,23 +832,22 @@ void GridSystem::on_link_state(LinkId l, bool up) {
 }
 
 void GridSystem::handle_join(NodeId id) {
-  auto& node = nodes_[static_cast<std::size_t>(id.get())];
-  if (node.alive()) return;
-  node.set_alive(true);
+  if (alive(id)) return;
+  alive_[static_cast<std::size_t>(id.get())] = 1;
   trace_.record(engine_.now(), sim::TraceKind::kNodeJoin, id);
   gossip_->node_joined(id, bootstrap_contacts(id));
 }
 
 std::vector<NodeId> GridSystem::bootstrap_contacts(NodeId exclude) {
-  std::vector<NodeId> alive;
-  alive.reserve(nodes_.size());
+  std::vector<NodeId> contacts;
+  contacts.reserve(nodes_.size());
   for (const auto& node : nodes_) {
-    if (node.alive() && node.id() != exclude) alive.push_back(node.id());
+    if (alive(node.id()) && node.id() != exclude) contacts.push_back(node.id());
   }
-  rng_.shuffle(alive);
+  rng_.shuffle(contacts);
   const auto count = static_cast<std::size_t>(kBootstrapContacts);
-  if (alive.size() > count) alive.resize(count);
-  return alive;
+  if (contacts.size() > count) contacts.resize(count);
+  return contacts;
 }
 
 // ---------------------------------------------------------------------------
@@ -873,8 +868,7 @@ TaskEstimateInputs GridSystem::estimate_inputs(const WorkflowInstance& wf, TaskI
     const double data = wf.dag.edge_data(p, task);
     if (data <= 0.0 || !prt.exec_node.valid()) continue;
     NodeId source = prt.exec_node;
-    if (config_.home_keeps_outputs &&
-        !nodes_[static_cast<std::size_t>(source.get())].alive()) {
+    if (config_.home_keeps_outputs && !alive(source)) {
       source = wf.home;  // result collection: data survives at the home node
     }
     inputs.inputs.push_back(InputSource{source, data});
@@ -967,9 +961,7 @@ std::size_t GridSystem::ready_depth_max() const {
 }
 
 std::size_t GridSystem::alive_count() const {
-  std::size_t n = 0;
-  for (const auto& node : nodes_) n += node.alive() ? 1 : 0;
-  return n;
+  return static_cast<std::size_t>(std::count(alive_.begin(), alive_.end(), 1));
 }
 
 }  // namespace dpjit::core

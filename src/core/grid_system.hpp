@@ -16,6 +16,7 @@
 //   or -> Failed (resource node churned away / input source lost).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -324,6 +325,9 @@ class GridSystem {
   std::vector<WorkflowId> all_active_workflows();
 
   // --- helpers ---
+  [[nodiscard]] bool alive(NodeId n) const {
+    return alive_[static_cast<std::size_t>(n.get())] != 0;
+  }
   [[nodiscard]] double control_latency(NodeId a, NodeId b) const;
   [[nodiscard]] TaskEstimateInputs estimate_inputs(const WorkflowInstance& wf,
                                                    TaskIndex task) const;
@@ -340,6 +344,9 @@ class GridSystem {
   util::Rng rng_;
 
   std::vector<grid::GridNode> nodes_;
+  /// Liveness, one byte per node (1 = up). The gossip service and the churn
+  /// model read it through spans; only handle_leave and handle_join write it.
+  std::vector<std::uint8_t> alive_;
   std::vector<WorkflowInstance> workflows_;
   std::vector<HomeQueue> home_queues_;
 

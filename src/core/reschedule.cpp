@@ -51,7 +51,7 @@ void GridSystem::recover_task(WorkflowInstance& wf, TaskIndex task, int depth) {
   for (TaskIndex p : wf.dag.predecessors(task)) {
     auto& prt = wf.tasks[static_cast<std::size_t>(p.get())];
     if (!config_.home_keeps_outputs && prt.state == TaskState::kFinished &&
-        !nodes_[static_cast<std::size_t>(prt.exec_node.get())].alive()) {
+        !alive(prt.exec_node)) {
       // Demote: the data died with the node. Successors other than `task`
       // that were still waiting on schedule must wait for the re-execution.
       // Every waiting/schedulable/failed successor has its precedent count

@@ -107,8 +107,6 @@ class MetricsCollector final : public core::MetricsSink {
   [[nodiscard]] const std::vector<core::WorkflowReport>& reports() const;
   [[nodiscard]] const std::vector<core::CycleSample>& samples() const;
 
-  [[nodiscard]] double bucket() const { return bucket_; }
-
  private:
   /// Streaming mode's bounded stand-ins for the raw records.
   struct Sketches {

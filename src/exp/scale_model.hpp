@@ -44,8 +44,6 @@ struct ShardMap {
   int shards = 1;
   /// node -> owning shard; shard s owns one contiguous block of node ids.
   std::vector<int> shard_of;
-
-  [[nodiscard]] int shard(NodeId n) const { return shard_of[static_cast<std::size_t>(n.get())]; }
 };
 
 /// Partitions the routing's nodes into `shards` near-equal contiguous blocks.

@@ -1,7 +1,7 @@
 // SWIM-style per-observer failure detection (Das et al., DSN 2002 shape):
 // every node keeps its own belief about every peer - alive, suspect, or dead
 // - driven purely by the messages it actually receives, replacing the
-// oracular `alive()` membership of the idealized gossip mode.
+// oracular liveness array of the idealized gossip mode.
 //
 // Transitions (all per observer, no global knowledge):
 //   alive --[probe unanswered]--> suspect (deadline = now + suspect_timeout)

@@ -88,19 +88,23 @@ void average_pair(NodeGossip& a, NodeGossip& b) {
 }  // namespace
 
 MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params, int node_count,
-                                       LocalStateFn local_state, AliveFn alive, LatencyFn latency,
+                                       LocalStateFn local_state,
+                                       std::span<const std::uint8_t> alive, LatencyFn latency,
                                        LocalBandwidthFn local_bw, util::Rng rng,
                                        sim::FaultPlan* faults)
     : engine_(engine),
       params_(params),
       n_(node_count),
       local_state_(std::move(local_state)),
-      alive_(std::move(alive)),
+      alive_(alive),
       latency_(std::move(latency)),
       local_bw_(std::move(local_bw)),
       rng_(rng),
       faults_(faults) {
   if (node_count < 1) throw std::invalid_argument("MixedGossipService: node_count >= 1");
+  if (static_cast<int>(alive_.size()) != node_count) {
+    throw std::invalid_argument("MixedGossipService: one liveness byte per node");
+  }
   if (params_.cycle_s <= 0.0) throw std::invalid_argument("MixedGossipService: cycle_s > 0");
   fanout_ = derive_log2(n_);
   cache_size_ = params_.cache_size > 0
@@ -122,9 +126,6 @@ MixedGossipService::MixedGossipService(sim::Engine& engine, GossipParams params,
 }
 
 void MixedGossipService::start() {
-  for (int i = 0; i < n_; ++i) {
-    if (alive_(NodeId{i})) reseed_aggregation(NodeId{i});
-  }
   cycle_process_ = std::make_unique<sim::PeriodicProcess>(
       engine_, engine_.now(), params_.cycle_s, [this](std::uint64_t c) { run_cycle(c); });
   cycle_process_->start();
@@ -165,7 +166,7 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
   const std::uint32_t r = acquire_round();
   for (int i = 0; i < n_; ++i) {
     const NodeId me{i};
-    if (!alive_(me)) continue;
+    if (!alive(me)) continue;
     if (new_epoch) publish_and_reseed(me);
     auto& g = nodes_[static_cast<std::size_t>(i)];
     g.rss.expire(engine_.now(), kStalenessBoundS, me);
@@ -189,7 +190,7 @@ const std::vector<NodeId>& MixedGossipService::pick_targets(NodeId from, int cou
       // Message mode: membership is the node's own belief, not the oracle -
       // suspects are still gossiped to (they get a chance to refute).
       if (!detector_->believes_dead(from, c)) targets_.push_back(c);
-    } else if (alive_(c)) {
+    } else if (alive(c)) {
       targets_.push_back(c);
     }
   }
@@ -277,7 +278,7 @@ void MixedGossipService::drain_round(std::uint32_t r) {
   Round& round = rounds_[r];
   for (;;) {
     const Delivery& d = round.deliveries[round.next++];
-    if (alive_(d.to)) {  // a receiver that died while the message was in flight drops it
+    if (alive(d.to)) {  // a receiver that died while the message was in flight drops it
       receive(d.to, std::span(round.entries).subspan(d.first, d.last - d.first));
     }
     if (round.next == round.deliveries.size()) {
@@ -337,7 +338,7 @@ void MixedGossipService::receive(NodeId to, std::span<const ResourceEntry> entri
   // dead peers are pure reads, so entries below the floor skip them.
   floor_rejections_ += rss.merge_message(
       entries, accept_all,
-      [this, to](const ResourceEntry& e) { return e.node != to && alive_(e.node); });
+      [this, to](const ResourceEntry& e) { return e.node != to && alive(e.node); });
 }
 
 void MixedGossipService::aggregation_exchange(NodeId from) {
@@ -355,7 +356,7 @@ void MixedGossipService::aggregation_exchange(NodeId from) {
     bytes_sent_ += 20 + 16;
     const sim::MessageFate fate =
         faults_ != nullptr ? faults_->draw_message_fate() : sim::MessageFate{};
-    if (fate.lost || !alive_(partner)) return;
+    if (fate.lost || !alive(partner)) return;
     average_pair(nodes_[static_cast<std::size_t>(from.get())],
                  nodes_[static_cast<std::size_t>(partner.get())]);
     return;
@@ -372,7 +373,7 @@ void MixedGossipService::run_cycle_message(std::uint64_t cycle) {
 
   for (int i = 0; i < n_; ++i) {
     const NodeId me{i};
-    if (!alive_(me)) continue;  // physically down nodes run nothing
+    if (!alive(me)) continue;  // physically down nodes run nothing
     if (new_epoch) publish_and_reseed(me);
     auto& g = nodes_[static_cast<std::size_t>(i)];
     // SWIM sweep first: expired suspects become dead and leave the view, so
@@ -402,7 +403,7 @@ void MixedGossipService::start_exchange(NodeId from, NodeId to,
   // Ack timeout: if no direct message from `to` lands at `from` before the
   // timer fires, the initiator starts suspecting `to` (SWIM probe miss).
   engine_.schedule_in(ack_timeout_, [this, from, to, sent_at] {
-    if (!alive_(from)) return;
+    if (!alive(from)) return;
     if (detector_->answered_since(from, to, sent_at)) return;
     detector_->probe_missed(from, to, engine_.now(), suspect_timeout_);
   });
@@ -412,7 +413,7 @@ void MixedGossipService::start_exchange(NodeId from, NodeId to,
 
 void MixedGossipService::on_sync(NodeId from, NodeId to,
                                  const std::shared_ptr<std::vector<EntrySummary>>& digest) {
-  if (!alive_(to)) return;  // receiver died while the SYNC was in flight
+  if (!alive(to)) return;  // receiver died while the SYNC was in flight
   const SimTime now = engine_.now();
   detector_->direct_evidence(to, from, now);
   // Budget check before building the reply: an exhausted responder stays
@@ -458,7 +459,7 @@ void MixedGossipService::on_ack1(NodeId from, NodeId to,
                                  const std::shared_ptr<std::vector<ResourceEntry>>& push,
                                  const std::shared_ptr<std::vector<NodeId>>& want) {
   // Runs at the initiator (`to`); `from` is the responder that answered.
-  if (!alive_(to)) return;
+  if (!alive(to)) return;
   detector_->direct_evidence(to, from, engine_.now());
   receive(to, *push);
   // ACK2: the entries the responder asked for.
@@ -470,7 +471,7 @@ void MixedGossipService::on_ack1(NodeId from, NodeId to,
   if (reply->empty()) return;  // nothing left to say - no third leg
   if (!try_consume_budget(to)) return;
   post_message(to, from, 20 + 20 * reply->size(), [this, to, from, reply] {
-    if (!alive_(from)) return;
+    if (!alive(from)) return;
     detector_->direct_evidence(from, to, engine_.now());
     receive(from, *reply);
   });
@@ -508,7 +509,7 @@ void MixedGossipService::node_joined(NodeId n, const std::vector<NodeId>& bootst
   if (detector_) detector_->reset_observer(n);  // fresh join: no prior grudges
   reseed_aggregation(n);
   for (NodeId contact : bootstrap) {
-    if (contact == n || !alive_(contact)) continue;
+    if (contact == n || !alive(contact)) continue;
     double load = 0.0;
     double cap = 1.0;
     local_state_(contact, load, cap);
@@ -544,7 +545,7 @@ double MixedGossipService::mean_rss_size() const {
   double sum = 0.0;
   int count = 0;
   for (int i = 0; i < n_; ++i) {
-    if (!alive_(NodeId{i})) continue;
+    if (!alive(NodeId{i})) continue;
     sum += static_cast<double>(nodes_[static_cast<std::size_t>(i)].rss.size());
     ++count;
   }
@@ -555,7 +556,7 @@ double MixedGossipService::mean_idle_known() const {
   double sum = 0.0;
   int count = 0;
   for (int i = 0; i < n_; ++i) {
-    if (!alive_(NodeId{i})) continue;
+    if (!alive(NodeId{i})) continue;
     int idle = 0;
     for (const auto& e : nodes_[static_cast<std::size_t>(i)].rss.entries()) {
       if (e.load_mi <= 0.0) ++idle;

@@ -2,11 +2,12 @@
 // dissemination (RSS maintenance) + aggregation gossip for global averages.
 //
 // The service is deliberately decoupled from the grid layer: it reads node
-// state (load/capacity/aliveness) through callbacks and delivers epidemic
-// messages through the event engine with real network latency. Aggregation
-// exchanges are executed atomically at cycle ticks, exactly as cycle-driven
-// Peersim protocols do (the control traffic is tiny - ~100 bytes per message,
-// see Section IV.A - so its latency is irrelevant at 5-minute cycles).
+// state (load/capacity) through callbacks and liveness from its owner's
+// one-byte-per-node array, and delivers epidemic messages through the event
+// engine with real network latency. Aggregation exchanges are executed
+// atomically at cycle ticks, exactly as cycle-driven Peersim protocols do
+// (the control traffic is tiny - ~100 bytes per message, see Section IV.A -
+// so its latency is irrelevant at 5-minute cycles).
 //
 // Every node pushes at the same cycle instant, so the idealized mode collects
 // a cycle's epidemic deliveries into one *round*: the pushed entries in a
@@ -68,7 +69,7 @@ struct GossipParams {
   /// SYNC/ACK1/ACK2 push-pull (libgossip's shape): every leg is a real
   /// message with its own latency and - when a sim::FaultPlan is attached -
   /// loss/duplication/extra-delay draws. Membership becomes SWIM-style
-  /// suspicion (FailureDetector) instead of the oracular alive() callback.
+  /// suspicion (FailureDetector) instead of the oracular liveness array.
   /// Each node may SEND at most 3 * fanout + 4 protocol messages per cycle
   /// (initiations and replies both count).
   bool message_level = false;
@@ -113,21 +114,23 @@ class MixedGossipService {
  public:
   /// Reads a node's current (load, capacity); only called for alive nodes.
   using LocalStateFn = std::function<void(NodeId, double& load_mi, double& capacity_mips)>;
-  /// True when the node is currently alive.
-  using AliveFn = std::function<bool(NodeId)>;
   /// One-way control-message latency between two alive nodes, seconds.
   using LatencyFn = std::function<double(NodeId, NodeId)>;
   /// A node's locally observable mean bandwidth (landmark links), Mb/s.
   using LocalBandwidthFn = std::function<double(NodeId)>;
 
-  /// `faults` (optional, may be null) supplies per-message fault draws; it
-  /// must outlive the service. Without a plan every message is delivered
-  /// exactly once after its network latency.
+  /// `alive` holds one byte per node (nonzero = up); the service only reads
+  /// it, and it must outlive the service. `faults` (optional, may be null)
+  /// supplies per-message fault draws; it must outlive the service too.
+  /// Without a plan every message is delivered exactly once after its
+  /// network latency.
   MixedGossipService(sim::Engine& engine, GossipParams params, int node_count,
-                     LocalStateFn local_state, AliveFn alive, LatencyFn latency,
+                     LocalStateFn local_state, std::span<const std::uint8_t> alive,
+                     LatencyFn latency,
                      LocalBandwidthFn local_bw, util::Rng rng, sim::FaultPlan* faults = nullptr);
 
-  /// Seeds every alive node's aggregation state and starts the periodic cycle.
+  /// Starts the periodic cycle. A node's aggregation state is seeded when it
+  /// joins (node_joined), so every alive node must have joined by now.
   void start();
 
   /// Stops the periodic cycle (e.g. at the end of the horizon).
@@ -174,7 +177,7 @@ class MixedGossipService {
   /// Merges the entries of one message delivered to `to`, with one batched
   /// view merge. Drops self-entries; in message mode every other entry first
   /// reaches the failure detector (stale rumors about dead-believed peers are
-  /// dropped there), in the idealized mode the oracular alive() filter runs
+  /// dropped there), in the idealized mode the oracular liveness filter runs
   /// only for entries above the stamp floor. Every gossip leg delivers
   /// through here; tests drive it directly.
   void receive(NodeId to, std::span<const ResourceEntry> entries);
@@ -208,6 +211,9 @@ class MixedGossipService {
   /// A free round (recycled, or new and sized for a full push), and back.
   [[nodiscard]] std::uint32_t acquire_round();
   void release_round(std::uint32_t r);
+  [[nodiscard]] bool alive(NodeId n) const {
+    return alive_[static_cast<std::size_t>(n.get())] != 0;
+  }
   void aggregation_exchange(NodeId from);
   void reseed_aggregation(NodeId n);
   /// Closes an aggregation epoch at `n`: publishes its averages, then reseeds.
@@ -246,7 +252,7 @@ class MixedGossipService {
   int fanout_;
   int cache_size_;
   LocalStateFn local_state_;
-  AliveFn alive_;
+  std::span<const std::uint8_t> alive_;
   LatencyFn latency_;
   LocalBandwidthFn local_bw_;
   util::Rng rng_;

@@ -6,16 +6,19 @@
 namespace dpjit::grid {
 
 ChurnModel::ChurnModel(sim::Engine& engine, Params params, int node_count, util::Rng rng,
-                       AliveFn alive, ChurnFn on_leave, ChurnFn on_join)
+                       std::span<const std::uint8_t> alive, ChurnFn on_leave, ChurnFn on_join)
     : engine_(engine),
       params_(params),
       n_(node_count),
       rng_(rng),
-      alive_(std::move(alive)),
+      alive_(alive),
       on_leave_(std::move(on_leave)),
       on_join_(std::move(on_join)) {
   if (params_.dynamic_factor < 0.0 || params_.dynamic_factor > 1.0) {
     throw std::invalid_argument("ChurnModel: dynamic_factor in [0,1]");
+  }
+  if (static_cast<int>(alive_.size()) != node_count) {
+    throw std::invalid_argument("ChurnModel: one liveness byte per node");
   }
   if (params_.stable_count < 0 || params_.stable_count > node_count) {
     throw std::invalid_argument("ChurnModel: stable_count in [0,n]");
@@ -55,8 +58,7 @@ void ChurnModel::step() {
   std::vector<NodeId> alive_dynamic;
   std::vector<NodeId> dead_dynamic;
   for (int i = params_.stable_count; i < n_; ++i) {
-    const NodeId id{i};
-    (alive_(id) ? alive_dynamic : dead_dynamic).push_back(id);
+    (alive_[static_cast<std::size_t>(i)] != 0 ? alive_dynamic : dead_dynamic).push_back(NodeId{i});
   }
 
   // Departures first, then joins: the paper churns both directions per

@@ -7,8 +7,10 @@
 // excludes home-node failure because checkpointing is out of scope.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -39,13 +41,14 @@ class ChurnModel {
     double wave_multiplier = 4.0;
   };
 
-  using AliveFn = std::function<bool(NodeId)>;
   using ChurnFn = std::function<void(NodeId)>;
 
-  /// `on_leave` / `on_join` perform the actual state changes (the system owns
-  /// aliveness); the model only decides who churns and when.
+  /// `alive` holds one byte per node (nonzero = up) and must outlive the
+  /// model. The model only reads it: `on_leave` / `on_join` perform the
+  /// actual state changes, and anything else (a fault plan's crash) may
+  /// change it between steps. The model only decides who churns and when.
   ChurnModel(sim::Engine& engine, Params params, int node_count, util::Rng rng,
-             AliveFn alive, ChurnFn on_leave, ChurnFn on_join);
+             std::span<const std::uint8_t> alive, ChurnFn on_leave, ChurnFn on_join);
 
   /// Starts periodic churn steps (no-op when dynamic_factor == 0).
   void start();
@@ -64,7 +67,7 @@ class ChurnModel {
   Params params_;
   int n_;
   util::Rng rng_;
-  AliveFn alive_;
+  std::span<const std::uint8_t> alive_;
   ChurnFn on_leave_;
   ChurnFn on_join_;
   std::unique_ptr<sim::PeriodicProcess> process_;

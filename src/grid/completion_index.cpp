@@ -74,12 +74,6 @@ bool CompletionIndex::erase(std::uint64_t id) {
   return true;
 }
 
-CompletionIndex::Entry CompletionIndex::top() const {
-  assert(!heap_.empty() && "CompletionIndex::top on empty index");
-  const Slot& s = slots_[heap_.front()];
-  return Entry{s.id, s.key};
-}
-
 void CompletionIndex::collect_min_ties(std::vector<std::uint64_t>& out) const {
   if (heap_.empty()) return;
   const double kmin = slots_[heap_.front()].key;

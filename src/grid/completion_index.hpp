@@ -8,7 +8,7 @@
 // slab-backed min-heap instead, invalidated per re-solved bottleneck
 // component: only the flows whose rate the FairShareSolver actually updated
 // get their entries re-keyed, everything else stays put, and the next
-// completion is a top() peek.
+// completion is read off the heap root (collect_min_ties).
 //
 // Ordering is (finish estimate, flow id) lexicographic, so ties on the key
 // are deterministic regardless of insertion history.
@@ -22,11 +22,6 @@ namespace dpjit::grid {
 
 class CompletionIndex {
  public:
-  struct Entry {
-    std::uint64_t id = 0;
-    double finish_s = 0.0;
-  };
-
   /// Sentinel slot handle: always an invalid hint for upsert().
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
@@ -43,9 +38,6 @@ class CompletionIndex {
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
-
-  /// The flow with the smallest (finish_s, id). Requires !empty().
-  [[nodiscard]] Entry top() const;
 
   /// Appends every id whose key lies within a few ulps of the minimum key to
   /// `out`. Projected finishes are absolute times stamped at each flow's last

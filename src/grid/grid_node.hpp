@@ -42,7 +42,7 @@ struct ReadyTask {
 
 /// One peer node's resource-role state. The scheduler role (workflow table,
 /// schedule points) lives in core::GridSystem; gossip state lives in the
-/// gossip service. Aliveness is owned by the system and mirrored here.
+/// gossip service. Liveness is the system's, one byte per node.
 ///
 /// The ready set keeps its arrival order, which is observable: the phase-2
 /// policies break ties by candidate position, and total_load_mi() sums left
@@ -58,8 +58,6 @@ class GridNode {
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] double capacity_mips() const { return capacity_; }
-  [[nodiscard]] bool alive() const { return alive_; }
-  void set_alive(bool alive) { alive_ = alive; }
 
   /// --- ready set (RDS) ---
   /// Pointers into the ready set stay valid until its next mutation.
@@ -128,7 +126,6 @@ class GridNode {
 
   NodeId id_;
   double capacity_;
-  bool alive_ = true;
   /// Arrival order; a removed task leaves a tombstone (invalid ref).
   std::vector<ReadyTask> ready_;
   /// Linear-probing table of ready_ slots (kNoSlot = empty). Tombstoned

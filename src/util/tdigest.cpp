@@ -42,8 +42,7 @@ void TDigest::compress() const {
   // Clustering an already-clustered set is NOT a no-op (adjacent clusters can
   // merge further after re-normalization), so compress() must run only when
   // new mass arrived — otherwise results would depend on the query pattern.
-  if (buffer_.empty() && !needs_cluster_) return;
-  needs_cluster_ = false;
+  if (buffer_.empty()) return;
   std::vector<Centroid> all;
   all.reserve(centroids_.size() + buffer_.size());
   all.insert(all.end(), centroids_.begin(), centroids_.end());
@@ -90,9 +89,6 @@ void TDigest::compress() const {
   }
 }
 
-double TDigest::min() const { return any_ ? min_ : kNaN; }
-double TDigest::max() const { return any_ ? max_ : kNaN; }
-
 double TDigest::quantile(double q) const {
   compress();
   if (centroids_.empty()) return kNaN;
@@ -119,26 +115,6 @@ double TDigest::quantile(double q) const {
   const double span = total - prev_anchor;
   const double t = span > 0.0 ? (index - prev_anchor) / span : 1.0;
   return prev_mean + std::min(t, 1.0) * (max_ - prev_mean);
-}
-
-void TDigest::merge(const TDigest& other) {
-  other.compress();
-  if (!other.any_) return;
-  // Weighted centroids enter through the centroid list directly: append in
-  // order, then one clustering pass restores the bound. Deterministic — the
-  // result is a pure function of (this stream, other stream).
-  centroids_.insert(centroids_.end(), other.centroids_.begin(), other.centroids_.end());
-  total_weight_ += other.total_weight_;
-  if (!any_) {
-    min_ = other.min_;
-    max_ = other.max_;
-    any_ = true;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  needs_cluster_ = true;
-  compress();
 }
 
 }  // namespace dpjit::util

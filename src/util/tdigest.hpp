@@ -44,14 +44,6 @@ class TDigest {
   /// first (mutable internals).
   [[nodiscard]] double quantile(double q) const;
 
-  /// Exact running min/max (independent of the sketch). NaN when empty.
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
-  /// Folds another digest into this one (deterministic: other's centroids
-  /// are appended in order, then one merge pass runs).
-  void merge(const TDigest& other);
-
  private:
   struct Centroid {
     double mean = 0.0;
@@ -70,7 +62,6 @@ class TDigest {
   mutable std::vector<Centroid> centroids_;  // sorted by mean after compress()
   mutable std::vector<double> buffer_;
   mutable std::uint64_t total_weight_ = 0;  // merged observations (excl. buffer)
-  mutable bool needs_cluster_ = false;      // merge() appended raw centroids
   double min_ = 0.0;
   double max_ = 0.0;
   bool any_ = false;

@@ -4,6 +4,7 @@
 // through churn, recovery and re-dispatch; and the per-workflow RPM ranks.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +44,7 @@ struct LineWorld {
   /// Runs to the horizon, auditing the bookkeeping after every event and
   /// knocking nodes out (and back in) along the way.
   void run_audited(bool with_failures) {
+    std::array<bool, 6> down{};  // nothing else fails or rejoins a node here
     system->start();
     ASSERT_EQ(system->audit_bookkeeping(), "");
     for (std::uint64_t step = 0; engine.pending() > 0 && engine.next_event_time() <= 400000.0;
@@ -52,11 +54,13 @@ struct LineWorld {
         // Take turns on the executors; the homes (0 and 3) stay up.
         constexpr int kVictims[] = {1, 2, 4, 5};
         const NodeId victim{kVictims[(step / 700) % 4]};
-        if (system->node(victim).alive()) {
-          system->inject_node_failure(victim);
-        } else {
+        bool& is_down = down[static_cast<std::size_t>(victim.get())];
+        if (is_down) {
           system->inject_node_rejoin(victim);
+        } else {
+          system->inject_node_failure(victim);
         }
+        is_down = !is_down;
       }
       const std::string audit = system->audit_bookkeeping();
       ASSERT_EQ(audit, "") << "after event " << step << " at t=" << engine.now();

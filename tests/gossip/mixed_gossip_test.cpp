@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -15,15 +17,15 @@ namespace {
 /// zero message latency, local bandwidth 2*(i+1).
 class GossipHarness {
  public:
-  explicit GossipHarness(int n, GossipParams params = {}) : n_(n), alive_(n, true) {
+  explicit GossipHarness(int n, GossipParams params = {})
+      : n_(n), alive_(static_cast<std::size_t>(n), 1) {
     service_ = std::make_unique<MixedGossipService>(
         engine_, params, n,
         [this](NodeId id, double& load, double& cap) {
           load = 10.0 * id.get();
           cap = 1.0 + id.get();
         },
-        [this](NodeId id) { return alive_[static_cast<std::size_t>(id.get())]; },
-        [](NodeId, NodeId) { return 0.001; },
+        alive_, [](NodeId, NodeId) { return 0.001; },
         [](NodeId id) { return 2.0 * (1.0 + id.get()); }, util::Rng(42));
     // Bootstrap: every node knows its ring successor.
     for (int i = 0; i < n; ++i) {
@@ -42,7 +44,7 @@ class GossipHarness {
 
   sim::Engine engine_;
   int n_;
-  std::vector<bool> alive_;
+  std::vector<std::uint8_t> alive_;
   std::unique_ptr<MixedGossipService> service_;
 };
 
@@ -67,10 +69,12 @@ TEST(MixedGossip, RssBoundedByCacheSize) {
 TEST(MixedGossip, CacheSizeScalesLogarithmically) {
   sim::Engine engine;
   GossipParams params;
+  const std::vector<std::uint8_t> alive(2000, 1);
   auto make = [&](int n) {
     return MixedGossipService(engine, params, n, [](NodeId, double&, double&) {},
-                              [](NodeId) { return true; }, [](NodeId, NodeId) { return 0.0; },
-                              [](NodeId) { return 1.0; }, util::Rng(1));
+                              std::span(alive).first(static_cast<std::size_t>(n)),
+                              [](NodeId, NodeId) { return 0.0; }, [](NodeId) { return 1.0; },
+                              util::Rng(1));
   };
   const auto c100 = make(100).rss(NodeId{0}).capacity();
   const auto c2000 = make(2000).rss(NodeId{0}).capacity();
@@ -86,11 +90,12 @@ TEST(MixedGossip, CacheSizeBeyondTheSlotIndexThrows) {
   // set_capacity on every view refuses it.
   sim::Engine engine;
   GossipParams params;
+  const std::vector<std::uint8_t> alive(4, 1);
   auto make = [&](int cache_size) {
     params.cache_size = cache_size;
-    return MixedGossipService(engine, params, 4, [](NodeId, double&, double&) {},
-                              [](NodeId) { return true; }, [](NodeId, NodeId) { return 0.0; },
-                              [](NodeId) { return 1.0; }, util::Rng(1));
+    return MixedGossipService(engine, params, 4, [](NodeId, double&, double&) {}, alive,
+                              [](NodeId, NodeId) { return 0.0; }, [](NodeId) { return 1.0; },
+                              util::Rng(1));
   };
   EXPECT_THROW(static_cast<void>(make(65535)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(make(1 << 20)), std::invalid_argument);
@@ -130,7 +135,7 @@ TEST(MixedGossip, DeadNodesFadeFromViews) {
   h.run_cycles(6, cycle);
   // Kill node 5, keep gossiping; its entries must disappear once they are
   // older than the staleness bound.
-  h.alive_[5] = false;
+  h.alive_[5] = 0;
   h.service_->node_left(NodeId{5});
   h.run_cycles(static_cast<int>(kStalenessBoundS / cycle) + 2, cycle);
   for (int i = 0; i < h.n_; ++i) {
@@ -150,7 +155,7 @@ TEST(MixedGossip, DeadNodeExpiresAtTheStalenessBound) {
   const double cycle = params.cycle_s;
   GossipHarness h(16, params);
   h.run_cycles(6, cycle);
-  h.alive_[5] = false;
+  h.alive_[5] = 0;
   h.service_->node_left(NodeId{5});
   // Node 5's last summary is a cycle old at the kill, so after
   // bound / cycle - 2 more cycles it is at most bound - cycle old.
@@ -171,10 +176,10 @@ TEST(MixedGossip, DeadNodeExpiresAtTheStalenessBound) {
 
 TEST(MixedGossip, JoinedNodeIntegrates) {
   GossipHarness h(32);
-  h.alive_[7] = false;
+  h.alive_[7] = 0;
   h.service_->node_left(NodeId{7});
   h.run_cycles(4);
-  h.alive_[7] = true;
+  h.alive_[7] = 1;
   h.service_->node_joined(NodeId{7}, {NodeId{0}, NodeId{1}});
   h.run_cycles(6);
   EXPECT_GT(h.service_->rss(NodeId{7}).size(), 2u);
@@ -237,7 +242,7 @@ TEST(MixedGossip, MessageModeDetectorSeesEntriesBelowTheStampFloor) {
   h.engine_.run_until(3 * cycle);  // views populate while everyone is up
 
   const NodeId dead{4};
-  h.alive_[4] = false;
+  h.alive_[4] = 0;
   const FailureDetector* detector = h.service_->detector();
   ASSERT_NE(detector, nullptr);
   std::optional<NodeId> receiver;
@@ -288,6 +293,7 @@ TEST(MixedGossip, RoundDeliversInPerMessageOrder) {
   sim::FaultPlan plan(engine, faults, n, 0, util::Rng(5));
   sim::Engine twin_engine;
   sim::FaultPlan twin(twin_engine, faults, n, 0, util::Rng(5));  // replays the fates
+  const std::vector<std::uint8_t> alive(n, 1);
 
   // Reference items in creation order: a foreign event (node -1) or one
   // posted message (its receiver), created at `now` to land `delay` later.
@@ -297,17 +303,11 @@ TEST(MixedGossip, RoundDeliversInPerMessageOrder) {
     double delay;
   };
   std::vector<Item> created;
-  // Recorded order: each engine event's first alive() call is a delivery's
-  // receiver check; foreign events log themselves.
-  std::vector<std::pair<int, double>> received;
-  std::uint64_t last_event = 0;
+  std::vector<std::pair<int, double>> received;  // foreign events log themselves
   int latency_calls = 0;
   const auto foreign = [&](double delay) {
     created.push_back(Item{-1, engine.now(), delay});
-    engine.schedule_in(delay, [&] {
-      last_event = engine.processed();
-      received.emplace_back(-1, engine.now());
-    });
+    engine.schedule_in(delay, [&] { received.emplace_back(-1, engine.now()); });
   };
   MixedGossipService service(
       engine, GossipParams{}, n,
@@ -315,13 +315,7 @@ TEST(MixedGossip, RoundDeliversInPerMessageOrder) {
         load = 10.0 * id.get();
         cap = 1.0 + id.get();
       },
-      [&](NodeId id) {
-        if (engine.processed() != last_event) {
-          last_event = engine.processed();
-          received.emplace_back(id.get(), engine.now());
-        }
-        return true;
-      },
+      alive,
       [&](NodeId from, NodeId to) {
         const double latency = 0.25 * ((from.get() + to.get()) % 3);
         if (++latency_calls % 7 == 0) foreign(0.25);  // mid-round, tied
@@ -333,17 +327,18 @@ TEST(MixedGossip, RoundDeliversInPerMessageOrder) {
     service.node_joined(NodeId{i}, {NodeId{(i + 1) % n}, NodeId{(i + 5) % n}});
   }
 
-  for (std::uint64_t cycle = 0; cycle < 4; ++cycle) {
+  // Posts one round; returns the reference order of what it and the foreign
+  // events will deliver, replaying the round's fates on the twin plan.
+  const auto post_round = [&](std::uint64_t cycle) {
     created.clear();
     received.clear();
     latency_calls = 0;
     foreign(0.5);  // before the round, tied with its copies
-    last_event = engine.processed();
     service.run_cycle(cycle);
     // The round is one pending event, next to the foreign ones.
     const auto foreign_count =
         std::count_if(created.begin(), created.end(), [](const Item& i) { return i.node < 0; });
-    ASSERT_EQ(engine.pending(), static_cast<std::size_t>(foreign_count) + 1) << "cycle " << cycle;
+    EXPECT_EQ(engine.pending(), static_cast<std::size_t>(foreign_count) + 1) << "cycle " << cycle;
 
     std::vector<std::pair<int, double>> expected;
     for (const Item& item : created) {
@@ -358,18 +353,60 @@ TEST(MixedGossip, RoundDeliversInPerMessageOrder) {
     }
     // Sends lost after the last latency call.
     while (twin.messages_lost() < plan.messages_lost()) {
-      ASSERT_TRUE(twin.draw_message_fate().lost);
+      EXPECT_TRUE(twin.draw_message_fate().lost);
     }
     std::stable_sort(expected.begin(), expected.end(),
                      [](const auto& a, const auto& b) { return a.second < b.second; });
+    return expected;
+  };
 
+  // Warm-up rounds fill the views, so the observed round pushes at full
+  // fan-out. They drain in place; only their event count is checked.
+  for (std::uint64_t cycle = 0; cycle < 3; ++cycle) {
+    const auto expected = post_round(cycle);
     const std::uint64_t before = engine.processed();
     engine.run_until(engine.now() + 2.0);
-    EXPECT_EQ(received, expected) << "cycle " << cycle;
-    EXPECT_EQ(engine.processed() - before, expected.size()) << "cycle " << cycle;
+    ASSERT_EQ(engine.processed() - before, expected.size()) << "cycle " << cycle;
   }
+
+  // The observed round, one event at a time: step() takes nothing in place,
+  // so every delivery is re-posted under its reserved seq. Each delivery
+  // names its receiver through what it changes: the views are emptied once
+  // the round is posted, every message carries its sender's own entry, and
+  // an empty view always takes it.
+  const auto expected = post_round(3);
+  ASSERT_GT(expected.size(), static_cast<std::size_t>(3 * n));
+  for (int i = 0; i < n; ++i) service.rss(NodeId{i}).clear();
+  const std::uint64_t before = engine.processed();
+  const double end = engine.now() + 2.0;
+  while (engine.pending() > 0 && engine.next_event_time() <= end) {
+    const std::size_t foreign_seen = received.size();
+    engine.step();
+    std::vector<int> filled;
+    for (int i = 0; i < n; ++i) {
+      if (service.rss(NodeId{i}).size() > 0) filled.push_back(i);
+    }
+    if (received.size() > foreign_seen) {
+      ASSERT_TRUE(filled.empty());
+      continue;
+    }
+    ASSERT_EQ(filled.size(), 1u) << "event " << engine.processed() - before;
+    received.emplace_back(filled.front(), engine.now());
+    service.rss(NodeId{filled.front()}).clear();
+  }
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(engine.processed() - before, expected.size());
   EXPECT_GT(plan.messages_duplicated(), 0u);
   EXPECT_GT(plan.messages_delayed(), 0u);
+}
+
+TEST(MixedGossip, LivenessArrayMustCoverEveryNode) {
+  sim::Engine engine;
+  const std::vector<std::uint8_t> alive(3, 1);
+  EXPECT_THROW(MixedGossipService(engine, GossipParams{}, 4, [](NodeId, double&, double&) {},
+                                  alive, [](NodeId, NodeId) { return 0.0; },
+                                  [](NodeId) { return 1.0; }, util::Rng(1)),
+               std::invalid_argument);
 }
 
 }  // namespace

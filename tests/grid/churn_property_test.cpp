@@ -12,16 +12,16 @@ namespace dpjit::grid {
 namespace {
 
 struct Harness {
-  Harness(int n, ChurnModel::Params params, std::uint64_t seed) : alive(n, true) {
+  Harness(int n, ChurnModel::Params params, std::uint64_t seed)
+      : alive(static_cast<std::size_t>(n), 1) {
     model = std::make_unique<ChurnModel>(
-        engine, params, n, util::Rng(seed),
-        [this](NodeId id) { return alive[static_cast<std::size_t>(id.get())]; },
+        engine, params, n, util::Rng(seed), alive,
         [this](NodeId id) {
-          alive[static_cast<std::size_t>(id.get())] = false;
+          alive[static_cast<std::size_t>(id.get())] = 0;
           step_leaves.back().push_back(id);
         },
         [this](NodeId id) {
-          alive[static_cast<std::size_t>(id.get())] = true;
+          alive[static_cast<std::size_t>(id.get())] = 1;
           step_joins.back().push_back(id);
         });
   }
@@ -34,12 +34,12 @@ struct Harness {
 
   [[nodiscard]] int alive_count() const {
     int c = 0;
-    for (bool a : alive) c += a ? 1 : 0;
+    for (std::uint8_t a : alive) c += a;
     return c;
   }
 
   sim::Engine engine;
-  std::vector<bool> alive;
+  std::vector<std::uint8_t> alive;
   std::vector<std::vector<NodeId>> step_leaves, step_joins;
   std::unique_ptr<ChurnModel> model;
 };
@@ -149,7 +149,7 @@ TEST(ChurnProperty, WaveStepsChurnTheMultiplierAndRecover) {
 TEST(ChurnProperty, ValidatesWaveParameters) {
   sim::Engine engine;
   auto noop = [](NodeId) {};
-  auto alive = [](NodeId) { return true; };
+  const std::vector<std::uint8_t> alive(10, 1);
   ChurnModel::Params bad;
   bad.dynamic_factor = 0.1;
   bad.wave_every = -1;

@@ -50,7 +50,8 @@ TEST_P(StreamingReplayDifferential, ReplayMatchesBitwise) {
   world.run();
   const MetricsCollector& retaining = world.metrics();
 
-  MetricsCollector streaming(cfg.system.horizon_s, util::Rng(12345), retaining.bucket());
+  // World's collector plots at the default bucket, and so does this one.
+  MetricsCollector streaming(cfg.system.horizon_s, util::Rng(12345));
   for (const auto& r : retaining.reports()) streaming.on_workflow_finished(r);
   for (const auto& s : retaining.samples()) streaming.on_cycle(s);
 

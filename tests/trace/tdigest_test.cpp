@@ -1,7 +1,7 @@
 // Property and differential tests for util::TDigest: quantile estimates are
 // compared against exact sort-based quantiles on 10k+ draws from several
 // distributions, with an error bound per compression setting; determinism
-// and merge() behavior are pinned exactly.
+// is pinned exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,7 +48,7 @@ double rank_error(const std::vector<double>& sorted, double estimate, double q) 
 TEST(TDigest, EmptyAndSmall) {
   TDigest d;
   EXPECT_TRUE(std::isnan(d.quantile(0.5)));
-  EXPECT_TRUE(std::isnan(d.min()));
+  EXPECT_TRUE(std::isnan(d.quantile(0.0)));
   EXPECT_EQ(d.count(), 0u);
 
   d.add(42.0);
@@ -68,8 +68,7 @@ TEST(TDigest, ExactMinMax) {
   auto xs = draw(20000, 2, 7);
   for (double x : xs) d.add(x);
   std::sort(xs.begin(), xs.end());
-  EXPECT_DOUBLE_EQ(d.min(), xs.front());
-  EXPECT_DOUBLE_EQ(d.max(), xs.back());
+  // q = 0 and q = 1 read the exact running extremes, not the sketch.
   EXPECT_DOUBLE_EQ(d.quantile(0.0), xs.front());
   EXPECT_DOUBLE_EQ(d.quantile(1.0), xs.back());
 }
@@ -149,34 +148,6 @@ TEST(TDigest, DeterministicAndQueriesIdempotent) {
     EXPECT_EQ(a.quantile(0.5), p50);
     EXPECT_EQ(a.quantile(0.99), p99);
   }
-}
-
-TEST(TDigest, MergePreservesCountAndAccuracy) {
-  auto xs = draw(12000, 1, 21);
-  TDigest whole(100.0), left(100.0), right(100.0);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    whole.add(xs[i]);
-    (i < xs.size() / 2 ? left : right).add(xs[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-  std::sort(xs.begin(), xs.end());
-  for (double q : {0.05, 0.5, 0.95, 0.99}) {
-    EXPECT_LE(rank_error(xs, left.quantile(q), q), 2.0 / 100.0) << "q=" << q;
-  }
-}
-
-TEST(TDigest, MergeEmptyIsNoOp) {
-  TDigest d(50.0), empty(50.0);
-  for (double x : draw(1000, 0, 3)) d.add(x);
-  const double before = d.quantile(0.5);
-  d.merge(empty);
-  EXPECT_EQ(d.quantile(0.5), before);
-  empty.merge(d);
-  EXPECT_EQ(empty.quantile(0.5), d.quantile(0.5));
-  EXPECT_EQ(empty.count(), d.count());
 }
 
 // Memory is O(compression): the centroid bound holds even for 10^6 inserts
